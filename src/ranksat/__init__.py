@@ -21,7 +21,6 @@ from .cnf import (
     parse_dimacs,
     parse_dimacs_file,
     parse_json_instance,
-    satisfied_weight,
     to_dimacs,
 )
 from .qsim import (
@@ -55,7 +54,7 @@ __all__ = [
     "__version__",
     "Literal", "Clause", "CnfFormula", "CostParams", "DimacsError",
     "parse_dimacs", "parse_dimacs_file", "parse_json_instance", "to_dimacs",
-    "eval_clause", "h_count", "divergence", "g_cost", "satisfied_weight",
+    "eval_clause", "h_count", "divergence", "g_cost",
     "default_params",
     "AngleVector", "QuantumState", "ShotSet",
     "rank_of", "prepare_state", "probability", "sample",

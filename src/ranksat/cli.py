@@ -27,7 +27,7 @@ from .harness import (
 )
 from .oracle import GUARD_MAX_N, GuardError, enumerate_h
 from .qsim import AngleVector
-from .shaping import QuantileSet, histogram_to_csv, histogram_to_json_obj
+from .shaping import QuantileSet, histogram_to_csv, histogram_to_json_obj, rows_to_csv
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -160,12 +160,7 @@ def cmd_report(args) -> int:
         if args.format == "json":
             _emit(json.dumps(rows, indent=2) + "\n", args.out)
         else:
-            lines = ["h,count,probability,cumfreq"]
-            lines += [
-                f"{r['h']},{r['count']},{r['probability']:.9g},{r['cumfreq']:.9g}"
-                for r in rows
-            ]
-            _emit("\n".join(lines) + "\n", args.out)
+            _emit(rows_to_csv(rows, "h"), args.out)
     else:  # history
         history = run.get("history")
         if history is None:

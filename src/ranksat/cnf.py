@@ -32,7 +32,6 @@ __all__ = [
     "h_count",
     "divergence",
     "g_cost",
-    "satisfied_weight",
     "default_params",
     "d_max",
     "ClauseArrays",
@@ -77,15 +76,12 @@ class Clause:
 
     index: int
     literals: tuple[Literal, ...]
-    weight: float = 1.0
 
     def __post_init__(self):
         if self.index < 1:
             raise ValueError(f"clause index must be >= 1, got {self.index}")
         if not self.literals:
             raise ValueError(f"clause {self.index} is empty")
-        if self.weight < 0:
-            raise ValueError(f"clause {self.index} has negative weight {self.weight}")
         seen = set()
         for lit in self.literals:
             if lit.variable in seen:
@@ -122,23 +118,11 @@ class CnfFormula:
         return len(self.clauses)
 
     @classmethod
-    def from_signed(
-        cls,
-        n: int,
-        clauses: Iterable[Iterable[int]],
-        weights: Iterable[float] | None = None,
-    ) -> "CnfFormula":
+    def from_signed(cls, n: int, clauses: Iterable[Iterable[int]]) -> "CnfFormula":
         """Build a formula from signed-integer clause lists."""
-        lits = [tuple(Literal.from_signed(l) for l in cl) for cl in clauses]
-        if weights is None:
-            ws = [1.0] * len(lits)
-        else:
-            ws = [float(w) for w in weights]
-            if len(ws) != len(lits):
-                raise ValueError("one weight per clause required")
         built = tuple(
-            Clause(index=i, literals=cl, weight=w)
-            for i, (cl, w) in enumerate(zip(lits, ws), start=1)
+            Clause(index=i, literals=tuple(Literal.from_signed(l) for l in cl))
+            for i, cl in enumerate(clauses, start=1)
         )
         return cls(n=n, clauses=built)
 
@@ -176,11 +160,11 @@ def default_params(f: CnfFormula) -> CostParams:
     return CostParams(zeta=float(d_max(f.m) + 1), vartheta=1.0)
 
 
-def _require_dominance(f: CnfFormula, params: CostParams) -> None:
-    if not params.dominates(f.m):
+def _require_dominance(m: int, params: CostParams) -> None:
+    if not params.dominates(m):
         raise ValueError(
             f"cost params zeta={params.zeta}, vartheta={params.vartheta} do not "
-            f"dominate: need zeta > vartheta * {d_max(f.m)} for m={f.m}"
+            f"dominate: need zeta > vartheta * {d_max(m)} for m={m}"
         )
 
 
@@ -263,8 +247,9 @@ def parse_dimacs_file(path: str) -> CnfFormula:
 def parse_json_instance(text: str | dict) -> CnfFormula:
     """Parse the extended JSON instance format.
 
-    Schema: ``{"n": int, "clauses": [{"lits": [±int, ...], "w": real}, ...]}``
-    with ``w`` optional (default 1).
+    Schema: ``{"n": int, "clauses": [{"lits": [±int, ...]}, ...]}``. The cost
+    counts unsatisfied clauses unweighted, so a clause weight ``"w"`` is
+    rejected rather than silently ignored.
     """
     obj = json.loads(text) if isinstance(text, str) else text
     if not isinstance(obj, dict) or "n" not in obj or "clauses" not in obj:
@@ -273,11 +258,13 @@ def parse_json_instance(text: str | dict) -> CnfFormula:
         n = int(obj["n"])
         raw = list(obj["clauses"])
         lits = [tuple(int(l) for l in cl["lits"]) for cl in raw]
-        weights = [float(cl.get("w", 1.0)) for cl in raw]
     except (TypeError, KeyError, ValueError) as exc:
         raise DimacsError(f"malformed JSON instance: {exc}")
+    for pos, cl in enumerate(raw, start=1):
+        if "w" in cl:
+            raise DimacsError(f"clause {pos}: clause weights are not supported")
     try:
-        return CnfFormula.from_signed(n, lits, weights)
+        return CnfFormula.from_signed(n, lits)
     except ValueError as exc:
         raise DimacsError(str(exc))
 
@@ -331,14 +318,8 @@ def divergence(f: CnfFormula, a: Sequence[int]) -> int:
 
 def g_cost(f: CnfFormula, a: Sequence[int], params: CostParams) -> float:
     """Hierarchical cost ``zeta*h + vartheta*d``; 0 iff ``a`` satisfies ``f``."""
-    _require_dominance(f, params)
+    _require_dominance(f.m, params)
     return params.zeta * h_count(f, a) + params.vartheta * divergence(f, a)
-
-
-def satisfied_weight(f: CnfFormula, a: Sequence[int]) -> float:
-    """Total weight of satisfied clauses; ``m - h_count`` under unit weights."""
-    _check_length(f, a)
-    return sum(clause.weight for clause in f.clauses if eval_clause(clause, a))
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +346,6 @@ class ClauseArrays:
                 self._fails[i, j] = 1 if lit.negated else 0
                 self._pad[i, j] = False
         self._sq_index = np.arange(1, self.m + 1, dtype=np.int64) ** 2
-        self._weights = np.array([c.weight for c in f.clauses], dtype=np.float64)
 
     def unsat_matrix(self, bits: np.ndarray) -> np.ndarray:
         """(s, m) boolean matrix: clause i unsatisfied by row r."""
@@ -386,14 +366,6 @@ class ClauseArrays:
         return unsat.sum(axis=1, dtype=np.int64), unsat @ self._sq_index
 
     def g(self, bits: np.ndarray, params: CostParams) -> np.ndarray:
-        if not params.dominates(self.m):
-            raise ValueError(
-                f"cost params zeta={params.zeta}, vartheta={params.vartheta} do not "
-                f"dominate: need zeta > vartheta * {d_max(self.m)} for m={self.m}"
-            )
+        _require_dominance(self.m, params)
         h, d = self.h_and_d(bits)
         return params.zeta * h + params.vartheta * d
-
-    def satisfied_weight(self, bits: np.ndarray) -> np.ndarray:
-        unsat = self.unsat_matrix(bits)
-        return self._weights.sum() - unsat @ self._weights

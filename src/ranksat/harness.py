@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__
-from .cnf import CnfFormula, CostParams, default_params, load_instance_file
+from .cnf import CostParams, default_params, load_instance_file
 from .evolve import GaConfig, final_sample_stream, optimize
 from .oracle import (
     DistributionTable,
@@ -30,6 +30,7 @@ from .shaping import (
     CostHistogram,
     cost_histogram,
     h_histogram,
+    histogram_from_json_obj,
     histogram_to_json_obj,
     nearest_rank_quantile,
 )
@@ -81,14 +82,21 @@ def _meta(command: str) -> dict:
     }
 
 
-def _sample_section(f: CnfFormula, hist: CostHistogram, shots: int) -> dict:
+def histogram_summary(hist: CostHistogram) -> dict:
+    p0 = float(hist.counts[0] / hist.total) if hist.values[0] == 0 else 0.0
     return {
-        "shots": shots,
-        "h_histogram": histogram_to_json_obj(hist, value_label="h"),
-        "p_h0": float(hist.counts[0] / hist.total) if hist.values[0] == 0 else 0.0,
+        "p_h0": p0,
         "mean_h": hist.mean,
         "e_0.1": nearest_rank_quantile(hist.values, hist.cumfreq, 0.1),
         "e_0.5": nearest_rank_quantile(hist.values, hist.cumfreq, 0.5),
+    }
+
+
+def _sample_section(hist: CostHistogram, shots: int) -> dict:
+    return {
+        "shots": shots,
+        "h_histogram": histogram_to_json_obj(hist, value_label="h"),
+        **histogram_summary(hist),
     }
 
 
@@ -116,7 +124,7 @@ def run_optimize(
     state = prepare_state(f.n, best_angles)
     shots = sample(state, final_shots, final_sample_stream(cfg.seed))
     final_hist = h_histogram(f, shots)
-    final_section = _sample_section(f, final_hist, final_shots)
+    final_section = _sample_section(final_hist, final_shots)
 
     oracle_section = None
     factor = None
@@ -169,7 +177,7 @@ def run_sample(
         "instance": {**instance_fingerprint(instance_path), "n": f.n, "m": f.m},
         "angles": angles.to_json_obj(),
         "seed": seed,
-        "final_sample": _sample_section(f, hist, shots),
+        "final_sample": _sample_section(hist, shots),
     }
     return {
         "schema": SAMPLE_SCHEMA,
@@ -202,28 +210,21 @@ def artifact_angles(artifact: dict) -> AngleVector:
 
 
 def artifact_histogram(artifact: dict) -> CostHistogram:
-    rows = artifact["run"]["final_sample"]["h_histogram"]
-    return CostHistogram.from_pairs((row["h"], row["count"]) for row in rows)
-
-
-def histogram_summary(hist: CostHistogram) -> dict:
-    p0 = float(hist.counts[0] / hist.total) if hist.values[0] == 0 else 0.0
-    return {
-        "p_h0": p0,
-        "e_0.1": nearest_rank_quantile(hist.values, hist.cumfreq, 0.1),
-        "e_0.5": nearest_rank_quantile(hist.values, hist.cumfreq, 0.5),
-        "mean_h": hist.mean,
-    }
+    return histogram_from_json_obj(artifact["run"]["final_sample"]["h_histogram"], "h")
 
 
 def regenerate_g_histogram(artifact: dict) -> CostHistogram:
     """Rebuild the final sample at g-cost level from the stored seed.
 
     Sampling is deterministic given the artifact's seed, so the g-level view
-    does not need to be stored.
+    does not need to be stored. Raises ValueError when the instance file no
+    longer matches the sha256 recorded in the artifact.
     """
     run = artifact["run"]
-    f = load_instance_file(run["instance"]["path"])
+    path = run["instance"]["path"]
+    if instance_fingerprint(path)["sha256"] != run["instance"]["sha256"]:
+        raise ValueError(f"{path} has changed since the run: its sha256 no longer matches")
+    f = load_instance_file(path)
     angles = artifact_angles(artifact)
     shots_n = run["final_sample"]["shots"]
     if artifact["schema"] == RUN_SCHEMA:
@@ -241,11 +242,10 @@ def regenerate_g_histogram(artifact: dict) -> CostHistogram:
 # SATLIB ingestion
 
 def _download(url: str, timeout: float = 120.0) -> bytes:
-    import requests
+    import urllib.request  # pulls in http, email and ssl; only fetch-satlib needs it
 
-    resp = requests.get(url, timeout=timeout)
-    resp.raise_for_status()
-    return resp.content
+    with urllib.request.urlopen(url, timeout=timeout) as resp:
+        return resp.read()
 
 
 def fetch_satlib(

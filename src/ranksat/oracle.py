@@ -13,9 +13,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .cnf import ClauseArrays, CnfFormula, CostParams, _require_dominance
+from .cnf import ClauseArrays, CnfFormula, CostParams
 from .qsim import AngleVector, bits_from_ranks, prepare_state
-from .shaping import QuantileSet, nearest_rank_quantile
+from .shaping import QuantileSet, nearest_rank_quantile, rows_to_csv
 
 __all__ = [
     "GuardError",
@@ -26,8 +26,6 @@ __all__ = [
     "exact_h_distribution",
     "exact_g_distribution",
     "exact_shaped_cost",
-    "table_mean",
-    "table_quantile",
 ]
 
 GUARD_MAX_N = 26
@@ -84,12 +82,7 @@ class DistributionTable:
         ]
 
     def to_csv(self) -> str:
-        lines = ["h,count,probability,cumfreq"]
-        for row in self.to_json_obj():
-            lines.append(
-                f"{row['h']},{row['count']},{row['probability']:.9g},{row['cumfreq']:.9g}"
-            )
-        return "\n".join(lines) + "\n"
+        return rows_to_csv(self.to_json_obj(), "h")
 
 
 def _require_guard(f: CnfFormula, max_n: int) -> None:
@@ -105,6 +98,20 @@ def _rank_chunks(n: int) -> Iterator[np.ndarray]:
     domain = 1 << n
     for start in range(0, domain, _CHUNK):
         yield np.arange(start, min(start + _CHUNK, domain), dtype=np.int64)
+
+
+def _state_chunks(
+    f: CnfFormula, angles: AngleVector
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(bits, probability) of every assignment under the prepared state, by chunk."""
+    p1 = prepare_state(f.n, angles).p_one()
+    p0 = 1.0 - p1
+    for ranks in _rank_chunks(f.n):
+        bits = bits_from_ranks(ranks, f.n)
+        probs = np.ones(len(ranks), dtype=np.float64)
+        for j in range(f.n):
+            probs *= np.where(bits[:, j] == 1, p1[j], p0[j])
+        yield bits, probs
 
 
 def enumerate_h(f: CnfFormula, max_n: int = GUARD_MAX_N) -> DistributionTable:
@@ -146,17 +153,10 @@ def exact_h_distribution(
     """
     _require_guard(f, max_n)
     arrays = ClauseArrays(f)
-    state = prepare_state(f.n, angles)
-    p1 = state.p_one()
-    p0 = 1.0 - p1
     counts = np.zeros(f.m + 1, dtype=np.int64)
     mass = np.zeros(f.m + 1, dtype=np.float64)
-    for ranks in _rank_chunks(f.n):
-        bits = bits_from_ranks(ranks, f.n)
+    for bits, probs in _state_chunks(f, angles):
         h = arrays.h(bits)
-        probs = np.ones(len(ranks), dtype=np.float64)
-        for j in range(f.n):
-            probs *= np.where(bits[:, j] == 1, p1[j], p0[j])
         counts += np.bincount(h, minlength=f.m + 1)
         mass += np.bincount(h, weights=probs, minlength=f.m + 1)
     domain = 1 << f.n
@@ -178,28 +178,19 @@ def exact_g_distribution(
     """Exact cost distribution of the prepared state.
 
     Returns (values, mass): ascending distinct g-values and the quantum
-    probability carried by each.
+    probability carried by each. Masses are summed per chunk first, then
+    across chunks in ascending chunk order; ``bincount`` adds in index order,
+    so the merge is deterministic.
     """
     _require_guard(f, max_n)
-    _require_dominance(f, params)
     arrays = ClauseArrays(f)
-    state = prepare_state(f.n, angles)
-    p1 = state.p_one()
-    p0 = 1.0 - p1
-    acc: dict[float, float] = {}
-    for ranks in _rank_chunks(f.n):
-        bits = bits_from_ranks(ranks, f.n)
-        g = arrays.g(bits, params)
-        probs = np.ones(len(ranks), dtype=np.float64)
-        for j in range(f.n):
-            probs *= np.where(bits[:, j] == 1, p1[j], p0[j])
-        values, inverse = np.unique(g, return_inverse=True)
-        chunk_mass = np.bincount(inverse, weights=probs)
-        for v, w in zip(values, chunk_mass):
-            acc[float(v)] = acc.get(float(v), 0.0) + float(w)
-    values = np.array(sorted(acc), dtype=np.float64)
-    mass = np.array([acc[v] for v in values], dtype=np.float64)
-    return values, mass
+    chunk_values, chunk_mass = [], []
+    for bits, probs in _state_chunks(f, angles):
+        values, inverse = np.unique(arrays.g(bits, params), return_inverse=True)
+        chunk_values.append(values)
+        chunk_mass.append(np.bincount(inverse, weights=probs))
+    values, inverse = np.unique(np.concatenate(chunk_values), return_inverse=True)
+    return values, np.bincount(inverse, weights=np.concatenate(chunk_mass))
 
 
 def exact_shaped_cost(
@@ -219,14 +210,3 @@ def exact_shaped_cost(
     mean = float(np.dot(values, mass) / total)
     cum = np.cumsum(mass) / total
     return mean + sum(nearest_rank_quantile(values, cum, p) for p in levels)
-
-
-def table_mean(table: DistributionTable) -> float:
-    """Probability-weighted mean h of a distribution table."""
-    total = float(table.probabilities.sum())
-    return float(np.dot(table.h_values, table.probabilities) / total)
-
-
-def table_quantile(table: DistributionTable, p: float) -> int:
-    """Nearest-rank h-quantile of a distribution table at level p."""
-    return int(nearest_rank_quantile(table.h_values.astype(np.float64), table.cumfreq(), p))

@@ -23,7 +23,6 @@ __all__ = [
     "ShotSet",
     "rank_of",
     "bits_from_ranks",
-    "assignment_from_rank",
     "prepare_state",
     "amplitude",
     "probability",
@@ -121,10 +120,6 @@ def bits_from_ranks(ranks: np.ndarray, n: int) -> np.ndarray:
     """Decode ranks into an (s, n) bit matrix; inverse of rank_of per row."""
     ranks = np.asarray(ranks, dtype=np.int64)
     return ((ranks[:, None] >> np.arange(n, dtype=np.int64)) & 1).astype(np.uint8)
-
-
-def assignment_from_rank(rank: int, n: int) -> list[int]:
-    return [(rank >> j) & 1 for j in range(n)]
 
 
 def prepare_state(n: int, angles: AngleVector) -> QuantumState:

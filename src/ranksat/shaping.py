@@ -7,13 +7,12 @@ level p is the smallest cost value whose cumulative frequency reaches p.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cnf import ClauseArrays, CnfFormula, CostParams, _require_dominance
+from .cnf import ClauseArrays, CnfFormula, CostParams
 from .qsim import ShotSet
 
 __all__ = [
@@ -26,6 +25,7 @@ __all__ = [
     "shaped_cost",
     "nearest_rank_quantile",
     "histogram_to_csv",
+    "rows_to_csv",
     "histogram_to_json_obj",
 ]
 
@@ -155,37 +155,44 @@ def shaped_cost(hist: CostHistogram, levels: QuantileSet) -> float:
     return hist.mean + sum(quantile(hist, p) for p in levels)
 
 
+def _check_shots(f: CnfFormula, shots: ShotSet) -> None:
+    if shots.count < 1:
+        raise ValueError("shot set is empty")
+    if shots.n != f.n:
+        raise ValueError(f"shots have {shots.n} bits, formula has n={f.n}")
+
+
 def cost_histogram(
     f: CnfFormula, shots: ShotSet, params: CostParams
 ) -> CostHistogram:
     """Histogram of the hierarchical cost over all shots."""
-    if shots.count < 1:
-        raise ValueError("shot set is empty")
-    if shots.n != f.n:
-        raise ValueError(f"shots have {shots.n} bits, formula has n={f.n}")
-    _require_dominance(f, params)
-    arrays = ClauseArrays(f)
-    h, d = arrays.h_and_d(shots.bits)
-    return CostHistogram.from_samples(params.zeta * h + params.vartheta * d)
+    _check_shots(f, shots)
+    return CostHistogram.from_samples(ClauseArrays(f).g(shots.bits, params))
 
 
 def h_histogram(f: CnfFormula, shots: ShotSet) -> CostHistogram:
     """Histogram of the unsatisfied-clause count; used for reporting."""
-    if shots.count < 1:
-        raise ValueError("shot set is empty")
-    if shots.n != f.n:
-        raise ValueError(f"shots have {shots.n} bits, formula has n={f.n}")
+    _check_shots(f, shots)
     return CostHistogram.from_samples(ClauseArrays(f).h(shots.bits))
+
+
+def rows_to_csv(rows: Sequence[dict], value_label: str) -> str:
+    """CSV with columns <value_label>,count,probability,cumfreq.
+
+    ``rows`` are JSON table rows as emitted by ``histogram_to_json_obj`` and
+    ``DistributionTable.to_json_obj``.
+    """
+    lines = [f"{value_label},count,probability,cumfreq"]
+    lines += [
+        f"{r[value_label]},{r['count']},{r['probability']:.9g},{r['cumfreq']:.9g}"
+        for r in rows
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def histogram_to_csv(hist: CostHistogram, value_label: str = "value") -> str:
     """CSV with columns value,count,probability,cumfreq."""
-    lines = [f"{value_label},count,probability,cumfreq"]
-    probs = hist.probabilities()
-    for v, c, p, cf in zip(hist.values, hist.counts, probs, hist.cumfreq):
-        v_repr = int(v) if float(v).is_integer() else v
-        lines.append(f"{v_repr},{c},{p:.9g},{cf:.9g}")
-    return "\n".join(lines) + "\n"
+    return rows_to_csv(histogram_to_json_obj(hist, value_label), value_label)
 
 
 def histogram_to_json_obj(hist: CostHistogram, value_label: str = "value") -> list[dict]:
@@ -203,16 +210,3 @@ def histogram_to_json_obj(hist: CostHistogram, value_label: str = "value") -> li
 
 def histogram_from_json_obj(obj: Sequence[dict], value_label: str = "value") -> CostHistogram:
     return CostHistogram.from_pairs((row[value_label], row["count"]) for row in obj)
-
-
-def parse_histogram_csv(text: str) -> CostHistogram:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    pairs = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        pairs.append((float(cells[0]), int(cells[1])))
-    return CostHistogram.from_pairs(pairs)
-
-
-def to_json(hist: CostHistogram, value_label: str = "value") -> str:
-    return json.dumps(histogram_to_json_obj(hist, value_label), indent=2)

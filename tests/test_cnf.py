@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ranksat as rs
+from ranksat.cli import main
 from ranksat.cnf import ClauseArrays, d_max, load_instance_file
 
 from conftest import all_assignments, random_formula
@@ -19,7 +20,6 @@ def test_parse_minimal():
     assert f.n == 3 and f.m == 1
     assert [lit.signed for lit in f.clauses[0].literals] == [1, -2, 3]
     assert f.clauses[0].index == 1
-    assert f.clauses[0].weight == 1.0
 
 
 def test_parse_clause_spanning_lines_and_comments():
@@ -76,14 +76,14 @@ def test_round_trip_random_formulas():
         assert rs.parse_dimacs(rs.to_dimacs(f)) == f
 
 
-def test_json_instance_weights():
-    f = rs.parse_json_instance(
-        '{"n": 3, "clauses": [{"lits": [1, -2], "w": 2.5}, {"lits": [3]}]}'
-    )
-    assert f.n == 3 and f.m == 2
-    assert f.clauses[0].weight == 2.5 and f.clauses[1].weight == 1.0
-    assert rs.satisfied_weight(f, [1, 0, 0]) == 2.5
-    assert rs.satisfied_weight(f, [1, 0, 1]) == 3.5
+def test_json_instance_rejects_weights(tmp_path, capsys):
+    text = '{"n": 3, "clauses": [{"lits": [3]}, {"lits": [1, -2], "w": 2.5}]}'
+    with pytest.raises(rs.DimacsError, match="clause 2: clause weights are not supported"):
+        rs.parse_json_instance(text)
+    path = tmp_path / "weighted.json"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    assert "weights are not supported" in capsys.readouterr().err
 
 
 def test_json_instance_malformed():
@@ -177,13 +177,6 @@ def test_g_cost_rejects_nondominant(widget):
         rs.g_cost(widget, ZEROS5, rs.CostParams(zeta=1.0, vartheta=1.0))
 
 
-def test_satisfied_weight(widget):
-    assert rs.satisfied_weight(widget, SOLUTION) == 10.0
-    assert rs.satisfied_weight(widget, ZEROS5) == 8.0
-    weighted = rs.CnfFormula.from_signed(2, [[1, 2]], weights=[2.5])
-    assert rs.satisfied_weight(weighted, [1, 0]) == 2.5
-
-
 def test_default_params_values():
     assert rs.default_params(rs.CnfFormula(n=1, clauses=())).zeta == 1.0
     assert d_max(10) == 385
@@ -227,14 +220,6 @@ def test_property_g_hierarchy_exhaustive():
                 assert lower.max() < upper.min()
 
 
-def test_property_weight_identity_exhaustive():
-    rng = np.random.default_rng(8)
-    f = random_formula(rng, n=10, m=25)
-    arrays = ClauseArrays(f)
-    bits = all_assignments(10)
-    np.testing.assert_array_equal(arrays.satisfied_weight(bits) + arrays.h(bits), f.m)
-
-
 def test_batch_matches_scalar():
     rng = np.random.default_rng(9)
     for _ in range(10):
@@ -242,8 +227,6 @@ def test_batch_matches_scalar():
         arrays = ClauseArrays(f)
         bits = rng.integers(0, 2, size=(16, f.n)).astype(np.uint8)
         h, d = arrays.h_and_d(bits)
-        w = arrays.satisfied_weight(bits)
-        for row, hh, dd, ww in zip(bits, h, d, w):
+        for row, hh, dd in zip(bits, h, d):
             assert rs.h_count(f, row) == hh
             assert rs.divergence(f, row) == dd
-            assert rs.satisfied_weight(f, row) == pytest.approx(float(ww))

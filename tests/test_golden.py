@@ -1,0 +1,55 @@
+"""Golden pins: exact run bytes and an exact oracle value.
+
+A refactor that claims to keep behaviour must pass these unchanged. A change
+that alters results on purpose re-baselines the pins and says so in
+CHANGES.md. Instances are copied into a temporary directory and run by a
+relative path, because the hashed ``instance.path`` is the path as given.
+"""
+import hashlib
+import shutil
+
+import numpy as np
+
+import ranksat as rs
+from ranksat.evolve import GaConfig
+from ranksat.harness import run_optimize
+from ranksat.oracle import exact_g_distribution, exact_shaped_cost
+from ranksat.qsim import AngleVector
+from ranksat.shaping import QuantileSet
+
+from conftest import DATA, random_formula
+
+SHORT = dict(generations=3, population=6, elites=1, shots_per_eval=60, seed=17)
+
+WIDGET_HASH = "sha256:6d72e0e5448c8c93abc201da9eb95e06214fa6adca29bac7ee31010faeefb2e3"
+SYNTH20_HASH = "sha256:a6d77adff4067e55ac3ce2a75b19ac9c6ee08da23216e0fe842b129b870ff6e5"
+SHAPED17 = 3190375.19779253
+# sha256 of values.tobytes() + mass.tobytes() of the same exact g-distribution
+G17_DIGEST = "9c0682974b4b2bfffb3e98bf1d0fc2417ed2b590303e6071a09306bfec18c036"
+
+
+def test_golden_widget_run(tmp_path, monkeypatch):
+    shutil.copy(DATA / "widget.cnf", tmp_path / "widget.cnf")
+    monkeypatch.chdir(tmp_path)
+    art = run_optimize("widget.cnf", GaConfig(**SHORT), final_shots=5000)
+    assert art["repro_hash"] == WIDGET_HASH
+
+
+def test_golden_synthetic_n20_run(tmp_path, monkeypatch):
+    f = random_formula(np.random.default_rng(0), n=20, m=91)
+    (tmp_path / "synth20.cnf").write_text(rs.to_dimacs(f))
+    monkeypatch.chdir(tmp_path)
+    art = run_optimize("synth20.cnf", GaConfig(**SHORT), final_shots=5000)
+    assert art["run"]["oracle"] is not None
+    assert art["repro_hash"] == SYNTH20_HASH
+
+
+def test_golden_exact_shaped_cost_multichunk():
+    # n=17 spans two 2**16-rank chunks, so the per-chunk merge is pinned too
+    f = random_formula(np.random.default_rng(3), n=17, m=72)
+    angles = AngleVector(betas=(0.3, 0.7), gammas=(1.1, 2.3))
+    params = rs.default_params(f)
+    assert exact_shaped_cost(f, angles, params, QuantileSet.default()) == SHAPED17
+    # the shaped cost can absorb last-bit drift in single masses; the digest cannot
+    values, mass = exact_g_distribution(f, angles, params)
+    assert hashlib.sha256(values.tobytes() + mass.tobytes()).hexdigest() == G17_DIGEST

@@ -9,6 +9,7 @@ import ranksat as rs
 from ranksat.cli import main
 from ranksat.evolve import GaConfig
 from ranksat.harness import (
+    _download,
     artifact_histogram,
     canonical_json,
     fetch_satlib,
@@ -281,6 +282,16 @@ def test_report_g_level_regenerates(widget_path, tmp_path, capsys):
     assert sum(int(ln.split(",")[1]) for ln in out.strip().splitlines()[1:]) == 2000
 
 
+def test_cli_report_g_level_stale_instance(widget_path, tmp_path, capsys):
+    inst = tmp_path / "w.cnf"
+    inst.write_text(Path(widget_path).read_text())
+    path = tmp_path / "run.json"
+    save_artifact(run_optimize(str(inst), _tiny_cfg(), final_shots=500), str(path))
+    inst.write_text(inst.read_text() + "c edited after the run\n")
+    assert main(["report", str(path), "--what", "final", "--g-level"]) == 2
+    assert "sha256" in capsys.readouterr().err
+
+
 def test_improvement_factor_math(widget):
     initial = rs.enumerate_h(widget)
     assert improvement_factor(0.5, initial) == pytest.approx(4.0)
@@ -323,6 +334,13 @@ def test_fetch_satlib_count_mismatch(tmp_path):
             url="http://unused.example/x.tgz",
             download=lambda url: blob,
         )
+
+
+def test_download_reads_file_uri(tmp_path):
+    blob = _fake_tarball(["uf20-01.cnf"])
+    tarball = tmp_path / "set.tar.gz"
+    tarball.write_bytes(blob)
+    assert _download(tarball.as_uri()) == blob
 
 
 def test_cli_fetch_satlib_unreachable(tmp_path, capsys):

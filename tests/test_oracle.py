@@ -12,8 +12,6 @@ from ranksat.oracle import (
     exact_h_distribution,
     exact_shaped_cost,
     list_solutions,
-    table_mean,
-    table_quantile,
 )
 from ranksat.qsim import AngleVector, prepare_state, probability, sample
 from ranksat.shaping import QuantileSet, h_histogram
@@ -159,14 +157,6 @@ def test_exact_shaped_cost_matches_bruteforce(widget):
         expected += values[idx]
     got = exact_shaped_cost(widget, angles, params, levels)
     assert got == pytest.approx(expected, rel=1e-12)
-
-
-def test_exact_h_projection_values(widget):
-    # uniform state: mean h = 40/32 and the h-median is 1
-    table = exact_h_distribution(widget, AngleVector.zeros(2))
-    assert table_mean(table) == pytest.approx(1.25)
-    assert table_quantile(table, 0.5) == 1
-    assert table_mean(table) + table_quantile(table, 0.5) == pytest.approx(2.25)
 
 
 def test_exact_g_distribution_mass():
