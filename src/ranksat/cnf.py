@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -116,6 +117,11 @@ class CnfFormula:
     @property
     def m(self) -> int:
         return len(self.clauses)
+
+    @cached_property
+    def arrays(self) -> "ClauseArrays":
+        """The batch scorer of this formula, compiled on first use."""
+        return ClauseArrays(self)
 
     @classmethod
     def from_signed(cls, n: int, clauses: Iterable[Iterable[int]]) -> "CnfFormula":

@@ -74,11 +74,13 @@ def repro_hash(run_obj: dict) -> str:
     return "sha256:" + hashlib.sha256(canonical_json(run_obj).encode()).hexdigest()
 
 
-def _meta(command: str) -> dict:
+def _meta(command: str, instance_path: str) -> dict:
     return {
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "tool_version": __version__,
         "command": command,
+        # outside the hash, so report --g-level finds the file from any directory
+        "instance_path": str(Path(instance_path).resolve()),
     }
 
 
@@ -154,7 +156,7 @@ def run_optimize(
     }
     return {
         "schema": RUN_SCHEMA,
-        "meta": _meta("optimize"),
+        "meta": _meta("optimize", instance_path),
         "run": run,
         "repro_hash": repro_hash(run),
     }
@@ -181,7 +183,7 @@ def run_sample(
     }
     return {
         "schema": SAMPLE_SCHEMA,
-        "meta": _meta("sample"),
+        "meta": _meta("sample", instance_path),
         "run": run,
         "repro_hash": repro_hash(run),
     }
@@ -217,11 +219,15 @@ def regenerate_g_histogram(artifact: dict) -> CostHistogram:
     """Rebuild the final sample at g-cost level from the stored seed.
 
     Sampling is deterministic given the artifact's seed, so the g-level view
-    does not need to be stored. Raises ValueError when the instance file no
-    longer matches the sha256 recorded in the artifact.
+    does not need to be stored. A recorded relative path that does not exist
+    from the working directory falls back to the absolute path under "meta".
+    Raises ValueError when the instance file no longer matches the sha256
+    recorded in the artifact.
     """
     run = artifact["run"]
     path = run["instance"]["path"]
+    if not Path(path).exists():
+        path = artifact["meta"].get("instance_path", path)
     if instance_fingerprint(path)["sha256"] != run["instance"]["sha256"]:
         raise ValueError(f"{path} has changed since the run: its sha256 no longer matches")
     f = load_instance_file(path)

@@ -1,19 +1,21 @@
-"""Exact, simulation-independent references over the full assignment space.
+"""Exact references over the full assignment space, by rank-indexed tables.
 
-Everything here walks ranks 0..2**n - 1 in ascending order (decoded with the
-package-wide bit convention), so enumeration results, solution listings and
-exact state distributions are mutually consistent by construction. A resource
-guard refuses qubit counts whose enumeration would no longer be a desk-scale
-job; tests and the CLI stay well inside it.
+Every function works on tables with one entry per rank 0..2**n - 1, decoded
+with the package-wide bit convention: the weighted count of clauses each
+assignment leaves unsatisfied, filled clause by clause through slices of a
+``(2,)*n`` view, and the state probability, built by Kronecker doubling. The
+tables do not go through the GA's batch scorer, so the oracle checks it
+independently. Masses are summed per 2**16-rank block, the blocks in rank
+order, which fixes every exact distribution to the last bit. A resource guard
+refuses qubit counts whose tables would no longer be a desk-scale job.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .cnf import ClauseArrays, CnfFormula, CostParams
+from .cnf import CnfFormula, CostParams, _require_dominance
 from .qsim import AngleVector, bits_from_ranks, prepare_state
 from .shaping import QuantileSet, nearest_rank_quantile, rows_to_csv
 
@@ -29,7 +31,7 @@ __all__ = [
 ]
 
 GUARD_MAX_N = 26
-_CHUNK = 1 << 16
+_BLOCK = 1 << 16
 
 
 class GuardError(RuntimeError):
@@ -85,63 +87,77 @@ class DistributionTable:
         return rows_to_csv(self.to_json_obj(), "h")
 
 
-def _require_guard(f: CnfFormula, max_n: int) -> None:
+def _unsat_table(f: CnfFormula, weights: list[int], max_n: int) -> np.ndarray:
+    """Per rank, the summed weight of the clauses the assignment leaves unsatisfied.
+
+    In C order axis ``n - v`` of the ``(2,)*n`` view holds variable ``v``, so
+    the slice fixing each literal of a clause to its failing value holds
+    exactly the assignments that leave the clause unsatisfied.
+    """
     if f.n > max_n:
         raise GuardError(
             f"enumeration over n={f.n} variables needs 2**{f.n} evaluations; "
             f"the resource guard allows n <= {max_n}"
         )
+    table = np.zeros((2,) * f.n, dtype=np.min_scalar_type(sum(weights)))
+    for clause, weight in zip(f.clauses, weights):
+        failing = [slice(None)] * f.n
+        for lit in clause.literals:
+            failing[f.n - lit.variable] = int(lit.negated)
+        table[tuple(failing)] += weight
+    return table.reshape(-1)
 
 
-def _rank_chunks(n: int) -> Iterator[np.ndarray]:
-    """Ascending rank ranges; chunked so the bit matrices stay small."""
-    domain = 1 << n
-    for start in range(0, domain, _CHUNK):
-        yield np.arange(start, min(start + _CHUNK, domain), dtype=np.int64)
+def _state_probabilities(f: CnfFormula, angles: AngleVector) -> np.ndarray:
+    """|<x|state>|**2 of every assignment x, in rank order.
 
-
-def _state_chunks(
-    f: CnfFormula, angles: AngleVector
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(bits, probability) of every assignment under the prepared state, by chunk."""
+    Qubit j is multiplied in at step j, the same order as a per-rank product
+    over j, so each entry is bit-identical to that product.
+    """
     p1 = prepare_state(f.n, angles).p_one()
-    p0 = 1.0 - p1
-    for ranks in _rank_chunks(f.n):
-        bits = bits_from_ranks(ranks, f.n)
-        probs = np.ones(len(ranks), dtype=np.float64)
-        for j in range(f.n):
-            probs *= np.where(bits[:, j] == 1, p1[j], p0[j])
-        yield bits, probs
+    probs = np.ones(1)
+    for q0, q1 in zip(1.0 - p1, p1):
+        probs = np.outer((q0, q1), probs).reshape(-1)
+    return probs
 
 
-def enumerate_h(f: CnfFormula, max_n: int = GUARD_MAX_N) -> DistributionTable:
-    """Exact count of assignments per unsatisfied-clause value."""
-    _require_guard(f, max_n)
-    arrays = ClauseArrays(f)
-    counts = np.zeros(f.m + 1, dtype=np.int64)
-    for ranks in _rank_chunks(f.n):
-        h = arrays.h(bits_from_ranks(ranks, f.n))
-        counts += np.bincount(h, minlength=f.m + 1)
-    domain = 1 << f.n
+def _block_bincount(
+    keys: np.ndarray, size: int, weights: np.ndarray | None = None
+) -> np.ndarray:
+    """``bincount`` of each 2**16-rank block, the blocks added in rank order.
+
+    The blocks fix the floating-point summation order of the masses, and keep
+    ``bincount`` from widening a whole table to int64 at once.
+    """
+    total = np.zeros(size, dtype=np.int64 if weights is None else np.float64)
+    for start in range(0, keys.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        total += np.bincount(keys[block], None if weights is None else weights[block], size)
+    return total
+
+
+def _h_distribution(h: np.ndarray, m: int, probs: np.ndarray | None) -> DistributionTable:
+    """Buckets of the h table; mass is count / 2**n without ``probs``."""
+    counts = _block_bincount(h, m + 1)
+    mass = counts / h.size if probs is None else _block_bincount(h, m + 1, probs)
     support = np.nonzero(counts)[0]
     return DistributionTable(
         h_values=support.astype(np.int64),
         counts=counts[support],
-        probabilities=counts[support] / domain,
-        domain_size=domain,
+        probabilities=mass[support],
+        domain_size=h.size,
     )
+
+
+def enumerate_h(f: CnfFormula, max_n: int = GUARD_MAX_N) -> DistributionTable:
+    """Exact count of assignments per unsatisfied-clause value."""
+    return _h_distribution(_unsat_table(f, [1] * f.m, max_n), f.m, None)
 
 
 def list_solutions(f: CnfFormula, max_n: int = GUARD_MAX_N) -> list[list[int]]:
     """All satisfying assignments, in ascending rank order."""
-    _require_guard(f, max_n)
-    arrays = ClauseArrays(f)
-    solutions: list[list[int]] = []
-    for ranks in _rank_chunks(f.n):
-        bits = bits_from_ranks(ranks, f.n)
-        sat = arrays.h(bits) == 0
-        solutions.extend([int(b) for b in row] for row in bits[sat])
-    return solutions
+    ranks = np.flatnonzero(_unsat_table(f, [1] * f.m, max_n) == 0)
+    return bits_from_ranks(ranks, f.n).tolist()
 
 
 def exact_h_distribution(
@@ -151,22 +167,8 @@ def exact_h_distribution(
 
     Accumulates |<x|state>|**2 into bucket h(x) for every assignment x.
     """
-    _require_guard(f, max_n)
-    arrays = ClauseArrays(f)
-    counts = np.zeros(f.m + 1, dtype=np.int64)
-    mass = np.zeros(f.m + 1, dtype=np.float64)
-    for bits, probs in _state_chunks(f, angles):
-        h = arrays.h(bits)
-        counts += np.bincount(h, minlength=f.m + 1)
-        mass += np.bincount(h, weights=probs, minlength=f.m + 1)
-    domain = 1 << f.n
-    support = np.nonzero(counts)[0]
-    return DistributionTable(
-        h_values=support.astype(np.int64),
-        counts=counts[support],
-        probabilities=mass[support],
-        domain_size=domain,
-    )
+    h = _unsat_table(f, [1] * f.m, max_n)
+    return _h_distribution(h, f.m, _state_probabilities(f, angles))
 
 
 def exact_g_distribution(
@@ -178,19 +180,14 @@ def exact_g_distribution(
     """Exact cost distribution of the prepared state.
 
     Returns (values, mass): ascending distinct g-values and the quantum
-    probability carried by each. Masses are summed per chunk first, then
-    across chunks in ascending chunk order; ``bincount`` adds in index order,
-    so the merge is deterministic.
+    probability carried by each.
     """
-    _require_guard(f, max_n)
-    arrays = ClauseArrays(f)
-    chunk_values, chunk_mass = [], []
-    for bits, probs in _state_chunks(f, angles):
-        values, inverse = np.unique(arrays.g(bits, params), return_inverse=True)
-        chunk_values.append(values)
-        chunk_mass.append(np.bincount(inverse, weights=probs))
-    values, inverse = np.unique(np.concatenate(chunk_values), return_inverse=True)
-    return values, np.bincount(inverse, weights=np.concatenate(chunk_mass))
+    _require_dominance(f.m, params)
+    g = params.zeta * _unsat_table(f, [1] * f.m, max_n)
+    g += params.vartheta * _unsat_table(f, [c.index ** 2 for c in f.clauses], max_n)
+    values, inverse = np.unique(g, return_inverse=True)
+    del g
+    return values, _block_bincount(inverse, values.size, _state_probabilities(f, angles))
 
 
 def exact_shaped_cost(

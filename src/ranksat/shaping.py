@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cnf import ClauseArrays, CnfFormula, CostParams
+from .cnf import CnfFormula, CostParams
 from .qsim import ShotSet
 
 __all__ = [
@@ -167,13 +167,13 @@ def cost_histogram(
 ) -> CostHistogram:
     """Histogram of the hierarchical cost over all shots."""
     _check_shots(f, shots)
-    return CostHistogram.from_samples(ClauseArrays(f).g(shots.bits, params))
+    return CostHistogram.from_samples(f.arrays.g(shots.bits, params))
 
 
 def h_histogram(f: CnfFormula, shots: ShotSet) -> CostHistogram:
     """Histogram of the unsatisfied-clause count; used for reporting."""
     _check_shots(f, shots)
-    return CostHistogram.from_samples(ClauseArrays(f).h(shots.bits))
+    return CostHistogram.from_samples(f.arrays.h(shots.bits))
 
 
 def rows_to_csv(rows: Sequence[dict], value_label: str) -> str:

@@ -45,7 +45,7 @@ def test_golden_synthetic_n20_run(tmp_path, monkeypatch):
 
 
 def test_golden_exact_shaped_cost_multichunk():
-    # n=17 spans two 2**16-rank chunks, so the per-chunk merge is pinned too
+    # n=17 spans two 2**16-rank summation blocks, so the block-order merge is pinned too
     f = random_formula(np.random.default_rng(3), n=17, m=72)
     angles = AngleVector(betas=(0.3, 0.7), gammas=(1.1, 2.3))
     params = rs.default_params(f)

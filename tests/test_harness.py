@@ -1,5 +1,6 @@
 import io
 import json
+import shutil
 import tarfile
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 
 import ranksat as rs
 from ranksat.cli import main
+from ranksat.cnf import ClauseArrays
 from ranksat.evolve import GaConfig
 from ranksat.harness import (
     _download,
@@ -290,6 +292,35 @@ def test_cli_report_g_level_stale_instance(widget_path, tmp_path, capsys):
     inst.write_text(inst.read_text() + "c edited after the run\n")
     assert main(["report", str(path), "--what", "final", "--g-level"]) == 2
     assert "sha256" in capsys.readouterr().err
+
+
+def test_cli_report_g_level_relative_instance(widget_path, tmp_path, monkeypatch, capsys):
+    run_dir = tmp_path / "a"
+    run_dir.mkdir()
+    shutil.copy(widget_path, run_dir / "widget.cnf")
+    monkeypatch.chdir(run_dir)
+    flags = ["--generations", "2", "--population", "6", "--elites", "1", "--shots", "60"]
+    assert main(["optimize", "widget.cnf", *flags, "--final-shots", "500",
+                 "--out", "run.json"]) == 0
+    capsys.readouterr()
+    assert main(["report", "run.json", "--what", "final", "--g-level"]) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.chdir(tmp_path)
+    assert main(["report", "a/run.json", "--what", "final", "--g-level"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_run_optimize_compiles_formula_once(widget_path, monkeypatch):
+    compiled = []
+    init = ClauseArrays.__init__
+
+    def counting_init(self, f):
+        compiled.append(f)
+        init(self, f)
+
+    monkeypatch.setattr(ClauseArrays, "__init__", counting_init)
+    run_optimize(widget_path, _tiny_cfg(), final_shots=500)
+    assert len(compiled) == 1
 
 
 def test_improvement_factor_math(widget):

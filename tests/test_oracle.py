@@ -171,6 +171,52 @@ def test_exact_g_distribution_mass():
     assert mass.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+CROSSCHECK_FORMULAS = [
+    # clause widths 1-4 in one formula, variables 1 and n, both signs
+    rs.CnfFormula.from_signed(
+        6, [[1], [-6, 2], [3, -4, 6], [-1, 5, -2, 4], [6, -3], [-5, 1, 3, -6]]
+    ),
+    rs.CnfFormula.from_signed(4, [[-4], [1, 2, -3, 4], [2, -1], [3, 4, -2], [1, -4]]),
+    rs.CnfFormula.from_signed(1, [[1], [-1], [-1]]),
+    rs.CnfFormula.from_signed(1, [[-1]]),
+    rs.CnfFormula(n=3, clauses=()),
+]
+
+
+@pytest.mark.parametrize("f", CROSSCHECK_FORMULAS, ids=lambda f: f"n{f.n}m{f.m}")
+def test_oracle_matches_scalar_loop(f):
+    # reference: one scalar h_count / g_cost / probability call per assignment
+    params = rs.default_params(f)
+    angles = AngleVector(betas=(0.4, 1.1), gammas=(0.7, 2.9))
+    state = prepare_state(f.n, angles)
+    counts: dict[int, int] = {}
+    h_mass: dict[int, float] = {}
+    g_mass: dict[float, float] = {}
+    solutions = []
+    for rank in range(1 << f.n):
+        bits = [(rank >> j) & 1 for j in range(f.n)]
+        h, p = rs.h_count(f, bits), probability(state, bits)
+        counts[h] = counts.get(h, 0) + 1
+        h_mass[h] = h_mass.get(h, 0.0) + p
+        g = rs.g_cost(f, bits, params)
+        g_mass[g] = g_mass.get(g, 0.0) + p
+        if h == 0:
+            solutions.append(bits)
+
+    assert {h: c for h, (c, _) in enumerate_h(f).as_dict().items()} == counts
+    assert list_solutions(f) == solutions
+    exact_h = exact_h_distribution(f, angles)
+    assert exact_h.h_values.tolist() == sorted(counts)
+    np.testing.assert_allclose(
+        exact_h.probabilities, [h_mass[h] for h in sorted(h_mass)], rtol=0, atol=1e-12
+    )
+    values, mass = exact_g_distribution(f, angles, params)
+    assert values.tolist() == sorted(g_mass)
+    np.testing.assert_allclose(
+        mass, [g_mass[g] for g in sorted(g_mass)], rtol=0, atol=1e-12
+    )
+
+
 def test_dense_crosscheck_exact_h():
     rng = np.random.default_rng(25)
     f = random_formula(rng, n=8, m=20)

@@ -5,6 +5,7 @@ or renaming one of them would break the benchmark without failing any other
 tier-1 test.
 """
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -30,3 +31,9 @@ def test_perfbench_targets_exist(monkeypatch):
         if not hasattr(importlib.import_module(f"ranksat.{module}"), attr)
     ]
     assert missing == []
+
+
+def test_oracle_is_independent_of_batch_scorer():
+    # the oracle is the reference the batch scorer is checked against
+    oracle = importlib.import_module("ranksat.oracle")
+    assert "ClauseArrays" not in inspect.getsource(oracle)
