@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .cnf import CostParams, DimacsError, load_instance_file
+from .cnf import DimacsError, load_instance_file
 from .evolve import GaConfig
 from .harness import (
     SATLIB_UF20_URL,
@@ -85,15 +85,9 @@ def _config_from_args(args) -> GaConfig:
 
 def cmd_optimize(args) -> int:
     cfg = _config_from_args(args)
-    params = None
-    if args.zeta is not None or args.vartheta is not None:
-        if args.zeta is None or args.vartheta is None:
-            raise ValueError("--zeta and --vartheta must be given together")
-        params = CostParams(zeta=args.zeta, vartheta=args.vartheta)
     artifact = run_optimize(
         args.instance,
         cfg,
-        params=params,
         final_shots=args.final_shots,
         oracle_max_n=args.max_n,
     )
@@ -246,8 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     _add_ga_flags(p)
     p.add_argument("--final-shots", type=int, default=100_000)
-    p.add_argument("--zeta", type=float, default=None)
-    p.add_argument("--vartheta", type=float, default=None)
     p.add_argument("--max-n", type=int, default=GUARD_MAX_N,
                    help="oracle guard; larger n only disables the embedded oracle section")
     p.add_argument("--out", required=True, help="artifact JSON path")

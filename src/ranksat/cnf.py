@@ -332,25 +332,27 @@ def g_cost(f: CnfFormula, a: Sequence[int], params: CostParams) -> float:
 # Batch scoring
 
 class ClauseArrays:
-    """Padded literal tensors for scoring many assignments at once.
+    """Literal columns for scoring many assignments at once.
 
     ``bits`` arguments are (s, n) arrays of 0/1; all outputs are per-row.
-    A clause is unsatisfied exactly when every literal sits on its failing
-    bit value (0 for a positive literal, 1 for a negated one).
+    Two ``(width, m)`` arrays hold literal slot ``j`` of clause ``i`` at
+    ``[j, i]``: ``_vars`` its 0-based variable and ``_fails`` the bit value
+    on which it fails (0 for a positive literal, 1 for a negated one). A
+    clause is unsatisfied exactly when every slot sits on its failing value.
+    A clause shorter than ``width`` repeats its first literal in the spare
+    slots, which leaves that AND unchanged.
     """
 
     def __init__(self, f: CnfFormula):
         self.n = f.n
         self.m = f.m
         width = max((len(c.literals) for c in f.clauses), default=1)
-        self._vars = np.zeros((self.m, width), dtype=np.int64)
-        self._fails = np.zeros((self.m, width), dtype=np.uint8)
-        self._pad = np.ones((self.m, width), dtype=bool)
-        for i, clause in enumerate(f.clauses):
-            for j, lit in enumerate(clause.literals):
-                self._vars[i, j] = lit.variable - 1
-                self._fails[i, j] = 1 if lit.negated else 0
-                self._pad[i, j] = False
+        slots = [c.literals + c.literals[:1] * (width - len(c.literals)) for c in f.clauses]
+        signed = np.array(
+            [[lit.signed for lit in column] for column in zip(*slots)], dtype=np.int64
+        ).reshape(width, self.m)
+        self._vars = np.abs(signed) - 1
+        self._fails = (signed < 0).astype(np.uint8)
         self._sq_index = np.arange(1, self.m + 1, dtype=np.int64) ** 2
 
     def unsat_matrix(self, bits: np.ndarray) -> np.ndarray:
@@ -358,18 +360,19 @@ class ClauseArrays:
         bits = np.asarray(bits, dtype=np.uint8)
         if bits.ndim != 2 or bits.shape[1] != self.n:
             raise ValueError(f"expected (s, {self.n}) bit matrix, got {bits.shape}")
-        if self.m == 0:
-            return np.zeros((bits.shape[0], 0), dtype=bool)
-        failing = bits[:, self._vars] == self._fails  # (s, m, width)
-        failing |= self._pad
-        return failing.all(axis=2)
+        by_var = np.ascontiguousarray(bits.T)  # (n, s): one row per variable
+        unsat = by_var[self._vars[0]] == self._fails[0, :, None]  # (m, s)
+        for vars_j, fails_j in zip(self._vars[1:], self._fails[1:]):
+            unsat &= by_var[vars_j] == fails_j[:, None]
+        return unsat.T
 
     def h(self, bits: np.ndarray) -> np.ndarray:
         return self.unsat_matrix(bits).sum(axis=1, dtype=np.int64)
 
     def h_and_d(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         unsat = self.unsat_matrix(bits)
-        return unsat.sum(axis=1, dtype=np.int64), unsat @ self._sq_index
+        # einsum reduces in buffered blocks; ``unsat @`` would cast all of it to int64
+        return unsat.sum(axis=1, dtype=np.int64), np.einsum("ij,j->i", unsat, self._sq_index)
 
     def g(self, bits: np.ndarray, params: CostParams) -> np.ndarray:
         _require_dominance(self.m, params)

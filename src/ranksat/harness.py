@@ -113,14 +113,12 @@ def improvement_factor(final_p0: float, initial: DistributionTable) -> float | N
 def run_optimize(
     instance_path: str,
     cfg: GaConfig,
-    params: CostParams | None = None,
     final_shots: int = FINAL_SHOTS_DEFAULT,
     oracle_max_n: int = GUARD_MAX_N,
 ) -> dict:
     """Optimize angles, draw the final report sample, assemble the artifact."""
     f = load_instance_file(instance_path)
-    if params is None:
-        params = default_params(f)
+    params = default_params(f)
     best_angles, history = optimize(f, cfg)
 
     state = prepare_state(f.n, best_angles)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,13 +221,43 @@ def test_property_g_hierarchy_exhaustive():
                 assert lower.max() < upper.min()
 
 
+MIXED_WIDTHS = [
+    # clause widths 1-4 in one formula, variables 1 and n, both signs
+    rs.CnfFormula.from_signed(
+        6, [[1], [-6, 2], [3, -4, 6], [-1, 5, -2, 4], [6, -3], [-5, 1, 3, -6]]
+    ),
+    rs.CnfFormula.from_signed(5, [[-5, 4, -1, 2], [5], [-1], [3, -2], [1, -3, 5]]),
+    rs.CnfFormula(n=3, clauses=()),
+]
+
+
 def test_batch_matches_scalar():
     rng = np.random.default_rng(9)
+    cases = [(f, all_assignments(f.n)) for f in MIXED_WIDTHS]
     for _ in range(10):
         f = random_formula(rng)
+        cases.append((f, rng.integers(0, 2, size=(16, f.n)).astype(np.uint8)))
+    for f, bits in cases:
         arrays = ClauseArrays(f)
-        bits = rng.integers(0, 2, size=(16, f.n)).astype(np.uint8)
         h, d = arrays.h_and_d(bits)
-        for row, hh, dd in zip(bits, h, d):
-            assert rs.h_count(f, row) == hh
-            assert rs.divergence(f, row) == dd
+        assert h.tolist() == arrays.h(bits).tolist()
+        assert h.tolist() == [rs.h_count(f, row) for row in bits]
+        assert d.tolist() == [rs.divergence(f, row) for row in bits]
+
+
+@pytest.mark.parametrize("method", ["unsat_matrix", "h_and_d"])
+def test_scoring_memory_bound(method):
+    # scoring keeps a few (s, m) bool matrices alive, never an (s, m, width) gather
+    s, rng = 2000, np.random.default_rng(4)
+    f = random_formula(rng, n=100, m=426)
+    arrays = ClauseArrays(f)
+    bits = rng.integers(0, 2, size=(s, f.n)).astype(np.uint8)
+    score = getattr(arrays, method)
+    score(bits)
+    tracemalloc.start()
+    try:
+        score(bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * s * f.m

@@ -143,6 +143,14 @@ def test_cli_optimize_rejects_bad_config(widget_path, tmp_path, capsys):
     assert "elites" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--zeta", "--vartheta"])
+def test_cli_optimize_has_no_cost_flags(widget_path, tmp_path, flag, capsys):
+    # the GA always scores with default_params, so a cost flag is refused
+    with pytest.raises(SystemExit) as exc:
+        main(["optimize", widget_path, flag, "1", "--out", str(tmp_path / "x.json")])
+    assert exc.value.code == 2
+
+
 def test_run_optimize_zero_angles_equivalent(widget_path):
     # generations=0 reduces to the best of the random initial population
     art = run_optimize(widget_path, _tiny_cfg(generations=0), final_shots=1000)

@@ -8,7 +8,10 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from ranksat.cnf import ClauseArrays, CnfFormula, default_params
 
 MODULES = ("cnf", "qsim", "shaping", "evolve", "oracle", "harness")
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -30,7 +33,29 @@ def test_perfbench_targets_exist(monkeypatch):
         f"{module}.{attr}" for module, attr in targets
         if not hasattr(importlib.import_module(f"ranksat.{module}"), attr)
     ]
+    # perfbench patches these methods on the class itself
+    missing += [
+        f"ClauseArrays.{attr}" for attr in ("__init__", "unsat_matrix")
+        if attr not in vars(ClauseArrays)
+    ]
     assert missing == []
+
+
+@pytest.mark.parametrize("method", ["h", "h_and_d", "g"])
+def test_scorers_reach_unsat_matrix(method, monkeypatch):
+    # the cnf.score metrics count unsat_matrix calls, also those made through h, h_and_d, g
+    calls = []
+    inner = ClauseArrays.unsat_matrix
+
+    def counted(self, bits):
+        calls.append(1)
+        return inner(self, bits)
+
+    monkeypatch.setattr(ClauseArrays, "unsat_matrix", counted)
+    f = CnfFormula.from_signed(3, [[1, -2], [3]])
+    args = (default_params(f),) if method == "g" else ()
+    getattr(f.arrays, method)(np.zeros((2, 3), dtype=np.uint8), *args)
+    assert calls == [1]
 
 
 def test_oracle_is_independent_of_batch_scorer():
