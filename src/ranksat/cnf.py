@@ -35,6 +35,7 @@ __all__ = [
     "g_cost",
     "default_params",
     "d_max",
+    "MAX_EXACT_CLAUSES",
     "ClauseArrays",
 ]
 
@@ -161,8 +162,22 @@ def d_max(m: int) -> int:
     return m * (m + 1) * (2 * m + 1) // 6
 
 
+# Largest m whose top cost g = zeta*m + d_max(m) under default_params is at
+# most 2**53, so float64 holds every cost exactly and keeps the (h, d) order.
+MAX_EXACT_CLAUSES = 12_820
+
+
 def default_params(f: CnfFormula) -> CostParams:
-    """Minimal integer weights giving lexicographic (h, d) ordering."""
+    """Minimal integer weights giving lexicographic (h, d) ordering.
+
+    Raises ValueError above MAX_EXACT_CLAUSES clauses, where float64 costs
+    would silently break that ordering.
+    """
+    if f.m > MAX_EXACT_CLAUSES:
+        raise ValueError(
+            f"{f.m} clauses exceed the limit of {MAX_EXACT_CLAUSES}: above it the "
+            "cost g = zeta*h + d no longer fits float64 exactly (2**53)"
+        )
     return CostParams(zeta=float(d_max(f.m) + 1), vartheta=1.0)
 
 
@@ -331,6 +346,9 @@ def g_cost(f: CnfFormula, a: Sequence[int], params: CostParams) -> float:
 # ---------------------------------------------------------------------------
 # Batch scoring
 
+SCORE_BLOCK_CELLS = 2**18  # clause x row cells per scoring block, well inside a 2 MB L2
+
+
 class ClauseArrays:
     """Literal columns for scoring many assignments at once.
 
@@ -353,26 +371,41 @@ class ClauseArrays:
         ).reshape(width, self.m)
         self._vars = np.abs(signed) - 1
         self._fails = (signed < 0).astype(np.uint8)
-        self._sq_index = np.arange(1, self.m + 1, dtype=np.int64) ** 2
+        index = np.arange(1, self.m + 1, dtype=np.float64)
+        self._weights = np.stack([np.ones(self.m), index**2])  # rows give h and d
 
-    def unsat_matrix(self, bits: np.ndarray) -> np.ndarray:
-        """(s, m) boolean matrix: clause i unsatisfied by row r."""
+    def _checked(self, bits: np.ndarray) -> np.ndarray:
         bits = np.asarray(bits, dtype=np.uint8)
         if bits.ndim != 2 or bits.shape[1] != self.n:
             raise ValueError(f"expected (s, {self.n}) bit matrix, got {bits.shape}")
-        by_var = np.ascontiguousarray(bits.T)  # (n, s): one row per variable
+        return bits
+
+    def unsat_matrix(self, bits: np.ndarray) -> np.ndarray:
+        """(s, m) boolean matrix: clause i unsatisfied by row r."""
+        by_var = np.ascontiguousarray(self._checked(bits).T)  # (n, s): one row per variable
         unsat = by_var[self._vars[0]] == self._fails[0, :, None]  # (m, s)
         for vars_j, fails_j in zip(self._vars[1:], self._fails[1:]):
             unsat &= by_var[vars_j] == fails_j[:, None]
         return unsat.T
 
     def h(self, bits: np.ndarray) -> np.ndarray:
-        return self.unsat_matrix(bits).sum(axis=1, dtype=np.int64)
+        return self.h_and_d(bits)[0]
 
     def h_and_d(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        unsat = self.unsat_matrix(bits)
-        # einsum reduces in buffered blocks; ``unsat @`` would cast all of it to int64
-        return unsat.sum(axis=1, dtype=np.int64), np.einsum("ij,j->i", unsat, self._sq_index)
+        """Per-row (h, d) as int64, exact while d_max(m) <= 2**53 (m <= 300,079).
+
+        Rows are scored in blocks of about SCORE_BLOCK_CELLS clause x row
+        cells, so the peak memory does not grow with the row count.
+        """
+        bits = self._checked(bits)
+        rows = max(1, SCORE_BLOCK_CELLS // max(self.m, 1))
+        hd = np.empty((2, len(bits)))
+        for start in range(0, len(bits), rows):
+            unsat = self.unsat_matrix(bits[start:start + rows]).T  # (m, rows)
+            # float64 sums of integers below 2**53 are exact in any order
+            hd[:, start:start + rows] = self._weights @ unsat
+        h, d = hd.astype(np.int64)
+        return h, d
 
     def g(self, bits: np.ndarray, params: CostParams) -> np.ndarray:
         _require_dominance(self.m, params)

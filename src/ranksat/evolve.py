@@ -15,8 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .cnf import CnfFormula, default_params
-from .qsim import AngleVector, BETA_PERIOD, GAMMA_PERIOD, prepare_state, sample
-from .shaping import QuantileSet, cost_histogram, shaped_cost
+from .qsim import AngleVector, BETA_PERIOD, GAMMA_PERIOD, fill_shots, p_one_rows
+from .shaping import QuantileSet, shaped_costs
 
 __all__ = [
     "GaConfig",
@@ -157,10 +157,25 @@ def evaluate_fitness(
     f: CnfFormula, angles: AngleVector, cfg: GaConfig, rng: np.random.Generator
 ) -> float:
     """Negated shaped cost of a shots_per_eval sample at these angles."""
-    state = prepare_state(f.n, angles)
-    shots = sample(state, cfg.shots_per_eval, rng)
-    hist = cost_histogram(f, shots, default_params(f))
-    return -shaped_cost(hist, cfg.quantile_levels)
+    return _fitness_values(f, [angles], cfg, [rng])[0]
+
+
+def _fitness_values(
+    f: CnfFormula,
+    angles: Sequence[AngleVector],
+    cfg: GaConfig,
+    rngs: Sequence[np.random.Generator],
+) -> list[float]:
+    """evaluate_fitness of each angle vector with its own stream, in one pass:
+    all states at once, one (P*s, n) shot matrix, one scoring call."""
+    params = default_params(f)
+    s = cfg.shots_per_eval
+    p_one = p_one_rows(f.n, angles)
+    bits = np.empty((len(angles) * s, f.n), dtype=np.uint8)
+    for i, rng in enumerate(rngs):
+        fill_shots(bits[i * s:(i + 1) * s], p_one[i], rng)
+    costs = f.arrays.g(bits, params).reshape(len(angles), s)
+    return [-cost for cost in shaped_costs(costs, cfg.quantile_levels)]
 
 
 def tournament_select(
@@ -210,12 +225,13 @@ def _elite_indices(population: Sequence[Individual], elites: int) -> list[int]:
 def _evaluate_generation(
     f: CnfFormula, population: list[Individual], cfg: GaConfig, generation: int
 ) -> None:
-    # Evaluations are independent given their per-(generation, individual)
-    # streams; running them in any order or in parallel yields the same result.
-    for i, ind in enumerate(population):
-        if not ind.evaluated:
-            rng = seed_stream(cfg.seed, _TAG_FITNESS, generation, i)
-            ind.fitness = evaluate_fitness(f, ind.angles, cfg, rng)
+    # Each evaluation draws from its own per-(generation, individual) stream,
+    # so batching them, or evaluating in any order, yields the same result.
+    todo = [i for i, ind in enumerate(population) if not ind.evaluated]
+    rngs = [seed_stream(cfg.seed, _TAG_FITNESS, generation, i) for i in todo]
+    fitness = _fitness_values(f, [population[i].angles for i in todo], cfg, rngs)
+    for i, value in zip(todo, fitness):
+        population[i].fitness = value
 
 
 def _record(

@@ -26,9 +26,12 @@ __all__ = [
     "prepare_state",
     "amplitude",
     "probability",
+    "p_one_rows",
     "sample",
+    "fill_shots",
 ]
 
+SAMPLE_BLOCK_CELLS = 2**18  # uniforms per sampling block: a 2 MB float64 temporary
 RANK_BIT_LIMIT = 62  # rank_of returns an exact Python int; numpy paths use int64
 
 BETA_PERIOD = math.pi       # beta is periodic modulo pi up to measurement stats
@@ -129,17 +132,39 @@ def prepare_state(n: int, angles: AngleVector) -> QuantumState:
     (a0, exp(-i*gamma_k*2**j)*a1), then the mixer applies
     [[cos b, -i sin b], [-i sin b, cos b]] with b = beta_k.
     """
+    return QuantumState(amps=_amplitudes(n, [angles])[0])
+
+
+def p_one_rows(n: int, angles: Sequence[AngleVector]) -> np.ndarray:
+    """(P, n) per-qubit probabilities of measuring 1, one row per angle vector.
+
+    Row i equals ``prepare_state(n, angles[i]).p_one()`` bit for bit.
+    """
+    return np.abs(_amplitudes(n, angles)[:, :, 1]) ** 2
+
+
+def _amplitudes(n: int, angles: Sequence[AngleVector]) -> np.ndarray:
+    """(P, n, 2) amplitude pairs of the circuit at each of P equal-depth angle vectors."""
     if n < 1:
         raise ValueError(f"qubit count must be >= 1, got {n}")
-    amps = np.full((n, 2), 1.0 / math.sqrt(2.0), dtype=np.complex128)
+    depths = {a.depth for a in angles}
+    if len(depths) > 1:
+        raise ValueError(f"angle vectors must share one depth, got {sorted(depths)}")
+    amps = np.full((len(angles), n, 2), 1.0 / math.sqrt(2.0), dtype=np.complex128)
     weights = 2.0 ** np.arange(n)
-    for beta, gamma in zip(angles.betas, angles.gammas):
-        amps[:, 1] *= np.exp(-1j * gamma * weights)
-        c, s = math.cos(beta), math.sin(beta)
-        a0 = c * amps[:, 0] - 1j * s * amps[:, 1]
-        a1 = -1j * s * amps[:, 0] + c * amps[:, 1]
-        amps = np.stack([a0, a1], axis=1)
-    return QuantumState(amps=amps)
+    for k in range(depths.pop() if depths else 0):
+        # per-row scalars are the Python values prepare_state on one vector uses
+        phase = np.exp(np.array([[-1j * a.gammas[k]] for a in angles]) * weights)
+        # numpy rounds a complex product differently by loop length: one row per call
+        for row, row_phase in zip(amps, phase):
+            row[:, 1] *= row_phase
+        # c and +-i*s have a zero part, so these products round alike in any loop
+        c = np.array([[complex(math.cos(a.betas[k]))] for a in angles])
+        s = np.array([[math.sin(a.betas[k])] for a in angles])
+        a0 = c * amps[:, :, 0] - 1j * s * amps[:, :, 1]
+        a1 = -1j * s * amps[:, :, 0] + c * amps[:, :, 1]
+        amps = np.stack([a0, a1], axis=2)
+    return amps
 
 
 def amplitude(state: QuantumState, a: Sequence[int]) -> complex:
@@ -168,6 +193,19 @@ def sample(state: QuantumState, s: int, rng: np.random.Generator) -> ShotSet:
     """
     if s < 1:
         raise ValueError(f"shot count must be >= 1, got {s}")
-    p1 = state.p_one()
-    bits = (rng.random((s, state.n)) < p1).astype(np.uint8)
+    bits = np.empty((s, state.n), dtype=np.uint8)
+    fill_shots(bits, state.p_one(), rng)
     return ShotSet(bits=bits)
+
+
+def fill_shots(out: np.ndarray, p1: np.ndarray, rng: np.random.Generator) -> None:
+    """Write ``rng.random(out.shape) < p1`` into the (s, n) uint8 ``out``.
+
+    Uniforms are drawn in row blocks of about SAMPLE_BLOCK_CELLS, which
+    consume the stream exactly as one (s, n) draw does, so no float64
+    (s, n) temporary is ever built.
+    """
+    rows = max(1, SAMPLE_BLOCK_CELLS // out.shape[1])
+    for start in range(0, out.shape[0], rows):
+        block = out[start:start + rows]
+        np.less(rng.random(block.shape), p1, out=block)

@@ -7,6 +7,7 @@ level p is the smallest cost value whose cumulative frequency reaches p.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -23,6 +24,7 @@ __all__ = [
     "h_histogram",
     "quantile",
     "shaped_cost",
+    "shaped_costs",
     "nearest_rank_quantile",
     "histogram_to_csv",
     "rows_to_csv",
@@ -138,12 +140,14 @@ def nearest_rank_quantile(
     Shared by the sampled and the exact (probability-mass) estimators so both
     use one definition; cf_0 (before the first entry) counts as 0.
     """
+    return float(values[_nearest_rank_index(cumfreq, p)])
+
+
+def _nearest_rank_index(cumfreq: np.ndarray, p: float) -> int:
     if not (0.0 < p < 1.0):
         raise ValueError(f"quantile level {p} outside (0, 1)")
     idx = int(np.searchsorted(cumfreq, p, side="left"))
-    if idx >= len(values):  # float drift in a mass-based cumfreq tail
-        idx = len(values) - 1
-    return float(values[idx])
+    return min(idx, len(cumfreq) - 1)  # float drift in a mass-based cumfreq tail
 
 
 def quantile(hist: CostHistogram, p: float) -> float:
@@ -153,6 +157,22 @@ def quantile(hist: CostHistogram, p: float) -> float:
 def shaped_cost(hist: CostHistogram, levels: QuantileSet) -> float:
     """Empirical mean plus the sum of the requested quantile values."""
     return hist.mean + sum(quantile(hist, p) for p in levels)
+
+
+def shaped_costs(costs: np.ndarray, levels: QuantileSet) -> list[float]:
+    """``shaped_cost`` of the histogram of each row of a (P, s) integer-valued cost matrix.
+
+    A sorted row with cumfreq = arange(1, s+1)/s holds every cumsum(counts)/s
+    entry of its histogram, so the nearest-rank quantiles are the same
+    values. The mean is the exactly rounded row sum over s, bit-identical to
+    the histogram's while s * max(cost) < 2**53.
+    """
+    s = costs.shape[1]
+    ordered = np.sort(costs, axis=1)
+    cumfreq = np.arange(1, s + 1) / s
+    quantiles = sum(ordered[:, _nearest_rank_index(cumfreq, p)] for p in levels)
+    means = np.array([math.fsum(row) for row in ordered.tolist()]) / s
+    return (means + quantiles).tolist()
 
 
 def _check_shots(f: CnfFormula, shots: ShotSet) -> None:

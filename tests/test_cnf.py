@@ -6,7 +6,13 @@ import pytest
 
 import ranksat as rs
 from ranksat.cli import main
-from ranksat.cnf import ClauseArrays, d_max, load_instance_file
+from ranksat.cnf import (
+    MAX_EXACT_CLAUSES,
+    SCORE_BLOCK_CELLS,
+    ClauseArrays,
+    d_max,
+    load_instance_file,
+)
 
 from conftest import all_assignments, random_formula
 
@@ -186,6 +192,26 @@ def test_default_params_values():
     assert rs.default_params(f91) == rs.CostParams(zeta=255_347.0, vartheta=1.0)
 
 
+def _g_max(m):
+    # the largest cost default_params can give: every clause unsatisfied
+    return (d_max(m) + 1) * m + d_max(m)
+
+
+def test_default_params_refuses_inexact_costs(tmp_path, capsys):
+    assert _g_max(MAX_EXACT_CLAUSES) <= 2**53 < _g_max(MAX_EXACT_CLAUSES + 1)
+    clause = [1, -2, 3]
+    accepted = rs.CnfFormula.from_signed(3, [clause] * MAX_EXACT_CLAUSES)
+    assert rs.default_params(accepted).zeta == d_max(MAX_EXACT_CLAUSES) + 1
+    refused = rs.CnfFormula.from_signed(3, [clause] * (MAX_EXACT_CLAUSES + 1))
+    with pytest.raises(ValueError, match="limit of 12820"):
+        rs.default_params(refused)
+    path = tmp_path / "big.cnf"
+    path.write_text(rs.to_dimacs(refused))
+    argv = ["optimize", str(path), "--generations", "0", "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 2
+    assert "limit of 12820" in capsys.readouterr().err
+
+
 # -- properties ---------------------------------------------------------------
 
 def test_property_h_plus_satisfied_is_m():
@@ -237,12 +263,16 @@ def test_batch_matches_scalar():
     for _ in range(10):
         f = random_formula(rng)
         cases.append((f, rng.integers(0, 2, size=(16, f.n)).astype(np.uint8)))
+    # rows spanning two full score blocks and a remainder
+    f = random_formula(rng, n=40, m=600)
+    rows = 2 * (SCORE_BLOCK_CELLS // f.m) + 5
+    cases.append((f, rng.integers(0, 2, size=(rows, f.n)).astype(np.uint8)))
     for f, bits in cases:
         arrays = ClauseArrays(f)
         h, d = arrays.h_and_d(bits)
         assert h.tolist() == arrays.h(bits).tolist()
-        assert h.tolist() == [rs.h_count(f, row) for row in bits]
-        assert d.tolist() == [rs.divergence(f, row) for row in bits]
+        assert h.tolist() == [rs.h_count(f, row) for row in bits.tolist()]
+        assert d.tolist() == [rs.divergence(f, row) for row in bits.tolist()]
 
 
 @pytest.mark.parametrize("method", ["unsat_matrix", "h_and_d"])
@@ -261,3 +291,18 @@ def test_scoring_memory_bound(method):
     finally:
         tracemalloc.stop()
     assert peak < 4 * s * f.m
+
+
+def test_h_and_d_peak_does_not_grow_with_rows():
+    # a whole (s, m) bool matrix plus its reductions needed about 3.25*s*m bytes (28 MB here)
+    s, rng = 20_000, np.random.default_rng(4)
+    f = random_formula(rng, n=100, m=426)
+    arrays = ClauseArrays(f)
+    bits = rng.integers(0, 2, size=(s, f.n)).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        arrays.h_and_d(bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

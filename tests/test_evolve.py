@@ -5,8 +5,10 @@ import pytest
 
 import ranksat as rs
 from ranksat.evolve import (
+    _TAG_FITNESS,
     GaConfig,
     Individual,
+    _evaluate_generation,
     crossover,
     evaluate_fitness,
     mutate,
@@ -14,8 +16,10 @@ from ranksat.evolve import (
     seed_stream,
     tournament_select,
 )
-from ranksat.qsim import AngleVector
-from ranksat.shaping import QuantileSet
+from ranksat.qsim import AngleVector, prepare_state, sample
+from ranksat.shaping import QuantileSet, cost_histogram, shaped_cost
+
+from conftest import random_formula
 
 
 def _ind(betas, gammas, fitness=None):
@@ -55,6 +59,55 @@ def test_evaluate_fitness_deterministic(widget):
     a = evaluate_fitness(widget, angles, cfg, seed_stream(5, 1, 2))
     b = evaluate_fitness(widget, angles, cfg, seed_stream(5, 1, 2))
     assert a == b
+
+
+def _histogram_fitness(f, angles, cfg, rng):
+    """One evaluation through the per-state histogram path."""
+    shots = sample(prepare_state(f.n, angles), cfg.shots_per_eval, rng)
+    hist = cost_histogram(f, shots, rs.default_params(f))
+    return -shaped_cost(hist, cfg.quantile_levels)
+
+
+def _random_population(rng, size, depth):
+    return [
+        _ind(tuple(rng.uniform(0, math.pi, depth)), tuple(rng.uniform(0, 2 * math.pi, depth)))
+        for _ in range(size)
+    ]
+
+
+@pytest.mark.parametrize(
+    "case,size,shots,levels",
+    [
+        ("widget", 8, 250, QuantileSet.default()),
+        ("n20", 30, 250, QuantileSet.default()),  # 7500 rows: three score blocks
+        ("n20", 5, 97, QuantileSet.of([0.01, 0.06, 0.11, 0.16, 0.21, 0.26, 0.32])),
+        ("n200", 6, 250, QuantileSet.default()),  # 1500 rows over blocks of 307
+        ("n200", 1, 250, QuantileSet.default()),
+    ],
+)
+def test_batched_fitness_equals_histogram_path(widget, case, size, shots, levels):
+    rng = np.random.default_rng(size * shots)
+    f = {
+        "widget": widget,
+        "n20": random_formula(np.random.default_rng(0), n=20, m=91),
+        "n200": random_formula(np.random.default_rng(1), n=200, m=852),
+    }[case]
+    cfg = GaConfig(shots_per_eval=shots, quantile_levels=levels, seed=int(rng.integers(1 << 30)))
+    population = _random_population(rng, size, cfg.depth)
+    # already evaluated individuals (elites) keep their fitness and draw nothing
+    elites = set(range(0, size - 1, 3))
+    for i in elites:
+        population[i].fitness = 12.5
+    _evaluate_generation(f, population, cfg, generation=4)
+    for i, ind in enumerate(population):
+        if i in elites:
+            assert ind.fitness == 12.5
+        else:
+            rng_i = seed_stream(cfg.seed, _TAG_FITNESS, 4, i)
+            assert ind.fitness == _histogram_fitness(f, ind.angles, cfg, rng_i)
+    angles = population[-1].angles
+    single = evaluate_fitness(f, angles, cfg, seed_stream(3, 1))
+    assert single == _histogram_fitness(f, angles, cfg, seed_stream(3, 1))
 
 
 def test_tournament_tie_break_lowest_index():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from ranksat.qsim import (
     AngleVector,
     QuantumState,
     amplitude,
+    SAMPLE_BLOCK_CELLS,
     bits_from_ranks,
+    p_one_rows,
     prepare_state,
     probability,
     rank_of,
@@ -211,3 +214,64 @@ def test_sample_validates():
         sample(state, 0, np.random.default_rng(0))
     with pytest.raises(ValueError):
         probability(state, [0])
+
+
+def _product_state_loop(n, angles):
+    """The single-state preparation the batched code must reproduce bit for bit."""
+    amps = np.full((n, 2), 1.0 / math.sqrt(2.0), dtype=np.complex128)
+    weights = 2.0 ** np.arange(n)
+    for beta, gamma in zip(angles.betas, angles.gammas):
+        amps[:, 1] *= np.exp(-1j * gamma * weights)
+        c, s = math.cos(beta), math.sin(beta)
+        a0 = c * amps[:, 0] - 1j * s * amps[:, 1]
+        a1 = -1j * s * amps[:, 0] + c * amps[:, 1]
+        amps = np.stack([a0, a1], axis=1)
+    return amps
+
+
+def test_p_one_rows_bit_identical_to_single_states():
+    rng = np.random.default_rng(21)
+    for n in (1, 2, 3, 5, 20, 33, 62):
+        for depth in (1, 2, 3):
+            angles = [
+                AngleVector(
+                    betas=tuple(rng.uniform(0, math.pi, depth)),
+                    gammas=tuple(rng.uniform(0, 2 * math.pi, depth)),
+                )
+                for _ in range(int(rng.integers(2, 12)))
+            ]
+            rows = p_one_rows(n, angles)
+            for a, row in zip(angles, rows):
+                single = prepare_state(n, a)
+                assert single.amps.tobytes() == _product_state_loop(n, a).tobytes()
+                assert row.tobytes() == single.p_one().tobytes()
+
+
+def test_p_one_rows_validates():
+    with pytest.raises(ValueError):
+        p_one_rows(0, [AngleVector.zeros(1)])
+    with pytest.raises(ValueError):
+        p_one_rows(3, [AngleVector.zeros(1), AngleVector.zeros(2)])
+
+
+def test_sample_blocks_draw_like_one_draw():
+    n = 1000
+    s = 3 * (SAMPLE_BLOCK_CELLS // n) + 17  # three full blocks and a remainder
+    state = prepare_state(n, AngleVector(betas=(0.4, 1.1), gammas=(0.7, 2.3)))
+    shots = sample(state, s, np.random.default_rng(5))
+    one_draw = np.random.default_rng(5).random((s, n)) < state.p_one()
+    assert shots.bits.dtype == np.uint8
+    np.testing.assert_array_equal(shots.bits, one_draw)
+
+
+def test_sample_memory_is_the_bits_plus_a_block():
+    # one (s, n) float64 draw would need 8 bytes per shot-bit on top of the bits
+    s, n = 20_000, 1000
+    state = prepare_state(n, AngleVector(betas=(0.4,), gammas=(0.7,)))
+    tracemalloc.start()
+    try:
+        sample(state, s, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * s * n

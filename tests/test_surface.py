@@ -11,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ranksat as rs
 from ranksat.cnf import ClauseArrays, CnfFormula, default_params
+from ranksat.evolve import GaConfig
 
 MODULES = ("cnf", "qsim", "shaping", "evolve", "oracle", "harness")
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -62,3 +64,23 @@ def test_oracle_is_independent_of_batch_scorer():
     # the oracle is the reference the batch scorer is checked against
     oracle = importlib.import_module("ranksat.oracle")
     assert "ClauseArrays" not in inspect.getsource(oracle)
+
+
+def test_perfbench_tracer_installs_and_restores(widget_path, monkeypatch):
+    # a call-shape change that unbinds a target would otherwise fail only under --trace 1
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    tracer = importlib.import_module("tracer")
+
+    def bindings():
+        mods = [rs] + [importlib.import_module(f"ranksat.{m}") for m in MODULES + ("cli",)]
+        return [dict(vars(mod)) for mod in mods] + [dict(vars(ClauseArrays))]
+
+    before = bindings()
+    cfg = GaConfig(generations=1, population=4, elites=1, shots_per_eval=50)
+    with tracer.Tracer() as t:
+        layers.install(t, rs)
+        rs.harness.run_optimize(widget_path, cfg, final_shots=500)
+    names = {span.name for span in t.finished()}
+    assert {"evolve.optimize", "cnf.score"} <= names
+    assert bindings() == before
