@@ -8,14 +8,22 @@ tables do not go through the GA's batch scorer, so the oracle checks it
 independently. Masses are summed per 2**16-rank block, the blocks in rank
 order, which fixes every exact distribution to the last bit. A resource guard
 refuses qubit counts whose tables would no longer be a desk-scale job.
+
+The formula tables do not depend on the angles, so each is built at most once
+per formula object: the h table, and an index of each rank's (h, d) pair,
+found from the exact integer key h*(d_max+1) + d. One cache slot holds the
+tables of the last formula the oracle saw, through a weak reference, so they
+are freed with the formula and an equal but separately parsed formula builds
+its own. Cached arrays are read-only.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cnf import CnfFormula, CostParams, _require_dominance
+from .cnf import CnfFormula, CostParams, _require_dominance, d_max
 from .qsim import AngleVector, bits_from_ranks, prepare_state
 from .shaping import QuantileSet, nearest_rank_quantile, rows_to_csv
 
@@ -32,6 +40,8 @@ __all__ = [
 
 GUARD_MAX_N = 26
 _BLOCK = 1 << 16
+# Largest m whose top key m*(d_max(m)+1) + d_max(m) fits int64.
+_MAX_KEY_CLAUSES = 72_526
 
 
 class GuardError(RuntimeError):
@@ -87,18 +97,13 @@ class DistributionTable:
         return rows_to_csv(self.to_json_obj(), "h")
 
 
-def _unsat_table(f: CnfFormula, weights: list[int], max_n: int) -> np.ndarray:
+def _unsat_table(f: CnfFormula, weights: list[int]) -> np.ndarray:
     """Per rank, the summed weight of the clauses the assignment leaves unsatisfied.
 
     In C order axis ``n - v`` of the ``(2,)*n`` view holds variable ``v``, so
     the slice fixing each literal of a clause to its failing value holds
     exactly the assignments that leave the clause unsatisfied.
     """
-    if f.n > max_n:
-        raise GuardError(
-            f"enumeration over n={f.n} variables needs 2**{f.n} evaluations; "
-            f"the resource guard allows n <= {max_n}"
-        )
     table = np.zeros((2,) * f.n, dtype=np.min_scalar_type(sum(weights)))
     for clause, weight in zip(f.clauses, weights):
         failing = [slice(None)] * f.n
@@ -106,6 +111,76 @@ def _unsat_table(f: CnfFormula, weights: list[int], max_n: int) -> np.ndarray:
             failing[f.n - lit.variable] = int(lit.negated)
         table[tuple(failing)] += weight
     return table.reshape(-1)
+
+
+class _TableSlot:
+    """The tables of the last formula the oracle saw, each filled on first use.
+
+    The formula is held through a weak reference whose callback empties the
+    slot, so the tables are freed with the formula.
+    """
+
+    def __init__(self):
+        self.formula: weakref.ref | None = None
+        self.h: np.ndarray | None = None
+        self.pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    def hold(self, f: CnfFormula) -> _TableSlot:
+        if self.formula is None or self.formula() is not f:
+            self.h = self.pairs = None
+            self.formula = weakref.ref(f, self._forget)
+        return self
+
+    def _forget(self, ref: weakref.ref) -> None:
+        if ref is self.formula:
+            self.formula = self.h = self.pairs = None
+
+
+_SLOT = _TableSlot()
+
+
+def _tables(f: CnfFormula, max_n: int) -> _TableSlot:
+    """The cache slot holding ``f``, after the resource guard."""
+    if f.n > max_n:
+        raise GuardError(
+            f"enumeration over n={f.n} variables needs 2**{f.n} evaluations; "
+            f"the resource guard allows n <= {max_n}"
+        )
+    return _SLOT.hold(f)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _h_table(f: CnfFormula, max_n: int) -> np.ndarray:
+    """Per rank, the number of clauses the assignment leaves unsatisfied."""
+    slot = _tables(f, max_n)
+    if slot.h is None:
+        slot.h = _read_only(_unsat_table(f, [1] * f.m))
+    return slot.h
+
+
+def _pair_index(f: CnfFormula, max_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(h, d, inverse): the distinct (h, d) pairs in lexicographic order, and
+    per rank the int32 position of its pair.
+
+    Clause i weighs d_max+1+i**2, so each rank's summed weight is the exact
+    integer key h*(d_max+1) + d, whose order is the (h, d) order.
+    """
+    slot = _tables(f, max_n)
+    if slot.pairs is None:
+        base = d_max(f.m) + 1
+        key = _unsat_table(f, [base + c.index ** 2 for c in f.clauses])
+        keys, inverse = np.unique(key, return_inverse=True)
+        del key
+        slot.pairs = (
+            _read_only(keys // base),
+            _read_only(keys % base),
+            _read_only(inverse.astype(np.int32)),
+        )
+    return slot.pairs
 
 
 def _state_probabilities(f: CnfFormula, angles: AngleVector) -> np.ndarray:
@@ -151,12 +226,12 @@ def _h_distribution(h: np.ndarray, m: int, probs: np.ndarray | None) -> Distribu
 
 def enumerate_h(f: CnfFormula, max_n: int = GUARD_MAX_N) -> DistributionTable:
     """Exact count of assignments per unsatisfied-clause value."""
-    return _h_distribution(_unsat_table(f, [1] * f.m, max_n), f.m, None)
+    return _h_distribution(_h_table(f, max_n), f.m, None)
 
 
 def list_solutions(f: CnfFormula, max_n: int = GUARD_MAX_N) -> list[list[int]]:
     """All satisfying assignments, in ascending rank order."""
-    ranks = np.flatnonzero(_unsat_table(f, [1] * f.m, max_n) == 0)
+    ranks = np.flatnonzero(_h_table(f, max_n) == 0)
     return bits_from_ranks(ranks, f.n).tolist()
 
 
@@ -167,8 +242,7 @@ def exact_h_distribution(
 
     Accumulates |<x|state>|**2 into bucket h(x) for every assignment x.
     """
-    h = _unsat_table(f, [1] * f.m, max_n)
-    return _h_distribution(h, f.m, _state_probabilities(f, angles))
+    return _h_distribution(_h_table(f, max_n), f.m, _state_probabilities(f, angles))
 
 
 def exact_g_distribution(
@@ -180,13 +254,22 @@ def exact_g_distribution(
     """Exact cost distribution of the prepared state.
 
     Returns (values, mass): ascending distinct g-values and the quantum
-    probability carried by each.
+    probability carried by each. Each value is ``zeta*h + vartheta*d`` in
+    float64, the same operations as per rank, so the values and the
+    rank-order mass sums equal those of a float g table.
     """
     _require_dominance(f.m, params)
-    g = params.zeta * _unsat_table(f, [1] * f.m, max_n)
-    g += params.vartheta * _unsat_table(f, [c.index ** 2 for c in f.clauses], max_n)
-    values, inverse = np.unique(g, return_inverse=True)
-    del g
+    if f.m > _MAX_KEY_CLAUSES:
+        raise ValueError(
+            f"{f.m} clauses exceed the limit of {_MAX_KEY_CLAUSES}: above it the "
+            "integer (h, d) key no longer fits int64"
+        )
+    h, d, inverse = _pair_index(f, max_n)
+    values = params.zeta * h + params.vartheta * d
+    if np.any(values[1:] <= values[:-1]):
+        # rounding gave distinct (h, d) pairs one g-value: bin ranks by value
+        values, fold = np.unique(values, return_inverse=True)
+        inverse = fold.astype(np.int32)[inverse]
     return values, _block_bincount(inverse, values.size, _state_probabilities(f, angles))
 
 

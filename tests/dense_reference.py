@@ -1,11 +1,16 @@
-"""Independent dense 2**n statevector reference.
+"""Independent references for the simulator and the oracle.
 
-Deliberately coded against the integer rank: builds the full vector, applies
-the diagonal phase exp(-i*gamma*rank) on the flat index, and applies the
-mixer as a tensored 2x2 per axis. Shares no code with the product-state
-simulator it cross-checks.
+``dense_state`` is deliberately coded against the integer rank: builds the
+full vector, applies the diagonal phase exp(-i*gamma*rank) on the flat index,
+and applies the mixer as a tensored 2x2 per axis. Shares no code with the
+product-state simulator it cross-checks.
+
+``float_g_distribution`` is the oracle's earlier exact g-distribution: a
+float64 g table per rank and one ``np.unique`` over it, with no table cache.
 """
 import numpy as np
+
+from ranksat.oracle import _block_bincount, _state_probabilities, _unsat_table
 
 
 def _mixer_matrix(beta: float) -> np.ndarray:
@@ -29,3 +34,12 @@ def dense_state(n: int, betas, gammas) -> np.ndarray:
         state = state * np.exp(-1j * gamma * ranks)
         state = _apply_mixer(state, beta, n)
     return state
+
+
+def float_g_distribution(f, angles, params):
+    """Ascending distinct g-values of a float64 g table and the mass of each."""
+    g = params.zeta * _unsat_table(f, [1] * f.m)
+    g += params.vartheta * _unsat_table(f, [c.index ** 2 for c in f.clauses])
+    values, inverse = np.unique(g, return_inverse=True)
+    del g
+    return values, _block_bincount(inverse, values.size, _state_probabilities(f, angles))

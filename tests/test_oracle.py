@@ -1,10 +1,13 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import ranksat as rs
-from ranksat.cnf import ClauseArrays
+from ranksat import oracle
+from ranksat.cnf import ClauseArrays, CostParams, d_max
 from ranksat.oracle import (
     GuardError,
     enumerate_h,
@@ -17,7 +20,7 @@ from ranksat.qsim import AngleVector, prepare_state, probability, sample
 from ranksat.shaping import QuantileSet, h_histogram
 
 from conftest import all_assignments, random_formula
-from dense_reference import dense_state
+from dense_reference import dense_state, float_g_distribution
 
 
 def test_enumerate_widget(widget):
@@ -241,3 +244,114 @@ def test_table_serialization(widget):
     assert rows[-1]["cumfreq"] == pytest.approx(1.0)
     probs = [row["probability"] for row in rows]
     assert sum(probs) == pytest.approx(1.0, abs=1e-4)
+
+
+def _mixed_width_formula(rng, n, m):
+    clauses = []
+    for _ in range(m):
+        width = int(rng.integers(1, min(4, n) + 1))
+        variables = rng.choice(n, size=width, replace=False) + 1
+        signs = rng.integers(0, 2, size=width) * 2 - 1
+        clauses.append([int(v * s) for v, s in zip(variables, signs)])
+    return rs.CnfFormula.from_signed(n, clauses)
+
+
+@pytest.mark.parametrize("n,m", [(1, 3), (5, 14), (12, 50), (17, 72)])
+@pytest.mark.parametrize("dominant", [False, True], ids=["default", "zeta1e20"])
+def test_exact_g_distribution_matches_float_path(n, m, dominant):
+    # zeta=1e20 rounds zeta*h + d, so distinct (h, d) pairs share one g-value
+    f = _mixed_width_formula(np.random.default_rng(n), n, m)
+    params = CostParams(zeta=1e20, vartheta=1.0) if dominant else rs.default_params(f)
+    angles = AngleVector(betas=(0.3, 0.7), gammas=(1.1, 2.3))
+    values, mass = exact_g_distribution(f, angles, params)
+    ref_values, ref_mass = float_g_distribution(f, angles, params)
+    assert values.tobytes() == ref_values.tobytes()
+    assert mass.tobytes() == ref_mass.tobytes()
+    # the zeta=1e20 cases take the folding path; the default ones keep every pair
+    pairs = oracle._pair_index(f, f.n)[0].size
+    assert values.size < pairs if dominant and n >= 5 else values.size == pairs
+
+
+def test_exact_g_distribution_refuses_key_overflow(monkeypatch):
+    # m*(d_max+1) + d_max fits int64 up to m = 72,526
+    angles = AngleVector.zeros(1)
+
+    def formula(m):
+        f = rs.CnfFormula.from_signed(1, [[1], [-1]] * (m // 2) + [[1]] * (m % 2))
+        return f, CostParams(zeta=float(d_max(m) + 1), vartheta=1.0)
+
+    f, params = formula(72_526)
+    values, mass = exact_g_distribution(f, angles, params)
+    ref_values, ref_mass = float_g_distribution(f, angles, params)
+    assert values.tobytes() == ref_values.tobytes() and mass.tobytes() == ref_mass.tobytes()
+
+    f, params = formula(72_527)
+    builds = []
+    monkeypatch.setattr(oracle, "_unsat_table", lambda *args: builds.append(args))
+    with pytest.raises(ValueError, match="72526"):
+        exact_g_distribution(f, angles, params)
+    assert builds == []
+
+
+def test_tables_built_once_per_formula(monkeypatch):
+    builds = []
+    build = oracle._unsat_table
+
+    def counting(f, weights):
+        builds.append("h" if weights[0] == 1 else "key")
+        return build(f, weights)
+
+    monkeypatch.setattr(oracle, "_unsat_table", counting)
+    f = random_formula(np.random.default_rng(26), n=10, m=40)
+    params, levels = rs.default_params(f), QuantileSet.default()
+    angles = [AngleVector(betas=(0.2 * k, 0.5), gammas=(0.9, 0.4 * k)) for k in (1, 2)]
+    enumerate_h(f)
+    list_solutions(f)
+    for a in angles:
+        exact_h_distribution(f, a)
+        exact_shaped_cost(f, a, params, levels)
+    assert sorted(builds) == ["h", "key"]
+
+    with pytest.raises(GuardError):
+        enumerate_h(f, max_n=f.n - 1)
+    for table in (oracle._h_table(f, f.n),) + oracle._pair_index(f, f.n):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0
+
+    reparsed = rs.parse_dimacs(rs.to_dimacs(f))
+    assert reparsed == f and reparsed is not f
+    enumerate_h(reparsed)
+    assert sorted(builds) == ["h", "h", "key"]
+
+
+def test_table_slot_follows_formula_lifetime():
+    a = random_formula(np.random.default_rng(27), n=6, m=20)
+    enumerate_h(a)
+    assert oracle._SLOT.formula() is a
+    del a
+    gc.collect()
+    assert oracle._SLOT.formula is None and oracle._SLOT.h is None
+
+    a = random_formula(np.random.default_rng(28), n=6, m=20)
+    b = random_formula(np.random.default_rng(29), n=6, m=20)
+    enumerate_h(a)
+    enumerate_h(b)
+    h_b = oracle._SLOT.h
+    del a
+    gc.collect()
+    assert oracle._SLOT.formula() is b and oracle._SLOT.h is h_b
+
+
+def test_exact_shaped_cost_memory_bound():
+    # the float g table and its np.unique peaked at 52.8 bytes per rank under tracemalloc
+    f = random_formula(np.random.default_rng(5), n=18, m=77)
+    angles = AngleVector(betas=(0.3, 0.7), gammas=(1.1, 2.3))
+    params, levels = rs.default_params(f), QuantileSet.default()
+    tracemalloc.start()
+    try:
+        exact_shaped_cost(f, angles, params, levels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 45 * (1 << f.n)
