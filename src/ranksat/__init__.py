@@ -14,9 +14,7 @@ from .cnf import (
     DimacsError,
     Literal,
     default_params,
-    divergence,
     eval_clause,
-    g_cost,
     h_count,
     parse_dimacs,
     parse_dimacs_file,
@@ -28,8 +26,6 @@ from .qsim import (
     QuantumState,
     ShotSet,
     prepare_state,
-    probability,
-    rank_of,
     sample,
 )
 from .shaping import (
@@ -54,10 +50,10 @@ __all__ = [
     "__version__",
     "Literal", "Clause", "CnfFormula", "CostParams", "DimacsError",
     "parse_dimacs", "parse_dimacs_file", "parse_json_instance", "to_dimacs",
-    "eval_clause", "h_count", "divergence", "g_cost",
+    "eval_clause", "h_count",
     "default_params",
     "AngleVector", "QuantumState", "ShotSet",
-    "rank_of", "prepare_state", "probability", "sample",
+    "prepare_state", "sample",
     "CostHistogram", "QuantileSet",
     "cost_histogram", "h_histogram", "quantile", "shaped_cost",
     "GaConfig", "RunHistory", "evaluate_fitness", "optimize",

@@ -8,6 +8,10 @@ Conventions used throughout the package:
   weights an unsatisfied clause ``i`` by ``i**2``.
 - An assignment may be any sequence of 0/1 values (list, tuple or numpy
   array) of length ``n``.
+- The cost is g = zeta*h + d with the fixed weight zeta = d_max(m) + 1, so g
+  is the exact integer key h*(d_max+1) + d and orders assignments by h, then
+  by d. float64 holds every key exactly up to MAX_EXACT_CLAUSES clauses, and
+  every cost path refuses larger formulas.
 """
 from __future__ import annotations
 
@@ -31,8 +35,6 @@ __all__ = [
     "to_dimacs",
     "eval_clause",
     "h_count",
-    "divergence",
-    "g_cost",
     "default_params",
     "d_max",
     "MAX_EXACT_CLAUSES",
@@ -136,25 +138,13 @@ class CnfFormula:
 
 @dataclass(frozen=True)
 class CostParams:
-    """Weights for the hierarchical cost ``zeta*h + vartheta*d``.
+    """Weights of the hierarchical cost ``zeta*h + vartheta*d``.
 
-    Lexicographic dominance of the unsatisfied-clause count over the
-    divergence term requires ``zeta > vartheta * d_max(m)``; that condition
-    depends on the formula and is enforced where a formula is at hand.
+    The weights are fixed: every path accepts only ``default_params(f)``.
     """
 
     zeta: float
     vartheta: float
-
-    def __post_init__(self):
-        if self.zeta <= 0:
-            raise ValueError(f"zeta must be positive, got {self.zeta}")
-        if self.vartheta <= 0:
-            raise ValueError(f"vartheta must be positive, got {self.vartheta}")
-
-    def dominates(self, m: int) -> bool:
-        """True iff h strictly dominates d for any formula with m clauses."""
-        return self.zeta > self.vartheta * d_max(m)
 
 
 def d_max(m: int) -> int:
@@ -167,26 +157,28 @@ def d_max(m: int) -> int:
 MAX_EXACT_CLAUSES = 12_820
 
 
-def default_params(f: CnfFormula) -> CostParams:
-    """Minimal integer weights giving lexicographic (h, d) ordering.
+def _cost_base(m: int) -> int:
+    """zeta = d_max(m) + 1, which makes g = zeta*h + d the integer (h, d) key.
 
     Raises ValueError above MAX_EXACT_CLAUSES clauses, where float64 costs
     would silently break that ordering.
     """
-    if f.m > MAX_EXACT_CLAUSES:
+    if m > MAX_EXACT_CLAUSES:
         raise ValueError(
-            f"{f.m} clauses exceed the limit of {MAX_EXACT_CLAUSES}: above it the "
+            f"{m} clauses exceed the limit of {MAX_EXACT_CLAUSES}: above it the "
             "cost g = zeta*h + d no longer fits float64 exactly (2**53)"
         )
-    return CostParams(zeta=float(d_max(f.m) + 1), vartheta=1.0)
+    return d_max(m) + 1
 
 
-def _require_dominance(m: int, params: CostParams) -> None:
-    if not params.dominates(m):
-        raise ValueError(
-            f"cost params zeta={params.zeta}, vartheta={params.vartheta} do not "
-            f"dominate: need zeta > vartheta * {d_max(m)} for m={m}"
-        )
+def default_params(f: CnfFormula) -> CostParams:
+    """The fixed weights: minimal integers giving lexicographic (h, d) ordering."""
+    return CostParams(zeta=float(_cost_base(f.m)), vartheta=1.0)
+
+
+def _require_default_params(f: CnfFormula, params: CostParams) -> None:
+    if params != default_params(f):
+        raise ValueError(f"{params} differs from the fixed weights {default_params(f)}")
 
 
 # ---------------------------------------------------------------------------
@@ -329,20 +321,6 @@ def h_count(f: CnfFormula, a: Sequence[int]) -> int:
     return sum(1 for clause in f.clauses if not eval_clause(clause, a))
 
 
-def divergence(f: CnfFormula, a: Sequence[int]) -> int:
-    """Sum of i**2 over unsatisfied clause positions i (1-based)."""
-    _check_length(f, a)
-    return sum(
-        clause.index ** 2 for clause in f.clauses if not eval_clause(clause, a)
-    )
-
-
-def g_cost(f: CnfFormula, a: Sequence[int], params: CostParams) -> float:
-    """Hierarchical cost ``zeta*h + vartheta*d``; 0 iff ``a`` satisfies ``f``."""
-    _require_dominance(f.m, params)
-    return params.zeta * h_count(f, a) + params.vartheta * divergence(f, a)
-
-
 # ---------------------------------------------------------------------------
 # Batch scoring
 
@@ -407,7 +385,8 @@ class ClauseArrays:
         h, d = hd.astype(np.int64)
         return h, d
 
-    def g(self, bits: np.ndarray, params: CostParams) -> np.ndarray:
-        _require_dominance(self.m, params)
+    def g(self, bits: np.ndarray) -> np.ndarray:
+        """Per-row cost zeta*h + d in float64, exact up to MAX_EXACT_CLAUSES."""
+        zeta = float(_cost_base(self.m))
         h, d = self.h_and_d(bits)
-        return params.zeta * h + params.vartheta * d
+        return zeta * h + d

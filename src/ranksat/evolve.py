@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cnf import CnfFormula, default_params
+from .cnf import CnfFormula
 from .qsim import AngleVector, BETA_PERIOD, GAMMA_PERIOD, fill_shots, p_one_rows
 from .shaping import QuantileSet, shaped_costs
 
@@ -168,13 +168,12 @@ def _fitness_values(
 ) -> list[float]:
     """evaluate_fitness of each angle vector with its own stream, in one pass:
     all states at once, one (P*s, n) shot matrix, one scoring call."""
-    params = default_params(f)
     s = cfg.shots_per_eval
     p_one = p_one_rows(f.n, angles)
     bits = np.empty((len(angles) * s, f.n), dtype=np.uint8)
     for i, rng in enumerate(rngs):
         fill_shots(bits[i * s:(i + 1) * s], p_one[i], rng)
-    costs = f.arrays.g(bits, params).reshape(len(angles), s)
+    costs = f.arrays.g(bits).reshape(len(angles), s)
     return [-cost for cost in shaped_costs(costs, cfg.quantile_levels)]
 
 

@@ -12,12 +12,13 @@ import hashlib
 import io
 import json
 import tarfile
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
 
 from . import __version__
-from .cnf import CostParams, default_params, load_instance_file
+from .cnf import default_params, load_instance_file
 from .evolve import GaConfig, final_sample_stream, optimize
 from .oracle import (
     DistributionTable,
@@ -144,7 +145,7 @@ def run_optimize(
     run = {
         "instance": {**instance_fingerprint(instance_path), "n": f.n, "m": f.m},
         "config": cfg.to_json_obj(),
-        "cost_params": {"zeta": params.zeta, "vartheta": params.vartheta},
+        "cost_params": asdict(params),
         "best_angles": best_angles.to_json_obj(),
         "best_fitness": history.records[-1].best_so_far_fitness,
         "history": history.to_json_obj(),
@@ -193,10 +194,12 @@ def save_artifact(artifact: dict, path: str) -> None:
 
 def load_artifact(path: str) -> dict:
     artifact = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(artifact, dict) or not isinstance(artifact.get("run"), dict):
+        raise ValueError(f"{path}: an artifact and its 'run' must be JSON objects")
     if artifact.get("schema") not in (RUN_SCHEMA, SAMPLE_SCHEMA):
         raise ValueError(f"{path}: unknown artifact schema {artifact.get('schema')!r}")
-    run = artifact.get("run")
-    if run is None or repro_hash(run) != artifact.get("repro_hash"):
+    run = artifact["run"]
+    if repro_hash(run) != artifact.get("repro_hash"):
         raise ValueError(f"{path}: reproducibility hash does not match contents")
     return artifact
 
@@ -229,15 +232,15 @@ def regenerate_g_histogram(artifact: dict) -> CostHistogram:
     if instance_fingerprint(path)["sha256"] != run["instance"]["sha256"]:
         raise ValueError(f"{path} has changed since the run: its sha256 no longer matches")
     f = load_instance_file(path)
+    params = default_params(f)
     angles = artifact_angles(artifact)
     shots_n = run["final_sample"]["shots"]
     if artifact["schema"] == RUN_SCHEMA:
         rng = final_sample_stream(run["config"]["seed"])
-        cp = run["cost_params"]
-        params = CostParams(zeta=cp["zeta"], vartheta=cp["vartheta"])
+        if run["cost_params"] != asdict(params):
+            raise ValueError(f"recorded cost_params differ from the fixed weights {params}")
     else:
         rng = final_sample_stream(run["seed"])
-        params = default_params(f)
     state = prepare_state(f.n, angles)
     return cost_histogram(f, sample(state, shots_n, rng), params)
 

@@ -10,11 +10,11 @@ order, which fixes every exact distribution to the last bit. A resource guard
 refuses qubit counts whose tables would no longer be a desk-scale job.
 
 The formula tables do not depend on the angles, so each is built at most once
-per formula object: the h table, and an index of each rank's (h, d) pair,
-found from the exact integer key h*(d_max+1) + d. One cache slot holds the
-tables of the last formula the oracle saw, through a weak reference, so they
-are freed with the formula and an equal but separately parsed formula builds
-its own. Cached arrays are read-only.
+per formula object: the h table, and an index of each rank's (h, d) pair by
+its cost g, the exact integer key h*(d_max+1) + d (see ``ranksat.cnf``). One
+cache slot holds the tables of the last formula the oracle saw, through a weak
+reference, so they are freed with the formula and an equal but separately
+parsed formula builds its own. Cached arrays are read-only.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cnf import CnfFormula, CostParams, _require_dominance, d_max
+from .cnf import CnfFormula, CostParams, _cost_base, _require_default_params
 from .qsim import AngleVector, bits_from_ranks, prepare_state
 from .shaping import QuantileSet, nearest_rank_quantile, rows_to_csv
 
@@ -40,8 +40,6 @@ __all__ = [
 
 GUARD_MAX_N = 26
 _BLOCK = 1 << 16
-# Largest m whose top key m*(d_max(m)+1) + d_max(m) fits int64.
-_MAX_KEY_CLAUSES = 72_526
 
 
 class GuardError(RuntimeError):
@@ -123,7 +121,7 @@ class _TableSlot:
     def __init__(self):
         self.formula: weakref.ref | None = None
         self.h: np.ndarray | None = None
-        self.pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self.pairs: tuple[np.ndarray, np.ndarray] | None = None
 
     def hold(self, f: CnfFormula) -> _TableSlot:
         if self.formula is None or self.formula() is not f:
@@ -162,24 +160,20 @@ def _h_table(f: CnfFormula, max_n: int) -> np.ndarray:
     return slot.h
 
 
-def _pair_index(f: CnfFormula, max_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(h, d, inverse): the distinct (h, d) pairs in lexicographic order, and
-    per rank the int32 position of its pair.
+def _pair_index(f: CnfFormula, max_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(values, inverse): the distinct (h, d) pairs as ascending float64 costs
+    g, and per rank the int32 position of its pair.
 
-    Clause i weighs d_max+1+i**2, so each rank's summed weight is the exact
-    integer key h*(d_max+1) + d, whose order is the (h, d) order.
+    Clause i weighs d_max+1+i**2, so each rank's summed weight is its exact
+    integer cost h*(d_max+1) + d, whose order is the (h, d) order.
     """
+    base = _cost_base(f.m)
     slot = _tables(f, max_n)
     if slot.pairs is None:
-        base = d_max(f.m) + 1
         key = _unsat_table(f, [base + c.index ** 2 for c in f.clauses])
         keys, inverse = np.unique(key, return_inverse=True)
         del key
-        slot.pairs = (
-            _read_only(keys // base),
-            _read_only(keys % base),
-            _read_only(inverse.astype(np.int32)),
-        )
+        slot.pairs = (_read_only(keys.astype(np.float64)), _read_only(inverse.astype(np.int32)))
     return slot.pairs
 
 
@@ -246,30 +240,14 @@ def exact_h_distribution(
 
 
 def exact_g_distribution(
-    f: CnfFormula,
-    angles: AngleVector,
-    params: CostParams,
-    max_n: int = GUARD_MAX_N,
+    f: CnfFormula, angles: AngleVector, max_n: int = GUARD_MAX_N
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact cost distribution of the prepared state.
 
     Returns (values, mass): ascending distinct g-values and the quantum
-    probability carried by each. Each value is ``zeta*h + vartheta*d`` in
-    float64, the same operations as per rank, so the values and the
-    rank-order mass sums equal those of a float g table.
+    probability carried by each, summed in rank order.
     """
-    _require_dominance(f.m, params)
-    if f.m > _MAX_KEY_CLAUSES:
-        raise ValueError(
-            f"{f.m} clauses exceed the limit of {_MAX_KEY_CLAUSES}: above it the "
-            "integer (h, d) key no longer fits int64"
-        )
-    h, d, inverse = _pair_index(f, max_n)
-    values = params.zeta * h + params.vartheta * d
-    if np.any(values[1:] <= values[:-1]):
-        # rounding gave distinct (h, d) pairs one g-value: bin ranks by value
-        values, fold = np.unique(values, return_inverse=True)
-        inverse = fold.astype(np.int32)[inverse]
+    values, inverse = _pair_index(f, max_n)
     return values, _block_bincount(inverse, values.size, _state_probabilities(f, angles))
 
 
@@ -282,10 +260,12 @@ def exact_shaped_cost(
 ) -> float:
     """Exact mean cost plus exact nearest-rank quantiles of the state.
 
-    Cumulative frequencies run over probability mass, with the same
-    smallest-value-reaching-p rule as the sampled estimator.
+    ``params`` must be ``default_params(f)``. Cumulative frequencies run over
+    probability mass, with the same smallest-value-reaching-p rule as the
+    sampled estimator.
     """
-    values, mass = exact_g_distribution(f, angles, params, max_n=max_n)
+    _require_default_params(f, params)
+    values, mass = exact_g_distribution(f, angles, max_n=max_n)
     total = float(mass.sum())
     mean = float(np.dot(values, mass) / total)
     cum = np.cumsum(mass) / total

@@ -21,18 +21,14 @@ __all__ = [
     "AngleVector",
     "QuantumState",
     "ShotSet",
-    "rank_of",
     "bits_from_ranks",
     "prepare_state",
-    "amplitude",
-    "probability",
     "p_one_rows",
     "sample",
     "fill_shots",
 ]
 
 SAMPLE_BLOCK_CELLS = 2**18  # uniforms per sampling block: a 2 MB float64 temporary
-RANK_BIT_LIMIT = 62  # rank_of returns an exact Python int; numpy paths use int64
 
 BETA_PERIOD = math.pi       # beta is periodic modulo pi up to measurement stats
 GAMMA_PERIOD = 2 * math.pi
@@ -67,6 +63,14 @@ class AngleVector:
 
     @classmethod
     def from_json_obj(cls, obj: Sequence[dict]) -> "AngleVector":
+        """Parse ``[{"beta": b, "gamma": g}, ...]``; ValueError names a bad layer."""
+        if not isinstance(obj, list):
+            raise ValueError(f"angles must be a JSON list of layers, got {type(obj).__name__}")
+        for k, layer in enumerate(obj):
+            if not isinstance(layer, dict) or not all(
+                type(layer.get(key)) in (int, float) for key in ("beta", "gamma")
+            ):
+                raise ValueError(f"angle layer {k} is not an object with numeric beta and gamma")
         return cls(
             betas=tuple(float(layer["beta"]) for layer in obj),
             gammas=tuple(float(layer["gamma"]) for layer in obj),
@@ -107,20 +111,8 @@ class ShotSet:
         return self.bits.shape[1]
 
 
-def rank_of(a: Sequence[int]) -> int:
-    """Integer encoded by the bitstring: sum of bits[j] * 2**j."""
-    if len(a) > RANK_BIT_LIMIT:
-        raise ValueError(f"rank_of supports up to {RANK_BIT_LIMIT} bits, got {len(a)}")
-    rank = 0
-    for j, bit in enumerate(a):
-        if bit not in (0, 1):
-            raise ValueError(f"bit {j} is {bit!r}, expected 0 or 1")
-        rank += int(bit) << j
-    return rank
-
-
 def bits_from_ranks(ranks: np.ndarray, n: int) -> np.ndarray:
-    """Decode ranks into an (s, n) bit matrix; inverse of rank_of per row."""
+    """Decode ranks into an (s, n) bit matrix: bit j of row i is bit j of ranks[i]."""
     ranks = np.asarray(ranks, dtype=np.int64)
     return ((ranks[:, None] >> np.arange(n, dtype=np.int64)) & 1).astype(np.uint8)
 
@@ -165,23 +157,6 @@ def _amplitudes(n: int, angles: Sequence[AngleVector]) -> np.ndarray:
         a1 = -1j * s * amps[:, :, 0] + c * amps[:, :, 1]
         amps = np.stack([a0, a1], axis=2)
     return amps
-
-
-def amplitude(state: QuantumState, a: Sequence[int]) -> complex:
-    """<x|state> for the basis state x given by the bitstring ``a``."""
-    if len(a) != state.n:
-        raise ValueError(f"assignment length {len(a)} != n={state.n}")
-    idx = np.asarray(a, dtype=np.intp)
-    return complex(np.prod(state.amps[np.arange(state.n), idx]))
-
-
-def probability(state: QuantumState, a: Sequence[int]) -> float:
-    """|<x|state>|**2, computed as the product of per-qubit probabilities."""
-    if len(a) != state.n:
-        raise ValueError(f"assignment length {len(a)} != n={state.n}")
-    idx = np.asarray(a, dtype=np.intp)
-    probs = np.abs(state.amps[np.arange(state.n), idx]) ** 2
-    return float(np.prod(probs))
 
 
 def sample(state: QuantumState, s: int, rng: np.random.Generator) -> ShotSet:

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cnf import CnfFormula, CostParams
+from .cnf import CnfFormula, CostParams, _require_default_params
 from .qsim import ShotSet
 
 __all__ = [
@@ -185,9 +185,13 @@ def _check_shots(f: CnfFormula, shots: ShotSet) -> None:
 def cost_histogram(
     f: CnfFormula, shots: ShotSet, params: CostParams
 ) -> CostHistogram:
-    """Histogram of the hierarchical cost over all shots."""
+    """Histogram of the hierarchical cost over all shots.
+
+    ``params`` must be ``default_params(f)``.
+    """
+    _require_default_params(f, params)
     _check_shots(f, shots)
-    return CostHistogram.from_samples(f.arrays.g(shots.bits, params))
+    return CostHistogram.from_samples(f.arrays.g(shots.bits))
 
 
 def h_histogram(f: CnfFormula, shots: ShotSet) -> CostHistogram:

@@ -1,4 +1,8 @@
-"""Independent references for the simulator and the oracle.
+"""Independent scalar and dense references for the scorer, simulator and oracle.
+
+``divergence``, ``g_cost``, ``rank_of``, ``amplitude`` and ``probability``
+each take one assignment at a time: the scalar references the batch scorer,
+``bits_from_ranks`` and the state tables are checked against.
 
 ``dense_state`` is deliberately coded against the integer rank: builds the
 full vector, applies the diagonal phase exp(-i*gamma*rank) on the flat index,
@@ -10,7 +14,51 @@ float64 g table per rank and one ``np.unique`` over it, with no table cache.
 """
 import numpy as np
 
+from ranksat.cnf import default_params, eval_clause, h_count
 from ranksat.oracle import _block_bincount, _state_probabilities, _unsat_table
+
+RANK_BIT_LIMIT = 62  # rank_of returns an exact Python int; numpy paths use int64
+
+
+def divergence(f, a) -> int:
+    """Sum of i**2 over unsatisfied clause positions i (1-based)."""
+    if len(a) != f.n:
+        raise ValueError(f"assignment length {len(a)} != n={f.n}")
+    return sum(c.index ** 2 for c in f.clauses if not eval_clause(c, a))
+
+
+def g_cost(f, a) -> float:
+    """Hierarchical cost ``zeta*h + d`` of one assignment; 0 iff ``a`` satisfies ``f``."""
+    return default_params(f).zeta * h_count(f, a) + divergence(f, a)
+
+
+def rank_of(a) -> int:
+    """Integer encoded by the bitstring: sum of bits[j] * 2**j."""
+    if len(a) > RANK_BIT_LIMIT:
+        raise ValueError(f"rank_of supports up to {RANK_BIT_LIMIT} bits, got {len(a)}")
+    rank = 0
+    for j, bit in enumerate(a):
+        if bit not in (0, 1):
+            raise ValueError(f"bit {j} is {bit!r}, expected 0 or 1")
+        rank += int(bit) << j
+    return rank
+
+
+def amplitude(state, a) -> complex:
+    """<x|state> for the basis state x given by the bitstring ``a``."""
+    if len(a) != state.n:
+        raise ValueError(f"assignment length {len(a)} != n={state.n}")
+    idx = np.asarray(a, dtype=np.intp)
+    return complex(np.prod(state.amps[np.arange(state.n), idx]))
+
+
+def probability(state, a) -> float:
+    """|<x|state>|**2, computed as the product of per-qubit probabilities."""
+    if len(a) != state.n:
+        raise ValueError(f"assignment length {len(a)} != n={state.n}")
+    idx = np.asarray(a, dtype=np.intp)
+    probs = np.abs(state.amps[np.arange(state.n), idx]) ** 2
+    return float(np.prod(probs))
 
 
 def _mixer_matrix(beta: float) -> np.ndarray:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ranksat as rs
+from ranksat import oracle
 from ranksat.cli import main
 from ranksat.cnf import (
     MAX_EXACT_CLAUSES,
@@ -13,8 +14,11 @@ from ranksat.cnf import (
     d_max,
     load_instance_file,
 )
+from ranksat.qsim import AngleVector, prepare_state, sample
+from ranksat.shaping import QuantileSet
 
 from conftest import all_assignments, random_formula
+from dense_reference import divergence, g_cost
 
 ZEROS5 = [0, 0, 0, 0, 0]
 SOLUTION = [1, 1, 1, 0, 0]
@@ -125,13 +129,6 @@ def test_clause_invariants():
         rs.CnfFormula.from_signed(2, [[3]])
 
 
-def test_cost_params_validation():
-    with pytest.raises(ValueError):
-        rs.CostParams(zeta=0.0, vartheta=1.0)
-    with pytest.raises(ValueError):
-        rs.CostParams(zeta=1.0, vartheta=-1.0)
-
-
 # -- scoring ----------------------------------------------------------------
 
 def test_eval_clause_examples(widget):
@@ -157,31 +154,26 @@ def test_h_count_rejects_bad_length(widget):
 
 
 def test_divergence(widget):
-    assert rs.divergence(widget, SOLUTION) == 0
-    assert rs.divergence(widget, ZEROS5) == 1 + 64
+    assert divergence(widget, SOLUTION) == 0
+    assert divergence(widget, ZEROS5) == 1 + 64
     single = rs.CnfFormula.from_signed(1, [[1]])
-    assert rs.divergence(single, [0]) == 1
+    assert divergence(single, [0]) == 1
 
 
 def test_g_cost_widget(widget):
     params = rs.default_params(widget)
     assert (params.zeta, params.vartheta) == (386.0, 1.0)
-    assert rs.g_cost(widget, SOLUTION, params) == 0.0
-    assert rs.g_cost(widget, ZEROS5, params) == 386 * 2 + 65
+    assert g_cost(widget, SOLUTION) == 0.0
+    assert g_cost(widget, ZEROS5) == 386 * 2 + 65
 
 
 def test_g_cost_dominance_bound():
     # one unsatisfied clause at the last index still costs less than any h=2
     f = rs.CnfFormula.from_signed(1, [[1], [1], [1], [-1]])
     params = rs.default_params(f)
-    g = rs.g_cost(f, [1], params)
+    g = g_cost(f, [1])
     assert g == d_max(4) + 1 + 16
     assert g < 2 * params.zeta
-
-
-def test_g_cost_rejects_nondominant(widget):
-    with pytest.raises(ValueError, match="dominate"):
-        rs.g_cost(widget, ZEROS5, rs.CostParams(zeta=1.0, vartheta=1.0))
 
 
 def test_default_params_values():
@@ -197,7 +189,7 @@ def _g_max(m):
     return (d_max(m) + 1) * m + d_max(m)
 
 
-def test_default_params_refuses_inexact_costs(tmp_path, capsys):
+def test_default_params_refuses_inexact_costs(tmp_path, capsys, monkeypatch):
     assert _g_max(MAX_EXACT_CLAUSES) <= 2**53 < _g_max(MAX_EXACT_CLAUSES + 1)
     clause = [1, -2, 3]
     accepted = rs.CnfFormula.from_signed(3, [clause] * MAX_EXACT_CLAUSES)
@@ -205,6 +197,22 @@ def test_default_params_refuses_inexact_costs(tmp_path, capsys):
     refused = rs.CnfFormula.from_signed(3, [clause] * (MAX_EXACT_CLAUSES + 1))
     with pytest.raises(ValueError, match="limit of 12820"):
         rs.default_params(refused)
+
+    # the same limit on every g path; exact_shaped_cost refuses before building a table
+    angles, levels = AngleVector.zeros(1), QuantileSet.default()
+    params = rs.CostParams(zeta=float(d_max(refused.m) + 1), vartheta=1.0)
+    shots = sample(prepare_state(refused.n, angles), 4, np.random.default_rng(0))
+    builds = []
+    monkeypatch.setattr(oracle, "_unsat_table", lambda *args: builds.append(args))
+    for refuse in (
+        lambda: refused.arrays.g(shots.bits),
+        lambda: rs.cost_histogram(refused, shots, params),
+        lambda: rs.exact_shaped_cost(refused, angles, params, levels),
+    ):
+        with pytest.raises(ValueError, match="limit of 12820"):
+            refuse()
+    assert builds == []
+
     path = tmp_path / "big.cnf"
     path.write_text(rs.to_dimacs(refused))
     argv = ["optimize", str(path), "--generations", "0", "--out", str(tmp_path / "r.json")]
@@ -228,18 +236,17 @@ def test_property_divergence_zero_iff_h_zero():
     for _ in range(30):
         f = random_formula(rng)
         a = rng.integers(0, 2, size=f.n)
-        assert (rs.divergence(f, a) == 0) == (rs.h_count(f, a) == 0)
+        assert (divergence(f, a) == 0) == (rs.h_count(f, a) == 0)
 
 
 def test_property_g_hierarchy_exhaustive():
     rng = np.random.default_rng(7)
     for _ in range(10):
         f = random_formula(rng, n=int(rng.integers(3, 7)))
-        params = rs.default_params(f)
         arrays = ClauseArrays(f)
         bits = all_assignments(f.n)
         h = arrays.h(bits)
-        g = arrays.g(bits, params)
+        g = arrays.g(bits)
         for level in range(int(h.max())):
             lower = g[h == level]
             upper = g[h == level + 1]
@@ -272,7 +279,7 @@ def test_batch_matches_scalar():
         h, d = arrays.h_and_d(bits)
         assert h.tolist() == arrays.h(bits).tolist()
         assert h.tolist() == [rs.h_count(f, row) for row in bits.tolist()]
-        assert d.tolist() == [rs.divergence(f, row) for row in bits.tolist()]
+        assert d.tolist() == [divergence(f, row) for row in bits.tolist()]
 
 
 @pytest.mark.parametrize("method", ["unsat_matrix", "h_and_d"])

@@ -51,5 +51,5 @@ def test_golden_exact_shaped_cost_multichunk():
     params = rs.default_params(f)
     assert exact_shaped_cost(f, angles, params, QuantileSet.default()) == SHAPED17
     # the shaped cost can absorb last-bit drift in single masses; the digest cannot
-    values, mass = exact_g_distribution(f, angles, params)
+    values, mass = exact_g_distribution(f, angles)
     assert hashlib.sha256(values.tobytes() + mass.tobytes()).hexdigest() == G17_DIGEST

@@ -302,6 +302,42 @@ def test_cli_report_g_level_stale_instance(widget_path, tmp_path, capsys):
     assert "sha256" in capsys.readouterr().err
 
 
+def test_cli_report_g_level_refuses_other_weights(widget_path, tmp_path, capsys):
+    art = run_optimize(widget_path, _tiny_cfg(), final_shots=500)
+    art["run"]["cost_params"]["vartheta"] = 2.0
+    art["repro_hash"] = repro_hash(art["run"])
+    path = tmp_path / "run.json"
+    save_artifact(art, str(path))
+    assert main(["report", str(path), "--what", "final", "--g-level"]) == 2
+    assert "fixed weights" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [[], {"schema": "ranksat-run/1", "run": [1]}])
+def test_cli_report_malformed_artifact(tmp_path, doc, capsys):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(doc))
+    assert main(["report", str(path)]) == 2
+    assert "JSON objects" in capsys.readouterr().err
+
+
+def _sample_artifact(angles):
+    run = {"angles": angles, "instance": {"n": 5}}
+    return {"schema": "ranksat-sample/1", "run": run, "repro_hash": repro_hash(run)}
+
+
+@pytest.mark.parametrize("doc,message", [
+    ([1, 2], "angle layer 0"),
+    ([{"beta": 0.1, "gamma": 0.2}, {"beta": 0.1}], "angle layer 1"),
+    ([{"beta": 0.1, "gamma": "x"}], "angle layer 0"),
+    (_sample_artifact(5), "list of layers"),
+])
+def test_cli_sample_malformed_angles(widget_path, tmp_path, doc, message, capsys):
+    angles = tmp_path / "a.json"
+    angles.write_text(json.dumps(doc))
+    assert main(["sample", widget_path, "--angles", str(angles)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_report_g_level_relative_instance(widget_path, tmp_path, monkeypatch, capsys):
     run_dir = tmp_path / "a"
     run_dir.mkdir()

@@ -7,7 +7,7 @@ import pytest
 
 import ranksat as rs
 from ranksat import oracle
-from ranksat.cnf import ClauseArrays, CostParams, d_max
+from ranksat.cnf import MAX_EXACT_CLAUSES, ClauseArrays, d_max
 from ranksat.oracle import (
     GuardError,
     enumerate_h,
@@ -16,11 +16,11 @@ from ranksat.oracle import (
     exact_shaped_cost,
     list_solutions,
 )
-from ranksat.qsim import AngleVector, prepare_state, probability, sample
+from ranksat.qsim import AngleVector, prepare_state, sample
 from ranksat.shaping import QuantileSet, h_histogram
 
 from conftest import all_assignments, random_formula
-from dense_reference import dense_state, float_g_distribution
+from dense_reference import dense_state, float_g_distribution, g_cost, probability, rank_of
 
 
 def test_enumerate_widget(widget):
@@ -56,7 +56,7 @@ def test_list_solutions_widget(widget):
         [1, 1, 1, 0, 1],
         [1, 1, 1, 1, 1],
     ]
-    ranks = [rs.rank_of(s) for s in sols]
+    ranks = [rank_of(s) for s in sols]
     assert ranks == sorted(ranks)
 
 
@@ -144,7 +144,7 @@ def test_exact_shaped_cost_matches_bruteforce(widget):
     pairs = []
     for r in range(32):
         bits = [(r >> j) & 1 for j in range(5)]
-        g = rs.g_cost(widget, bits, params)
+        g = g_cost(widget, bits)
         pairs.append((g, probability(state, bits)))
     pairs.sort()
     support: dict[float, float] = {}
@@ -169,7 +169,7 @@ def test_exact_g_distribution_mass():
         betas=tuple(rng.uniform(0, math.pi, 2)),
         gammas=tuple(rng.uniform(0, 2 * math.pi, 2)),
     )
-    values, mass = exact_g_distribution(f, angles, rs.default_params(f))
+    values, mass = exact_g_distribution(f, angles)
     assert np.all(np.diff(values) > 0)
     assert mass.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -189,7 +189,6 @@ CROSSCHECK_FORMULAS = [
 @pytest.mark.parametrize("f", CROSSCHECK_FORMULAS, ids=lambda f: f"n{f.n}m{f.m}")
 def test_oracle_matches_scalar_loop(f):
     # reference: one scalar h_count / g_cost / probability call per assignment
-    params = rs.default_params(f)
     angles = AngleVector(betas=(0.4, 1.1), gammas=(0.7, 2.9))
     state = prepare_state(f.n, angles)
     counts: dict[int, int] = {}
@@ -201,7 +200,7 @@ def test_oracle_matches_scalar_loop(f):
         h, p = rs.h_count(f, bits), probability(state, bits)
         counts[h] = counts.get(h, 0) + 1
         h_mass[h] = h_mass.get(h, 0.0) + p
-        g = rs.g_cost(f, bits, params)
+        g = g_cost(f, bits)
         g_mass[g] = g_mass.get(g, 0.0) + p
         if h == 0:
             solutions.append(bits)
@@ -213,7 +212,7 @@ def test_oracle_matches_scalar_loop(f):
     np.testing.assert_allclose(
         exact_h.probabilities, [h_mass[h] for h in sorted(h_mass)], rtol=0, atol=1e-12
     )
-    values, mass = exact_g_distribution(f, angles, params)
+    values, mass = exact_g_distribution(f, angles)
     assert values.tolist() == sorted(g_mass)
     np.testing.assert_allclose(
         mass, [g_mass[g] for g in sorted(g_mass)], rtol=0, atol=1e-12
@@ -257,39 +256,33 @@ def _mixed_width_formula(rng, n, m):
 
 
 @pytest.mark.parametrize("n,m", [(1, 3), (5, 14), (12, 50), (17, 72)])
-@pytest.mark.parametrize("dominant", [False, True], ids=["default", "zeta1e20"])
-def test_exact_g_distribution_matches_float_path(n, m, dominant):
-    # zeta=1e20 rounds zeta*h + d, so distinct (h, d) pairs share one g-value
+@pytest.mark.parametrize("weights", [rs.default_params], ids=["default"])
+def test_exact_g_distribution_matches_float_path(n, m, weights):
     f = _mixed_width_formula(np.random.default_rng(n), n, m)
-    params = CostParams(zeta=1e20, vartheta=1.0) if dominant else rs.default_params(f)
     angles = AngleVector(betas=(0.3, 0.7), gammas=(1.1, 2.3))
-    values, mass = exact_g_distribution(f, angles, params)
-    ref_values, ref_mass = float_g_distribution(f, angles, params)
+    values, mass = exact_g_distribution(f, angles)
+    ref_values, ref_mass = float_g_distribution(f, angles, weights(f))
     assert values.tobytes() == ref_values.tobytes()
     assert mass.tobytes() == ref_mass.tobytes()
-    # the zeta=1e20 cases take the folding path; the default ones keep every pair
-    pairs = oracle._pair_index(f, f.n)[0].size
-    assert values.size < pairs if dominant and n >= 5 else values.size == pairs
 
 
 def test_exact_g_distribution_refuses_key_overflow(monkeypatch):
-    # m*(d_max+1) + d_max fits int64 up to m = 72,526
+    # the integer (h, d) key is exact in float64 up to MAX_EXACT_CLAUSES clauses
     angles = AngleVector.zeros(1)
-
-    def formula(m):
-        f = rs.CnfFormula.from_signed(1, [[1], [-1]] * (m // 2) + [[1]] * (m % 2))
-        return f, CostParams(zeta=float(d_max(m) + 1), vartheta=1.0)
-
-    f, params = formula(72_526)
-    values, mass = exact_g_distribution(f, angles, params)
-    ref_values, ref_mass = float_g_distribution(f, angles, params)
+    limit = MAX_EXACT_CLAUSES
+    top = rs.CnfFormula.from_signed(1, [[1]] * limit)
+    d = d_max(limit)
+    values, mass = exact_g_distribution(top, angles)
+    # rank 0 leaves every clause unsatisfied: the largest cost at the limit
+    assert values.tolist() == [0.0, (d + 1) * limit + d]
+    ref_values, ref_mass = float_g_distribution(top, angles, rs.default_params(top))
     assert values.tobytes() == ref_values.tobytes() and mass.tobytes() == ref_mass.tobytes()
 
-    f, params = formula(72_527)
+    over = rs.CnfFormula.from_signed(1, [[1]] * (limit + 1))
     builds = []
     monkeypatch.setattr(oracle, "_unsat_table", lambda *args: builds.append(args))
-    with pytest.raises(ValueError, match="72526"):
-        exact_g_distribution(f, angles, params)
+    with pytest.raises(ValueError, match=f"limit of {limit}"):
+        exact_g_distribution(over, angles)
     assert builds == []
 
 

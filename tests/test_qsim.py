@@ -7,17 +7,14 @@ import pytest
 from ranksat.qsim import (
     AngleVector,
     QuantumState,
-    amplitude,
     SAMPLE_BLOCK_CELLS,
     bits_from_ranks,
     p_one_rows,
     prepare_state,
-    probability,
-    rank_of,
     sample,
 )
 
-from dense_reference import dense_state
+from dense_reference import amplitude, dense_state, probability, rank_of
 
 
 def test_rank_of_examples():

@@ -148,9 +148,20 @@ def test_cost_histogram_checks_inputs(widget):
     shots = ShotSet(bits=all_assignments(3))
     with pytest.raises(ValueError, match="bits"):
         cost_histogram(widget, shots, rs.default_params(widget))
-    good = ShotSet(bits=all_assignments(widget.n))
-    with pytest.raises(ValueError, match="dominate"):
-        cost_histogram(widget, good, rs.CostParams(zeta=2.0, vartheta=1.0))
+
+
+@pytest.mark.parametrize("zeta,vartheta", [(386.0, 2.0), (1e20, 1.0)])
+def test_cost_weights_are_fixed(widget, zeta, vartheta):
+    shots = ShotSet(bits=all_assignments(widget.n))
+    angles, levels = AngleVector.zeros(2), QuantileSet.default()
+    other = rs.CostParams(zeta=zeta, vartheta=vartheta)
+    with pytest.raises(ValueError, match="fixed weights"):
+        cost_histogram(widget, shots, other)
+    with pytest.raises(ValueError, match="fixed weights"):
+        rs.exact_shaped_cost(widget, angles, other, levels)
+    fixed = rs.default_params(widget)
+    assert cost_histogram(widget, shots, fixed).total == 32
+    assert rs.exact_shaped_cost(widget, angles, fixed, levels) > 0
 
 
 def test_sampled_vs_exact_consistency_light(widget):

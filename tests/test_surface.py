@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ranksat as rs
-from ranksat.cnf import ClauseArrays, CnfFormula, default_params
+from ranksat.cnf import ClauseArrays, CnfFormula
 from ranksat.evolve import GaConfig
 
 MODULES = ("cnf", "qsim", "shaping", "evolve", "oracle", "harness")
@@ -43,6 +43,18 @@ def test_perfbench_targets_exist(monkeypatch):
     assert missing == []
 
 
+def test_perfbench_call_shapes(widget):
+    # perfbench/workloads.py and perfbench/run.py call these positionally
+    params = rs.cnf.default_params(widget)
+    assert params.zeta == 386.0
+    angles, levels = rs.qsim.AngleVector.zeros(2), rs.shaping.QuantileSet.default()
+    shots = rs.qsim.sample(rs.qsim.prepare_state(widget.n, angles), 100, np.random.default_rng(0))
+    hist = rs.shaping.cost_histogram(widget, shots, params)
+    assert hist.total == 100
+    assert rs.oracle.exact_shaped_cost(widget, angles, params, levels) > 0
+    assert rs.cnf.h_count(widget, [1, 1, 1, 0, 0]) == 0
+
+
 @pytest.mark.parametrize("method", ["h", "h_and_d", "g"])
 def test_scorers_reach_unsat_matrix(method, monkeypatch):
     # the cnf.score metrics count unsat_matrix calls, also those made through h, h_and_d, g
@@ -55,8 +67,7 @@ def test_scorers_reach_unsat_matrix(method, monkeypatch):
 
     monkeypatch.setattr(ClauseArrays, "unsat_matrix", counted)
     f = CnfFormula.from_signed(3, [[1, -2], [3]])
-    args = (default_params(f),) if method == "g" else ()
-    getattr(f.arrays, method)(np.zeros((2, 3), dtype=np.uint8), *args)
+    getattr(f.arrays, method)(np.zeros((2, 3), dtype=np.uint8))
     assert calls == [1]
 
 
