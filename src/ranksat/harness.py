@@ -56,6 +56,18 @@ __all__ = [
 
 RUN_SCHEMA = "ranksat-run/1"
 SAMPLE_SCHEMA = "ranksat-sample/1"
+# Entries of "run" that report, compare and sample read, per schema; the
+# part before a dot names a section, which must be a JSON object.
+_RUN_ENTRIES = {
+    RUN_SCHEMA: (
+        "instance.path", "instance.sha256", "instance.n", "config.seed", "cost_params",
+        "final_sample.h_histogram", "final_sample.shots",
+    ),
+    SAMPLE_SCHEMA: (
+        "instance.path", "instance.sha256", "instance.n", "seed",
+        "final_sample.h_histogram", "final_sample.shots",
+    ),
+}
 SATLIB_UF20_URL = (
     "https://www.cs.ubc.ca/~hoos/SATLIB/Benchmarks/SAT/RND3SAT/uf20-91.tar.gz"
 )
@@ -201,6 +213,13 @@ def load_artifact(path: str) -> dict:
     run = artifact["run"]
     if repro_hash(run) != artifact.get("repro_hash"):
         raise ValueError(f"{path}: reproducibility hash does not match contents")
+    for entry in _RUN_ENTRIES[artifact["schema"]]:
+        section, _, key = entry.rpartition(".")
+        obj = run.get(section) if section else run
+        if not isinstance(obj, dict):
+            raise ValueError(f"{path}: run has no '{section}' object")
+        if key not in obj:
+            raise ValueError(f"{path}: run has no '{entry}'")
     return artifact
 
 

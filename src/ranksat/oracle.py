@@ -2,19 +2,22 @@
 
 Every function works on tables with one entry per rank 0..2**n - 1, decoded
 with the package-wide bit convention: the weighted count of clauses each
-assignment leaves unsatisfied, filled clause by clause through slices of a
-``(2,)*n`` view, and the state probability, built by Kronecker doubling. The
-tables do not go through the GA's batch scorer, so the oracle checks it
-independently. Masses are summed per 2**16-rank block, the blocks in rank
-order, which fixes every exact distribution to the last bit. A resource guard
-refuses qubit counts whose tables would no longer be a desk-scale job.
+assignment leaves unsatisfied, filled clause by clause into slices whose last
+axis is the 2**10 contiguous ranks of the low variables, and the state
+probability, built by Kronecker doubling. The tables do not go through the
+GA's batch scorer, so the oracle checks it independently. Masses are summed
+per 2**16-rank block, the blocks in rank order, which fixes every exact
+distribution to the last bit. A resource guard refuses qubit counts whose
+tables would no longer be a desk-scale job.
 
 The formula tables do not depend on the angles, so each is built at most once
-per formula object: the h table, and an index of each rank's (h, d) pair by
-its cost g, the exact integer key h*(d_max+1) + d (see ``ranksat.cnf``). One
-cache slot holds the tables of the last formula the oracle saw, through a weak
-reference, so they are freed with the formula and an equal but separately
-parsed formula builds its own. Cached arrays are read-only.
+per formula object: the h table with its count per h-level, and an index of
+each rank's (h, d) pair by its cost g, the exact integer key h*(d_max+1) + d
+(see ``ranksat.cnf``), ordered by one value sort of the keys packed with
+their ranks. One cache slot holds the tables of the last formula the oracle
+saw, through a weak reference, so they are freed with the formula and an
+equal but separately parsed formula builds its own. Cached arrays are
+read-only.
 """
 from __future__ import annotations
 
@@ -40,6 +43,7 @@ __all__ = [
 
 GUARD_MAX_N = 26
 _BLOCK = 1 << 16
+_LOW_BITS = 10
 
 
 class GuardError(RuntimeError):
@@ -98,16 +102,34 @@ class DistributionTable:
 def _unsat_table(f: CnfFormula, weights: list[int]) -> np.ndarray:
     """Per rank, the summed weight of the clauses the assignment leaves unsatisfied.
 
-    In C order axis ``n - v`` of the ``(2,)*n`` view holds variable ``v``, so
-    the slice fixing each literal of a clause to its failing value holds
-    exactly the assignments that leave the clause unsatisfied.
+    Variables 1.._LOW_BITS are the low rank bits and form one contiguous last
+    axis, on which a clause is a pattern vector: its weight where all its low
+    literals fail, else 0. Above them, axis ``n - v`` holds variable ``v`` as
+    in a C-order ``(2,)*n`` view, so each high literal fixes one index and the
+    pattern is added to that slice. Clauses without a high literal add their
+    patterns to one shared vector, added to the whole table at the end.
     """
-    table = np.zeros((2,) * f.n, dtype=np.min_scalar_type(sum(weights)))
+    low = min(f.n, _LOW_BITS)
+    dtype = np.min_scalar_type(sum(weights))
+    table = np.zeros((2,) * (f.n - low) + (1 << low,), dtype=dtype)
+    low_only = np.zeros(1 << low, dtype=dtype)
+    bits = np.arange(1 << low)
     for clause, weight in zip(f.clauses, weights):
-        failing = [slice(None)] * f.n
+        failing = [slice(None)] * (f.n - low)
+        fails = np.ones(1 << low, dtype=bool)
+        high = False
         for lit in clause.literals:
-            failing[f.n - lit.variable] = int(lit.negated)
-        table[tuple(failing)] += weight
+            if lit.variable > low:
+                failing[f.n - lit.variable] = int(lit.negated)
+                high = True
+            else:
+                fails &= (bits >> (lit.variable - 1) & 1) == lit.negated
+        pattern = fails * dtype.type(weight)
+        if high:
+            table[tuple(failing)] += pattern
+        else:
+            low_only += pattern
+    table += low_only
     return table.reshape(-1)
 
 
@@ -120,7 +142,7 @@ class _TableSlot:
 
     def __init__(self):
         self.formula: weakref.ref | None = None
-        self.h: np.ndarray | None = None
+        self.h: tuple[np.ndarray, np.ndarray] | None = None
         self.pairs: tuple[np.ndarray, np.ndarray] | None = None
 
     def hold(self, f: CnfFormula) -> _TableSlot:
@@ -152,11 +174,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _h_table(f: CnfFormula, max_n: int) -> np.ndarray:
-    """Per rank, the number of clauses the assignment leaves unsatisfied."""
+def _h_table(f: CnfFormula, max_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(h, counts): per rank the number of clauses the assignment leaves
+    unsatisfied, and the int64 number of ranks at each h in 0..m."""
     slot = _tables(f, max_n)
     if slot.h is None:
-        slot.h = _read_only(_unsat_table(f, [1] * f.m))
+        h = _unsat_table(f, [1] * f.m)
+        slot.h = (_read_only(h), _read_only(_block_bincount(h, f.m + 1)))
     return slot.h
 
 
@@ -165,15 +189,40 @@ def _pair_index(f: CnfFormula, max_n: int) -> tuple[np.ndarray, np.ndarray]:
     g, and per rank the int32 position of its pair.
 
     Clause i weighs d_max+1+i**2, so each rank's summed weight is its exact
-    integer cost h*(d_max+1) + d, whose order is the (h, d) order.
+    integer cost h*(d_max+1) + d, whose order is the (h, d) order. The keys
+    are ordered by one in-place value sort of ``key << n | rank``: the high
+    bits give the sorted keys and the low bits the ranks in stable order.
+    Only when the top key needs more than 64 - n bits (near the clause limit,
+    with every clause failing at one rank) does a stable argsort order them.
+    The result equals ``np.unique(key, return_inverse=True)``.
     """
     base = _cost_base(f.m)
     slot = _tables(f, max_n)
     if slot.pairs is None:
         key = _unsat_table(f, [base + c.index ** 2 for c in f.clauses])
-        keys, inverse = np.unique(key, return_inverse=True)
-        del key
-        slot.pairs = (_read_only(keys.astype(np.float64)), _read_only(inverse.astype(np.int32)))
+        first = np.ones(key.size, dtype=bool)  # sorted position starts a new key
+        if int(key.max()) < 1 << (64 - f.n):
+            shift = np.uint64(f.n)
+            packed = key.astype(np.uint64)
+            del key
+            packed <<= shift
+            packed |= np.arange(packed.size, dtype=np.uint64)
+            packed.sort()
+            np.greater_equal(packed[1:] ^ packed[:-1], np.uint64(1) << shift, out=first[1:])
+            values = packed[first] >> shift
+            packed &= (np.uint64(1) << shift) - np.uint64(1)
+            order = packed.view(np.int64)
+        else:
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            np.not_equal(key[1:], key[:-1], out=first[1:])
+            values = key[first]
+            del key
+        position = np.cumsum(first, dtype=np.int32)
+        position -= 1
+        inverse = np.empty(order.size, dtype=np.int32)
+        inverse[order] = position
+        slot.pairs = (_read_only(values.astype(np.float64)), _read_only(inverse))
     return slot.pairs
 
 
@@ -205,10 +254,12 @@ def _block_bincount(
     return total
 
 
-def _h_distribution(h: np.ndarray, m: int, probs: np.ndarray | None) -> DistributionTable:
+def _h_distribution(
+    tables: tuple[np.ndarray, np.ndarray], probs: np.ndarray | None
+) -> DistributionTable:
     """Buckets of the h table; mass is count / 2**n without ``probs``."""
-    counts = _block_bincount(h, m + 1)
-    mass = counts / h.size if probs is None else _block_bincount(h, m + 1, probs)
+    h, counts = tables
+    mass = counts / h.size if probs is None else _block_bincount(h, counts.size, probs)
     support = np.nonzero(counts)[0]
     return DistributionTable(
         h_values=support.astype(np.int64),
@@ -220,12 +271,12 @@ def _h_distribution(h: np.ndarray, m: int, probs: np.ndarray | None) -> Distribu
 
 def enumerate_h(f: CnfFormula, max_n: int = GUARD_MAX_N) -> DistributionTable:
     """Exact count of assignments per unsatisfied-clause value."""
-    return _h_distribution(_h_table(f, max_n), f.m, None)
+    return _h_distribution(_h_table(f, max_n), None)
 
 
 def list_solutions(f: CnfFormula, max_n: int = GUARD_MAX_N) -> list[list[int]]:
     """All satisfying assignments, in ascending rank order."""
-    ranks = np.flatnonzero(_h_table(f, max_n) == 0)
+    ranks = np.flatnonzero(_h_table(f, max_n)[0] == 0)
     return bits_from_ranks(ranks, f.n).tolist()
 
 
@@ -236,7 +287,7 @@ def exact_h_distribution(
 
     Accumulates |<x|state>|**2 into bucket h(x) for every assignment x.
     """
-    return _h_distribution(_h_table(f, max_n), f.m, _state_probabilities(f, angles))
+    return _h_distribution(_h_table(f, max_n), _state_probabilities(f, angles))
 
 
 def exact_g_distribution(

@@ -9,13 +9,18 @@ full vector, applies the diagonal phase exp(-i*gamma*rank) on the flat index,
 and applies the mixer as a tensored 2x2 per axis. Shares no code with the
 product-state simulator it cross-checks.
 
+``slice_unsat_table`` is the oracle's earlier table builder: each clause is
+added through one slice of a ``(2,)*n`` view, so the inner loops are as short
+as the clause's lowest variable makes them.
+
 ``float_g_distribution`` is the oracle's earlier exact g-distribution: a
-float64 g table per rank and one ``np.unique`` over it, with no table cache.
+float64 g table per rank from ``slice_unsat_table`` and one ``np.unique`` over
+it, with no table cache.
 """
 import numpy as np
 
 from ranksat.cnf import default_params, eval_clause, h_count
-from ranksat.oracle import _block_bincount, _state_probabilities, _unsat_table
+from ranksat.oracle import _block_bincount, _state_probabilities
 
 RANK_BIT_LIMIT = 62  # rank_of returns an exact Python int; numpy paths use int64
 
@@ -84,10 +89,26 @@ def dense_state(n: int, betas, gammas) -> np.ndarray:
     return state
 
 
+def slice_unsat_table(f, weights) -> np.ndarray:
+    """Per rank, the summed weight of the clauses the assignment leaves unsatisfied.
+
+    In C order axis ``n - v`` of the ``(2,)*n`` view holds variable ``v``, so
+    the slice fixing each literal of a clause to its failing value holds
+    exactly the assignments that leave the clause unsatisfied.
+    """
+    table = np.zeros((2,) * f.n, dtype=np.min_scalar_type(sum(weights)))
+    for clause, weight in zip(f.clauses, weights):
+        failing = [slice(None)] * f.n
+        for lit in clause.literals:
+            failing[f.n - lit.variable] = int(lit.negated)
+        table[tuple(failing)] += weight
+    return table.reshape(-1)
+
+
 def float_g_distribution(f, angles, params):
     """Ascending distinct g-values of a float64 g table and the mass of each."""
-    g = params.zeta * _unsat_table(f, [1] * f.m)
-    g += params.vartheta * _unsat_table(f, [c.index ** 2 for c in f.clauses])
+    g = params.zeta * slice_unsat_table(f, [1] * f.m)
+    g += params.vartheta * slice_unsat_table(f, [c.index ** 2 for c in f.clauses])
     values, inverse = np.unique(g, return_inverse=True)
     del g
     return values, _block_bincount(inverse, values.size, _state_probabilities(f, angles))

@@ -321,8 +321,55 @@ def test_cli_report_malformed_artifact(tmp_path, doc, capsys):
 
 
 def _sample_artifact(angles):
-    run = {"angles": angles, "instance": {"n": 5}}
+    run = {
+        "angles": angles,
+        "instance": {"path": "widget.cnf", "sha256": "", "n": 5},
+        "seed": 1,
+        "final_sample": {"shots": 0, "h_histogram": []},
+    }
     return {"schema": "ranksat-sample/1", "run": run, "repro_hash": repro_hash(run)}
+
+
+def _without(run, section, replacement=None):
+    run = {k: v for k, v in run.items() if k != section}
+    if replacement is not None:
+        run[section] = replacement
+    return run
+
+
+@pytest.mark.parametrize("schema,edit,argv,message", [
+    ("run", lambda run: {}, ["report"], "run has no 'instance' object"),
+    ("run", lambda run: _without(run, "final_sample"), ["report"],
+     "run has no 'final_sample' object"),
+    ("run", lambda run: _without(run, "final_sample", {}), ["report"],
+     "run has no 'final_sample.h_histogram'"),
+    ("run", lambda run: _without(run, "final_sample", []), ["report"],
+     "run has no 'final_sample' object"),
+    ("run", lambda run: _without(run, "instance"), ["report", "--g-level"],
+     "run has no 'instance' object"),
+    ("run", lambda run: _without(run, "config"), ["report", "--g-level"],
+     "run has no 'config' object"),
+    ("run", lambda run: _without(run, "instance"), ["compare"], "run has no 'instance' object"),
+    ("sample", lambda run: _without(run, "seed"), ["report", "--g-level"], "run has no 'seed'"),
+], ids=[
+    "empty-run", "no-final-sample", "empty-final-sample", "list-final-sample",
+    "g-level-no-instance", "g-level-no-config", "compare-no-instance", "sample-no-seed",
+])
+def test_cli_refuses_artifact_missing_a_section(
+    widget_path, tmp_path, schema, edit, argv, message, capsys
+):
+    if schema == "run":
+        art = run_optimize(widget_path, _tiny_cfg(), final_shots=500)
+    else:
+        art = run_sample(widget_path, AngleVector.zeros(1), shots=10, seed=1)
+    art["run"] = edit(art["run"])
+    art["repro_hash"] = repro_hash(art["run"])
+    path = tmp_path / "x.json"
+    save_artifact(art, str(path))
+    args = [argv[0], str(path)] + (argv[1:] if argv[0] == "report" else [str(path)])
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert message in err and str(path) in err
 
 
 @pytest.mark.parametrize("doc,message", [

@@ -20,7 +20,14 @@ from ranksat.qsim import AngleVector, prepare_state, sample
 from ranksat.shaping import QuantileSet, h_histogram
 
 from conftest import all_assignments, random_formula
-from dense_reference import dense_state, float_g_distribution, g_cost, probability, rank_of
+from dense_reference import (
+    dense_state,
+    float_g_distribution,
+    g_cost,
+    probability,
+    rank_of,
+    slice_unsat_table,
+)
 
 
 def test_enumerate_widget(widget):
@@ -278,6 +285,9 @@ def test_exact_g_distribution_refuses_key_overflow(monkeypatch):
     ref_values, ref_mass = float_g_distribution(top, angles, rs.default_params(top))
     assert values.tobytes() == ref_values.tobytes() and mass.tobytes() == ref_mass.tobytes()
 
+    # the top key needs 53 bits: packed with a 1-bit rank it fits in 64 bits
+    assert int(values[-1]).bit_length() + top.n <= 64
+
     over = rs.CnfFormula.from_signed(1, [[1]] * (limit + 1))
     builds = []
     monkeypatch.setattr(oracle, "_unsat_table", lambda *args: builds.append(args))
@@ -286,15 +296,64 @@ def test_exact_g_distribution_refuses_key_overflow(monkeypatch):
     assert builds == []
 
 
+def test_pair_index_argsort_path_at_the_clause_limit():
+    # at n=12 the 53-bit top key leaves no room for the rank in a 64-bit word
+    angles = AngleVector(betas=(0.3, 0.7), gammas=(1.1, 2.3))
+    limit = MAX_EXACT_CLAUSES
+    f = rs.CnfFormula.from_signed(12, [[1, -7, 12]] * limit)
+    d = d_max(limit)
+    values, mass = exact_g_distribution(f, angles)
+    assert values.tolist() == [0.0, (d + 1) * limit + d]
+    assert int(values[-1]).bit_length() + f.n > 64
+    ref_values, ref_mass = float_g_distribution(f, angles, rs.default_params(f))
+    assert values.tobytes() == ref_values.tobytes() and mass.tobytes() == ref_mass.tobytes()
+    assert oracle._pair_index(f, f.n)[1].tolist() == [
+        int((r & 1) == 0 and (r >> 6 & 1) == 1 and (r >> 11 & 1) == 0) for r in range(1 << 12)
+    ]
+
+
+def _layered_formula(rng, n, m):
+    """Random clauses of widths 1-4, plus an all-low clause and, above the
+    table builder's low-bit boundary, all-high and mixed clauses."""
+    f = _mixed_width_formula(rng, n, m)
+    low = min(n, oracle._LOW_BITS)
+    groups = [{1, (low + 1) // 2, low}]
+    if n > low:
+        groups += [{low + 1, n}, {1, n}, {low, low + 1}]
+    extra = [[v if k % 2 else -v for k, v in enumerate(sorted(g))] for g in groups]
+    return rs.CnfFormula.from_signed(
+        n, [[lit.signed for lit in c.literals] for c in f.clauses] + extra
+    )
+
+
+@pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 14, 17, 20])
+def test_unsat_table_matches_slice_reference(n):
+    rng = np.random.default_rng(100 + n)
+    for m in (0, 3 * n + 5) if n else (0,):
+        f = _layered_formula(rng, n, m) if m else rs.CnfFormula(n=n, clauses=())
+        base = rs.cnf._cost_base(f.m)
+        for weights in ([1] * f.m, [base + c.index ** 2 for c in f.clauses]):
+            got, ref = oracle._unsat_table(f, weights), slice_unsat_table(f, weights)
+            assert got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes()
+
+
 def test_tables_built_once_per_formula(monkeypatch):
     builds = []
     build = oracle._unsat_table
+    bincount = oracle._block_bincount
 
     def counting(f, weights):
         builds.append("h" if weights[0] == 1 else "key")
         return build(f, weights)
 
+    def counting_levels(keys, size, weights=None):
+        if weights is None:
+            builds.append("counts")
+        return bincount(keys, size, weights)
+
     monkeypatch.setattr(oracle, "_unsat_table", counting)
+    monkeypatch.setattr(oracle, "_block_bincount", counting_levels)
     f = random_formula(np.random.default_rng(26), n=10, m=40)
     params, levels = rs.default_params(f), QuantileSet.default()
     angles = [AngleVector(betas=(0.2 * k, 0.5), gammas=(0.9, 0.4 * k)) for k in (1, 2)]
@@ -303,11 +362,11 @@ def test_tables_built_once_per_formula(monkeypatch):
     for a in angles:
         exact_h_distribution(f, a)
         exact_shaped_cost(f, a, params, levels)
-    assert sorted(builds) == ["h", "key"]
+    assert sorted(builds) == ["counts", "h", "key"]
 
     with pytest.raises(GuardError):
         enumerate_h(f, max_n=f.n - 1)
-    for table in (oracle._h_table(f, f.n),) + oracle._pair_index(f, f.n):
+    for table in oracle._h_table(f, f.n) + oracle._pair_index(f, f.n):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0] = 0
@@ -315,7 +374,7 @@ def test_tables_built_once_per_formula(monkeypatch):
     reparsed = rs.parse_dimacs(rs.to_dimacs(f))
     assert reparsed == f and reparsed is not f
     enumerate_h(reparsed)
-    assert sorted(builds) == ["h", "h", "key"]
+    assert sorted(builds) == ["counts", "counts", "h", "h", "key"]
 
 
 def test_table_slot_follows_formula_lifetime():
@@ -337,7 +396,8 @@ def test_table_slot_follows_formula_lifetime():
 
 
 def test_exact_shaped_cost_memory_bound():
-    # the float g table and its np.unique peaked at 52.8 bytes per rank under tracemalloc
+    # the float g table and its np.unique peaked at 52.8 bytes per rank under
+    # tracemalloc, the integer keys with np.unique at 38.9
     f = random_formula(np.random.default_rng(5), n=18, m=77)
     angles = AngleVector(betas=(0.3, 0.7), gammas=(1.1, 2.3))
     params, levels = rs.default_params(f), QuantileSet.default()
@@ -347,4 +407,4 @@ def test_exact_shaped_cost_memory_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 45 * (1 << f.n)
+    assert peak < 33 * (1 << f.n)
