@@ -241,13 +241,16 @@ def regenerate_g_histogram(artifact: dict) -> CostHistogram:
     Sampling is deterministic given the artifact's seed, so the g-level view
     does not need to be stored. A recorded relative path that does not exist
     from the working directory falls back to the absolute path under "meta".
-    Raises ValueError when the instance file no longer matches the sha256
-    recorded in the artifact.
+    Raises ValueError when neither exists as recorded, or when the instance
+    file no longer matches the sha256 recorded in the artifact.
     """
     run = artifact["run"]
     path = run["instance"]["path"]
     if not Path(path).exists():
-        path = artifact["meta"].get("instance_path", path)
+        meta = artifact.get("meta")
+        path = meta.get("instance_path") if isinstance(meta, dict) else None
+        if not isinstance(path, str):
+            raise ValueError(f"{run['instance']['path']} not found, and no meta.instance_path")
     if instance_fingerprint(path)["sha256"] != run["instance"]["sha256"]:
         raise ValueError(f"{path} has changed since the run: its sha256 no longer matches")
     f = load_instance_file(path)

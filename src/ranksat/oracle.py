@@ -11,13 +11,15 @@ distribution to the last bit. A resource guard refuses qubit counts whose
 tables would no longer be a desk-scale job.
 
 The formula tables do not depend on the angles, so each is built at most once
-per formula object: the h table with its count per h-level, and an index of
-each rank's (h, d) pair by its cost g, the exact integer key h*(d_max+1) + d
-(see ``ranksat.cnf``), ordered by one value sort of the keys packed with
-their ranks. One cache slot holds the tables of the last formula the oracle
-saw, through a weak reference, so they are freed with the formula and an
-equal but separately parsed formula builds its own. Cached arrays are
-read-only.
+per formula object: the h table with its count per h-level, and the d table,
+the summed i**2 of each rank's unsatisfied clauses (see ``ranksat.cnf``). One
+cache slot holds the tables of the last formula the oracle saw, through a
+weak reference, so they are freed with the formula and an equal but
+separately parsed formula builds its own. Cached arrays are read-only.
+
+The shaped cost takes the h-level of each quantile from the h-level masses
+and its d from the ranks at that level alone, so its quantile terms are exact
+costs g = zeta*h + d; its mean is a float sum within a few ulps of exact.
 """
 from __future__ import annotations
 
@@ -26,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cnf import CnfFormula, CostParams, _cost_base, _require_default_params
+from .cnf import CnfFormula, CostParams, _cost_base, _require_default_params, d_max
 from .qsim import AngleVector, bits_from_ranks, prepare_state
-from .shaping import QuantileSet, nearest_rank_quantile, rows_to_csv
+from .shaping import QuantileSet, _nearest_rank_index, nearest_rank_quantile, rows_to_csv
 
 __all__ = [
     "GuardError",
@@ -143,17 +145,17 @@ class _TableSlot:
     def __init__(self):
         self.formula: weakref.ref | None = None
         self.h: tuple[np.ndarray, np.ndarray] | None = None
-        self.pairs: tuple[np.ndarray, np.ndarray] | None = None
+        self.d: np.ndarray | None = None
 
     def hold(self, f: CnfFormula) -> _TableSlot:
         if self.formula is None or self.formula() is not f:
-            self.h = self.pairs = None
+            self.h = self.d = None
             self.formula = weakref.ref(f, self._forget)
         return self
 
     def _forget(self, ref: weakref.ref) -> None:
         if ref is self.formula:
-            self.formula = self.h = self.pairs = None
+            self.formula = self.h = self.d = None
 
 
 _SLOT = _TableSlot()
@@ -184,46 +186,12 @@ def _h_table(f: CnfFormula, max_n: int) -> tuple[np.ndarray, np.ndarray]:
     return slot.h
 
 
-def _pair_index(f: CnfFormula, max_n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(values, inverse): the distinct (h, d) pairs as ascending float64 costs
-    g, and per rank the int32 position of its pair.
-
-    Clause i weighs d_max+1+i**2, so each rank's summed weight is its exact
-    integer cost h*(d_max+1) + d, whose order is the (h, d) order. The keys
-    are ordered by one in-place value sort of ``key << n | rank``: the high
-    bits give the sorted keys and the low bits the ranks in stable order.
-    Only when the top key needs more than 64 - n bits (near the clause limit,
-    with every clause failing at one rank) does a stable argsort order them.
-    The result equals ``np.unique(key, return_inverse=True)``.
-    """
-    base = _cost_base(f.m)
+def _d_table(f: CnfFormula, max_n: int) -> np.ndarray:
+    """Per rank the divergence d: the summed i**2 of its unsatisfied clauses i."""
     slot = _tables(f, max_n)
-    if slot.pairs is None:
-        key = _unsat_table(f, [base + c.index ** 2 for c in f.clauses])
-        first = np.ones(key.size, dtype=bool)  # sorted position starts a new key
-        if int(key.max()) < 1 << (64 - f.n):
-            shift = np.uint64(f.n)
-            packed = key.astype(np.uint64)
-            del key
-            packed <<= shift
-            packed |= np.arange(packed.size, dtype=np.uint64)
-            packed.sort()
-            np.greater_equal(packed[1:] ^ packed[:-1], np.uint64(1) << shift, out=first[1:])
-            values = packed[first] >> shift
-            packed &= (np.uint64(1) << shift) - np.uint64(1)
-            order = packed.view(np.int64)
-        else:
-            order = np.argsort(key, kind="stable")
-            key = key[order]
-            np.not_equal(key[1:], key[:-1], out=first[1:])
-            values = key[first]
-            del key
-        position = np.cumsum(first, dtype=np.int32)
-        position -= 1
-        inverse = np.empty(order.size, dtype=np.int32)
-        inverse[order] = position
-        slot.pairs = (_read_only(values.astype(np.float64)), _read_only(inverse))
-    return slot.pairs
+    if slot.d is None:
+        slot.d = _read_only(_unsat_table(f, [c.index ** 2 for c in f.clauses]))
+    return slot.d
 
 
 def _state_probabilities(f: CnfFormula, angles: AngleVector) -> np.ndarray:
@@ -233,9 +201,10 @@ def _state_probabilities(f: CnfFormula, angles: AngleVector) -> np.ndarray:
     over j, so each entry is bit-identical to that product.
     """
     p1 = prepare_state(f.n, angles).p_one()
-    probs = np.ones(1)
-    for q0, q1 in zip(1.0 - p1, p1):
-        probs = np.outer((q0, q1), probs).reshape(-1)
+    probs = np.ones(1 << f.n)  # step j sets ranks 2**j..2**(j+1)-1 to ranks 0..2**j-1 times q1
+    for j, (q0, q1) in enumerate(zip(1.0 - p1, p1)):
+        np.multiply(probs[:1 << j], q1, out=probs[1 << j:2 << j])
+        probs[:1 << j] *= q0
     return probs
 
 
@@ -293,13 +262,42 @@ def exact_h_distribution(
 def exact_g_distribution(
     f: CnfFormula, angles: AngleVector, max_n: int = GUARD_MAX_N
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact cost distribution of the prepared state.
+    """Exact cost distribution of the prepared state: (values, mass), the
+    ascending distinct keys zeta*h + d of the h and d tables as exact float64
+    g-values, and the quantum probability of each, summed in rank order."""
+    base = _cost_base(f.m)
+    h, d = _h_table(f, max_n)[0], _d_table(f, max_n)
+    key = h.astype(np.min_scalar_type(base * f.m + d_max(f.m)))
+    key *= base
+    key += d
+    values, inverse = np.unique(key, return_inverse=True)
+    del key
+    mass = _block_bincount(inverse, values.size, _state_probabilities(f, angles))
+    return values.astype(np.float64), mass
 
-    Returns (values, mass): ascending distinct g-values and the quantum
-    probability carried by each, summed in rank order.
-    """
-    values, inverse = _pair_index(f, max_n)
-    return values, _block_bincount(inverse, values.size, _state_probabilities(f, angles))
+
+def _exact_cost_terms(f: CnfFormula, angles: AngleVector, levels: QuantileSet, max_n: int):
+    """(mean, quantiles): the mean cost g of the state and its exact
+    nearest-rank g at each level, from the h and d tables."""
+    base = _cost_base(f.m)
+    tables, d = _h_table(f, max_n), _d_table(f, max_n)
+    h, probs = tables[0], _state_probabilities(f, angles)
+    dist = _h_distribution(tables, probs)
+    total = float(dist.probabilities.sum())
+    blocks = [slice(start, start + _BLOCK) for start in range(0, d.size, _BLOCK)]
+    d_sum = sum(d[b].astype(np.float64) @ probs[b] for b in blocks)
+    mean = float(base * (dist.h_values @ dist.probabilities) + d_sum) / total
+    cum = np.cumsum(np.append(0.0, dist.probabilities))  # cum[i]: mass below level i
+    quantiles = []
+    for p in levels:
+        i = _nearest_rank_index(cum[1:] / total, p)
+        ranks = np.flatnonzero(h == dist.h_values[i])
+        d_values, inverse = np.unique(d[ranks], return_inverse=True)
+        mass = np.bincount(inverse, probs[ranks])
+        del ranks, inverse  # freed before the next level's arrays
+        cum_d = (cum[i] + np.cumsum(mass)) / total
+        quantiles.append(base * int(dist.h_values[i]) + nearest_rank_quantile(d_values, cum_d, p))
+    return mean, quantiles
 
 
 def exact_shaped_cost(
@@ -313,11 +311,8 @@ def exact_shaped_cost(
 
     ``params`` must be ``default_params(f)``. Cumulative frequencies run over
     probability mass, with the same smallest-value-reaching-p rule as the
-    sampled estimator.
+    sampled estimator. See the module notes for what is exact.
     """
     _require_default_params(f, params)
-    values, mass = exact_g_distribution(f, angles, max_n=max_n)
-    total = float(mass.sum())
-    mean = float(np.dot(values, mass) / total)
-    cum = np.cumsum(mass) / total
-    return mean + sum(nearest_rank_quantile(values, cum, p) for p in levels)
+    mean, quantiles = _exact_cost_terms(f, angles, levels, max_n)
+    return mean + sum(quantiles)

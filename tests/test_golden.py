@@ -23,7 +23,7 @@ SHORT = dict(generations=3, population=6, elites=1, shots_per_eval=60, seed=17)
 
 WIDGET_HASH = "sha256:6d72e0e5448c8c93abc201da9eb95e06214fa6adca29bac7ee31010faeefb2e3"
 SYNTH20_HASH = "sha256:a6d77adff4067e55ac3ce2a75b19ac9c6ee08da23216e0fe842b129b870ff6e5"
-SHAPED17 = 3190375.19779253
+SHAPED17 = 3190375.1977925296
 # sha256 of values.tobytes() + mass.tobytes() of the same exact g-distribution
 G17_DIGEST = "9c0682974b4b2bfffb3e98bf1d0fc2417ed2b590303e6071a09306bfec18c036"
 

@@ -401,6 +401,26 @@ def test_cli_report_g_level_relative_instance(widget_path, tmp_path, monkeypatch
     assert capsys.readouterr().out == expected
 
 
+
+@pytest.mark.parametrize("meta", [None, []], ids=["no-meta", "list-meta"])
+def test_cli_report_g_level_missing_instance_without_meta(
+    widget_path, tmp_path, monkeypatch, meta, capsys
+):
+    # "meta" is outside the hash, so an edited one passes the artifact checks
+    run_dir = tmp_path / "a"
+    run_dir.mkdir()
+    shutil.copy(widget_path, run_dir / "widget.cnf")
+    monkeypatch.chdir(run_dir)
+    art = run_optimize("widget.cnf", _tiny_cfg(), final_shots=500)
+    if meta is None:
+        del art["meta"]
+    else:
+        art["meta"] = meta
+    save_artifact(art, "run.json")
+    monkeypatch.chdir(tmp_path)
+    assert main(["report", "a/run.json", "--what", "final", "--g-level"]) == 2
+    assert "widget.cnf not found" in capsys.readouterr().err
+
 def test_run_optimize_compiles_formula_once(widget_path, monkeypatch):
     compiled = []
     init = ClauseArrays.__init__

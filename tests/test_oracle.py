@@ -17,7 +17,7 @@ from ranksat.oracle import (
     list_solutions,
 )
 from ranksat.qsim import AngleVector, prepare_state, sample
-from ranksat.shaping import QuantileSet, h_histogram
+from ranksat.shaping import QuantileSet, h_histogram, nearest_rank_quantile
 
 from conftest import all_assignments, random_formula
 from dense_reference import (
@@ -262,6 +262,21 @@ def _mixed_width_formula(rng, n, m):
     return rs.CnfFormula.from_signed(n, clauses)
 
 
+def _assert_shaped_cost_matches(f, angles, values, mass):
+    """Quantile terms equal the reference's exactly; the mean, a float sum in
+    another order, agrees to rel 1e-15. The levels include the first g-value
+    and the clamp at the top of a drifting cumulative frequency."""
+    total = float(mass.sum())
+    cum = np.cumsum(mass) / total
+    ref_mean = float(np.dot(values, mass) / total)
+    for levels in (QuantileSet.default(), QuantileSet.of([1e-9, 0.5, 1 - 2 ** -53])):
+        mean, quantiles = oracle._exact_cost_terms(f, angles, levels, f.n)
+        assert quantiles == [nearest_rank_quantile(values, cum, p) for p in levels]
+        assert mean == pytest.approx(ref_mean, rel=1e-15)
+        cost = exact_shaped_cost(f, angles, rs.default_params(f), levels)
+        assert cost == mean + sum(quantiles)
+
+
 @pytest.mark.parametrize("n,m", [(1, 3), (5, 14), (12, 50), (17, 72)])
 @pytest.mark.parametrize("weights", [rs.default_params], ids=["default"])
 def test_exact_g_distribution_matches_float_path(n, m, weights):
@@ -271,6 +286,7 @@ def test_exact_g_distribution_matches_float_path(n, m, weights):
     ref_values, ref_mass = float_g_distribution(f, angles, weights(f))
     assert values.tobytes() == ref_values.tobytes()
     assert mass.tobytes() == ref_mass.tobytes()
+    _assert_shaped_cost_matches(f, angles, ref_values, ref_mass)
 
 
 def test_exact_g_distribution_refuses_key_overflow(monkeypatch):
@@ -285,8 +301,8 @@ def test_exact_g_distribution_refuses_key_overflow(monkeypatch):
     ref_values, ref_mass = float_g_distribution(top, angles, rs.default_params(top))
     assert values.tobytes() == ref_values.tobytes() and mass.tobytes() == ref_mass.tobytes()
 
-    # the top key needs 53 bits: packed with a 1-bit rank it fits in 64 bits
-    assert int(values[-1]).bit_length() + top.n <= 64
+    # the top cost needs all 53 bits of the float64 significand
+    assert int(values[-1]).bit_length() == 53
 
     over = rs.CnfFormula.from_signed(1, [[1]] * (limit + 1))
     builds = []
@@ -296,20 +312,19 @@ def test_exact_g_distribution_refuses_key_overflow(monkeypatch):
     assert builds == []
 
 
-def test_pair_index_argsort_path_at_the_clause_limit():
-    # at n=12 the 53-bit top key leaves no room for the rank in a 64-bit word
+def test_exact_paths_at_the_clause_limit():
+    # every clause fails at the same ranks, where the cost takes its largest exact value
     angles = AngleVector(betas=(0.3, 0.7), gammas=(1.1, 2.3))
     limit = MAX_EXACT_CLAUSES
     f = rs.CnfFormula.from_signed(12, [[1, -7, 12]] * limit)
     d = d_max(limit)
     values, mass = exact_g_distribution(f, angles)
     assert values.tolist() == [0.0, (d + 1) * limit + d]
-    assert int(values[-1]).bit_length() + f.n > 64
+    assert int(values[-1]).bit_length() == 53
     ref_values, ref_mass = float_g_distribution(f, angles, rs.default_params(f))
     assert values.tobytes() == ref_values.tobytes() and mass.tobytes() == ref_mass.tobytes()
-    assert oracle._pair_index(f, f.n)[1].tolist() == [
-        int((r & 1) == 0 and (r >> 6 & 1) == 1 and (r >> 11 & 1) == 0) for r in range(1 << 12)
-    ]
+    assert oracle._d_table(f, f.n).dtype == np.uint64
+    _assert_shaped_cost_matches(f, angles, ref_values, ref_mass)
 
 
 def _layered_formula(rng, n, m):
@@ -344,7 +359,7 @@ def test_tables_built_once_per_formula(monkeypatch):
     bincount = oracle._block_bincount
 
     def counting(f, weights):
-        builds.append("h" if weights[0] == 1 else "key")
+        builds.append("h" if set(weights) == {1} else "d")
         return build(f, weights)
 
     def counting_levels(keys, size, weights=None):
@@ -362,11 +377,11 @@ def test_tables_built_once_per_formula(monkeypatch):
     for a in angles:
         exact_h_distribution(f, a)
         exact_shaped_cost(f, a, params, levels)
-    assert sorted(builds) == ["counts", "h", "key"]
+    assert sorted(builds) == ["counts", "d", "h"]
 
     with pytest.raises(GuardError):
         enumerate_h(f, max_n=f.n - 1)
-    for table in oracle._h_table(f, f.n) + oracle._pair_index(f, f.n):
+    for table in oracle._h_table(f, f.n) + (oracle._d_table(f, f.n),):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0] = 0
@@ -374,16 +389,16 @@ def test_tables_built_once_per_formula(monkeypatch):
     reparsed = rs.parse_dimacs(rs.to_dimacs(f))
     assert reparsed == f and reparsed is not f
     enumerate_h(reparsed)
-    assert sorted(builds) == ["counts", "counts", "h", "h", "key"]
+    assert sorted(builds) == ["counts", "counts", "d", "h", "h"]
 
 
 def test_table_slot_follows_formula_lifetime():
     a = random_formula(np.random.default_rng(27), n=6, m=20)
-    enumerate_h(a)
-    assert oracle._SLOT.formula() is a
+    exact_shaped_cost(a, AngleVector.zeros(1), rs.default_params(a), QuantileSet.default())
+    assert oracle._SLOT.formula() is a and oracle._SLOT.d is not None
     del a
     gc.collect()
-    assert oracle._SLOT.formula is None and oracle._SLOT.h is None
+    assert oracle._SLOT.formula is None and oracle._SLOT.h is None and oracle._SLOT.d is None
 
     a = random_formula(np.random.default_rng(28), n=6, m=20)
     b = random_formula(np.random.default_rng(29), n=6, m=20)
@@ -396,8 +411,9 @@ def test_table_slot_follows_formula_lifetime():
 
 
 def test_exact_shaped_cost_memory_bound():
-    # the float g table and its np.unique peaked at 52.8 bytes per rank under
-    # tracemalloc, the integer keys with np.unique at 38.9
+    # first-call tracemalloc peak per rank: 52.8 bytes for the float g table
+    # and its np.unique, 38.9 for the integer keys with np.unique, 25.2 for
+    # the packed (h, d) pair index, 17.2 for the h and d tables
     f = random_formula(np.random.default_rng(5), n=18, m=77)
     angles = AngleVector(betas=(0.3, 0.7), gammas=(1.1, 2.3))
     params, levels = rs.default_params(f), QuantileSet.default()
@@ -407,4 +423,4 @@ def test_exact_shaped_cost_memory_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 33 * (1 << f.n)
+    assert peak < 21 * (1 << f.n)
