@@ -413,7 +413,7 @@ def test_table_slot_follows_formula_lifetime():
 def test_exact_shaped_cost_memory_bound():
     # first-call tracemalloc peak per rank: 52.8 bytes for the float g table
     # and its np.unique, 38.9 for the integer keys with np.unique, 25.2 for
-    # the packed (h, d) pair index, 17.2 for the h and d tables
+    # the packed (h, d) pair index, 16.8 for the h and d tables
     f = random_formula(np.random.default_rng(5), n=18, m=77)
     angles = AngleVector(betas=(0.3, 0.7), gammas=(1.1, 2.3))
     params, levels = rs.default_params(f), QuantileSet.default()
