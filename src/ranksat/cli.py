@@ -133,6 +133,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_report(args) -> int:
+    if args.g_level and args.what != "final":
+        return _fail(f"--g-level applies only to --what final, not {args.what}", EXIT_INPUT)
     artifact = load_artifact(args.artifact)
     run = artifact["run"]
     if args.what == "final":
@@ -159,6 +161,9 @@ def cmd_report(args) -> int:
         history = run.get("history")
         if history is None:
             return _fail("artifact has no history section", EXIT_INPUT)
+        if args.format == "json":
+            _emit(json.dumps(history, indent=2) + "\n", args.out)
+            return EXIT_OK
         lines = ["generation,best_fitness,mean_fitness,best_so_far_fitness"]
         lines += [
             f"{r['generation']},{r['best_fitness']!r},{r['mean_fitness']!r},"
@@ -260,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--what", choices=("final", "initial", "history"), default="final")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--g-level", action="store_true",
-                   help="emit the g-cost histogram instead of the h projection")
+                   help="with --what final: emit the g-cost histogram instead of the h projection")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_report)
 

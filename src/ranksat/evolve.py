@@ -1,11 +1,13 @@
 """Genetic-algorithm search over circuit angles.
 
-Fitness is the negated shaped cost estimated from a fresh shot sample, so
-the GA maximizes while the method minimizes. Reproducibility contract: a
-master seed derives one child stream per purpose — population init, the
-evolution operators of each generation, one stream per (generation,
-individual) fitness evaluation, and the final report sample — so results
-cannot depend on evaluation order.
+The population is one (population, 2*depth) float64 gene matrix, each row
+``[betas..., gammas...]``, with a list of fitness values beside it. Fitness
+is the negated shaped cost estimated from a fresh shot sample, so the GA
+maximizes while the method minimizes. Reproducibility contract: a master
+seed derives one child stream per purpose — population init, one stream per
+generation for all of its selection, crossover and mutation draws (taken
+child by child), one stream per (generation, row) fitness evaluation, and
+the final report sample — so results cannot depend on evaluation order.
 """
 from __future__ import annotations
 
@@ -20,7 +22,6 @@ from .shaping import QuantileSet, shaped_costs
 
 __all__ = [
     "GaConfig",
-    "Individual",
     "GenerationRecord",
     "RunHistory",
     "seed_stream",
@@ -86,24 +87,6 @@ class GaConfig:
             "seed": self.seed,
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "GaConfig":
-        kwargs = dict(obj)
-        kwargs["quantile_levels"] = QuantileSet.of(kwargs["quantile_levels"])
-        return cls(**kwargs)
-
-
-@dataclass
-class Individual:
-    """One candidate angle vector with its cached (lazily set) fitness."""
-
-    angles: AngleVector
-    fitness: float | None = None
-
-    @property
-    def evaluated(self) -> bool:
-        return self.fitness is not None
-
 
 @dataclass(frozen=True)
 class GenerationRecord:
@@ -142,154 +125,108 @@ def _gene_bounds(depth: int) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros(2 * depth), highs
 
 
-def _genes(angles: AngleVector) -> np.ndarray:
-    return np.array([*angles.betas, *angles.gammas], dtype=np.float64)
-
-
-def _angles_from_genes(genes: Sequence[float], depth: int) -> AngleVector:
-    return AngleVector(
-        betas=tuple(float(g) for g in genes[:depth]),
-        gammas=tuple(float(g) for g in genes[depth:]),
-    )
+def _angles_from_genes(genes: np.ndarray, depth: int) -> AngleVector:
+    return AngleVector(betas=tuple(genes[:depth].tolist()), gammas=tuple(genes[depth:].tolist()))
 
 
 def evaluate_fitness(
     f: CnfFormula, angles: AngleVector, cfg: GaConfig, rng: np.random.Generator
 ) -> float:
     """Negated shaped cost of a shots_per_eval sample at these angles."""
-    return _fitness_values(f, [angles], cfg, [rng])[0]
+    return _fitness_values(f, np.array([[*angles.betas, *angles.gammas]]), cfg, [rng])[0]
 
 
 def _fitness_values(
     f: CnfFormula,
-    angles: Sequence[AngleVector],
+    genes: np.ndarray,
     cfg: GaConfig,
     rngs: Sequence[np.random.Generator],
 ) -> list[float]:
-    """evaluate_fitness of each angle vector with its own stream, in one pass:
+    """evaluate_fitness of each gene row with its own stream, in one pass:
     all states at once, one (P*s, n) shot matrix, one scoring call."""
-    s = cfg.shots_per_eval
-    p_one = p_one_rows(f.n, angles)
-    bits = np.empty((len(angles) * s, f.n), dtype=np.uint8)
+    s, depth = cfg.shots_per_eval, genes.shape[1] // 2
+    p_one = p_one_rows(f.n, genes[:, :depth], genes[:, depth:])
+    bits = np.empty((len(genes) * s, f.n), dtype=np.uint8)
     for i, rng in enumerate(rngs):
         fill_shots(bits[i * s:(i + 1) * s], p_one[i], rng)
-    costs = f.arrays.g(bits).reshape(len(angles), s)
+    costs = f.arrays.g(bits).reshape(len(genes), s)
     return [-cost for cost in shaped_costs(costs, cfg.quantile_levels)]
 
 
-def tournament_select(
-    population: Sequence[Individual], k: int, rng: np.random.Generator
-) -> Individual:
-    """Best of k uniform draws with replacement; ties go to the lowest index."""
-    if not population:
+def tournament_select(fitness: Sequence[float], k: int, rng: np.random.Generator) -> int:
+    """Row of the best of k uniform draws with replacement; ties go to the lowest row."""
+    if len(fitness) == 0:
         raise ValueError("population is empty")
-    drawn = rng.integers(0, len(population), size=k)
-    best = min(drawn, key=lambda i: (-population[i].fitness, i))
-    return population[best]
+    drawn = rng.integers(0, len(fitness), size=k)
+    return int(min(drawn, key=lambda i: (-fitness[i], i)))
 
 
-def crossover(
-    parent_a: Individual, parent_b: Individual, rng: np.random.Generator
-) -> Individual:
-    """Single-point crossover on the flattened [betas..., gammas...] genes."""
-    depth = parent_a.angles.depth
-    if parent_b.angles.depth != depth:
+def crossover(a: np.ndarray, b: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Single-point crossover of two [betas..., gammas...] gene rows."""
+    if len(a) != len(b):
         raise ValueError("parents must have equal gene counts")
-    a, b = _genes(parent_a.angles), _genes(parent_b.angles)
-    cut = int(rng.integers(1, 2 * depth)) if depth > 1 else 1
-    child = np.concatenate([a[:cut], b[cut:]])
-    return Individual(angles=_angles_from_genes(child, depth))
+    cut = int(rng.integers(1, len(a))) if len(a) > 2 else 1
+    return np.concatenate([a[:cut], b[cut:]])
 
 
-def mutate(ind: Individual, prob: float, rng: np.random.Generator) -> Individual:
+def mutate(genes: np.ndarray, prob: float, rng: np.random.Generator) -> np.ndarray:
     """Resample each gene uniformly within its bound with probability prob."""
     if not (0.0 <= prob <= 1.0):
         raise ValueError(f"mutation probability must be in [0, 1], got {prob}")
-    depth = ind.angles.depth
-    lows, highs = _gene_bounds(depth)
-    genes = _genes(ind.angles)
-    flips = rng.random(2 * depth) < prob
+    lows, highs = _gene_bounds(len(genes) // 2)
+    flips = rng.random(len(genes)) < prob
     fresh = rng.uniform(lows, highs)
-    genes = np.where(flips, fresh, genes)
-    return Individual(angles=_angles_from_genes(genes, depth))
-
-
-def _elite_indices(population: Sequence[Individual], elites: int) -> list[int]:
-    order = sorted(
-        range(len(population)), key=lambda i: (-population[i].fitness, i)
-    )
-    return order[:elites]
-
-
-def _evaluate_generation(
-    f: CnfFormula, population: list[Individual], cfg: GaConfig, generation: int
-) -> None:
-    # Each evaluation draws from its own per-(generation, individual) stream,
-    # so batching them, or evaluating in any order, yields the same result.
-    todo = [i for i, ind in enumerate(population) if not ind.evaluated]
-    rngs = [seed_stream(cfg.seed, _TAG_FITNESS, generation, i) for i in todo]
-    fitness = _fitness_values(f, [population[i].angles for i in todo], cfg, rngs)
-    for i, value in zip(todo, fitness):
-        population[i].fitness = value
-
-
-def _record(
-    population: Sequence[Individual],
-    generation: int,
-    best_so_far: Individual | None,
-) -> tuple[GenerationRecord, Individual]:
-    best_idx = min(
-        range(len(population)), key=lambda i: (-population[i].fitness, i)
-    )
-    gen_best = population[best_idx]
-    if best_so_far is None or gen_best.fitness > best_so_far.fitness:
-        best_so_far = Individual(gen_best.angles, gen_best.fitness)
-    mean = sum(ind.fitness for ind in population) / len(population)
-    rec = GenerationRecord(
-        generation=generation,
-        best_fitness=gen_best.fitness,
-        mean_fitness=mean,
-        best_so_far_fitness=best_so_far.fitness,
-        best_so_far_angles=best_so_far.angles,
-    )
-    return rec, best_so_far
+    return np.where(flips, fresh, genes)
 
 
 def optimize(f: CnfFormula, cfg: GaConfig) -> tuple[AngleVector, RunHistory]:
     """Run the GA and return the best-so-far angles plus the full history.
 
     Generation 0 is the uniformly random initial population; each later
-    generation copies the elites (with cached fitness) and fills the rest
-    through tournament selection, crossover and mutation. Fully
+    generation copies the elite rows (with cached fitness) and fills the
+    rest through tournament selection, crossover and mutation. Fully
     deterministic for a given config.
     """
-    lows, highs = _gene_bounds(cfg.depth)
+    size, depth = cfg.population, cfg.depth
+    lows, highs = _gene_bounds(depth)
     init_rng = seed_stream(cfg.seed, _TAG_INIT)
-    population = [
-        Individual(angles=_angles_from_genes(init_rng.uniform(lows, highs), cfg.depth))
-        for _ in range(cfg.population)
-    ]
-    _evaluate_generation(f, population, cfg, generation=0)
-    rec, best_so_far = _record(population, 0, None)
-    records = [rec]
+    genes = init_rng.uniform(lows, highs, size=(size, 2 * depth))
+    fitness: list[float] = []
+    order: list[int] = []  # row indices by descending fitness, ties to the lowest
+    records: list[GenerationRecord] = []
+    best: tuple[float, AngleVector] | None = None
 
-    for t in range(1, cfg.generations + 1):
-        ev_rng = seed_stream(cfg.seed, _TAG_EVOLVE, t)
-        next_pop = [
-            Individual(population[i].angles, population[i].fitness)
-            for i in _elite_indices(population, cfg.elites)
-        ]
-        while len(next_pop) < cfg.population:
-            parent_a = tournament_select(population, cfg.tournament_size, ev_rng)
-            parent_b = tournament_select(population, cfg.tournament_size, ev_rng)
-            child = mutate(crossover(parent_a, parent_b, ev_rng), cfg.mutation_prob, ev_rng)
-            next_pop.append(child)
-        population = next_pop
-        _evaluate_generation(f, population, cfg, generation=t)
-        rec, best_so_far = _record(population, t, best_so_far)
-        records.append(rec)
+    for t in range(cfg.generations + 1):
+        if t:
+            ev_rng = seed_stream(cfg.seed, _TAG_EVOLVE, t)
+            elites = order[:cfg.elites]
+            children = []
+            for _ in range(size - len(elites)):
+                a = tournament_select(fitness, cfg.tournament_size, ev_rng)
+                b = tournament_select(fitness, cfg.tournament_size, ev_rng)
+                child = crossover(genes[a], genes[b], ev_rng)
+                children.append(mutate(child, cfg.mutation_prob, ev_rng))
+            genes = np.vstack([genes[elites], *children])
+            fitness = [fitness[i] for i in elites]
+        # Each evaluation draws from its own per-(generation, row) stream,
+        # so batching them, or evaluating in any order, yields the same result.
+        done = len(fitness)
+        rngs = [seed_stream(cfg.seed, _TAG_FITNESS, t, i) for i in range(done, size)]
+        fitness += _fitness_values(f, genes[done:], cfg, rngs)
 
-    return best_so_far.angles, RunHistory(records=records)
+        order = sorted(range(size), key=lambda i: (-fitness[i], i))
+        top = order[0]
+        if best is None or fitness[top] > best[0]:
+            best = (fitness[top], _angles_from_genes(genes[top], depth))
+        records.append(GenerationRecord(
+            generation=t,
+            best_fitness=fitness[top],
+            mean_fitness=sum(fitness) / size,
+            best_so_far_fitness=best[0],
+            best_so_far_angles=best[1],
+        ))
+
+    return best[1], RunHistory(records=records)
 
 
 def final_sample_stream(seed: int) -> np.random.Generator:

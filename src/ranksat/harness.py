@@ -130,6 +130,8 @@ def run_optimize(
     oracle_max_n: int = GUARD_MAX_N,
 ) -> dict:
     """Optimize angles, draw the final report sample, assemble the artifact."""
+    if final_shots < 1:
+        raise ValueError(f"shot count must be >= 1, got {final_shots}")
     f = load_instance_file(instance_path)
     params = default_params(f)
     best_angles, history = optimize(f, cfg)

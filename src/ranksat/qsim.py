@@ -124,35 +124,37 @@ def prepare_state(n: int, angles: AngleVector) -> QuantumState:
     (a0, exp(-i*gamma_k*2**j)*a1), then the mixer applies
     [[cos b, -i sin b], [-i sin b, cos b]] with b = beta_k.
     """
-    return QuantumState(amps=_amplitudes(n, [angles])[0])
+    amps = _amplitudes(n, np.array([angles.betas]), np.array([angles.gammas]))
+    return QuantumState(amps=amps[0])
 
 
-def p_one_rows(n: int, angles: Sequence[AngleVector]) -> np.ndarray:
-    """(P, n) per-qubit probabilities of measuring 1, one row per angle vector.
+def p_one_rows(n: int, betas: np.ndarray, gammas: np.ndarray) -> np.ndarray:
+    """(P, n) per-qubit probabilities of measuring 1 at P angle rows.
 
-    Row i equals ``prepare_state(n, angles[i]).p_one()`` bit for bit.
+    ``betas`` and ``gammas`` are (P, depth) arrays, row i holding one angle
+    vector's layers. Row i equals ``prepare_state(n, AngleVector(betas[i],
+    gammas[i])).p_one()`` bit for bit.
     """
-    return np.abs(_amplitudes(n, angles)[:, :, 1]) ** 2
+    return np.abs(_amplitudes(n, betas, gammas)[:, :, 1]) ** 2
 
 
-def _amplitudes(n: int, angles: Sequence[AngleVector]) -> np.ndarray:
-    """(P, n, 2) amplitude pairs of the circuit at each of P equal-depth angle vectors."""
+def _amplitudes(n: int, betas: np.ndarray, gammas: np.ndarray) -> np.ndarray:
+    """(P, n, 2) amplitude pairs of the circuit at each of P (betas, gammas) rows."""
     if n < 1:
         raise ValueError(f"qubit count must be >= 1, got {n}")
-    depths = {a.depth for a in angles}
-    if len(depths) > 1:
-        raise ValueError(f"angle vectors must share one depth, got {sorted(depths)}")
-    amps = np.full((len(angles), n, 2), 1.0 / math.sqrt(2.0), dtype=np.complex128)
+    if betas.shape != gammas.shape:
+        raise ValueError(f"betas {betas.shape} and gammas {gammas.shape} differ in shape")
+    amps = np.full((len(betas), n, 2), 1.0 / math.sqrt(2.0), dtype=np.complex128)
     weights = 2.0 ** np.arange(n)
-    for k in range(depths.pop() if depths else 0):
+    for k in range(betas.shape[1]):
         # per-row scalars are the Python values prepare_state on one vector uses
-        phase = np.exp(np.array([[-1j * a.gammas[k]] for a in angles]) * weights)
+        phase = np.exp(np.array([[-1j * g] for g in gammas[:, k].tolist()]) * weights)
         # numpy rounds a complex product differently by loop length: one row per call
         for row, row_phase in zip(amps, phase):
             row[:, 1] *= row_phase
         # c and +-i*s have a zero part, so these products round alike in any loop
-        c = np.array([[complex(math.cos(a.betas[k]))] for a in angles])
-        s = np.array([[math.sin(a.betas[k])] for a in angles])
+        c = np.array([[complex(math.cos(b))] for b in betas[:, k].tolist()])
+        s = np.array([[math.sin(b)] for b in betas[:, k].tolist()])
         a0 = c * amps[:, :, 0] - 1j * s * amps[:, :, 1]
         a1 = -1j * s * amps[:, :, 0] + c * amps[:, :, 1]
         amps = np.stack([a0, a1], axis=2)

@@ -7,8 +7,7 @@ import ranksat as rs
 from ranksat.evolve import (
     _TAG_FITNESS,
     GaConfig,
-    Individual,
-    _evaluate_generation,
+    _fitness_values,
     crossover,
     evaluate_fitness,
     mutate,
@@ -22,8 +21,8 @@ from ranksat.shaping import QuantileSet, cost_histogram, shaped_cost
 from conftest import random_formula
 
 
-def _ind(betas, gammas, fitness=None):
-    return Individual(angles=AngleVector(betas=betas, gammas=gammas), fitness=fitness)
+def _row(betas, gammas):
+    return np.array([*betas, *gammas], dtype=np.float64)
 
 
 class _FixedInts:
@@ -68,11 +67,9 @@ def _histogram_fitness(f, angles, cfg, rng):
     return -shaped_cost(hist, cfg.quantile_levels)
 
 
-def _random_population(rng, size, depth):
-    return [
-        _ind(tuple(rng.uniform(0, math.pi, depth)), tuple(rng.uniform(0, 2 * math.pi, depth)))
-        for _ in range(size)
-    ]
+def _random_genes(rng, size, depth):
+    betas = rng.uniform(0, math.pi, (size, depth))
+    return np.hstack([betas, rng.uniform(0, 2 * math.pi, (size, depth))])
 
 
 @pytest.mark.parametrize(
@@ -93,43 +90,38 @@ def test_batched_fitness_equals_histogram_path(widget, case, size, shots, levels
         "n200": random_formula(np.random.default_rng(1), n=200, m=852),
     }[case]
     cfg = GaConfig(shots_per_eval=shots, quantile_levels=levels, seed=int(rng.integers(1 << 30)))
-    population = _random_population(rng, size, cfg.depth)
-    # already evaluated individuals (elites) keep their fitness and draw nothing
-    elites = set(range(0, size - 1, 3))
-    for i in elites:
-        population[i].fitness = 12.5
-    _evaluate_generation(f, population, cfg, generation=4)
-    for i, ind in enumerate(population):
-        if i in elites:
-            assert ind.fitness == 12.5
-        else:
-            rng_i = seed_stream(cfg.seed, _TAG_FITNESS, 4, i)
-            assert ind.fitness == _histogram_fitness(f, ind.angles, cfg, rng_i)
-    angles = population[-1].angles
+    genes = _random_genes(rng, size, cfg.depth)
+    # as in optimize: the rows after the elites, each with its row's stream
+    done = size // 3
+    rngs = [seed_stream(cfg.seed, _TAG_FITNESS, 4, i) for i in range(done, size)]
+    fitness = _fitness_values(f, genes[done:], cfg, rngs)
+    assert len(fitness) == size - done
+    for i, value in zip(range(done, size), fitness):
+        row = genes[i].tolist()
+        angles = AngleVector(betas=tuple(row[:cfg.depth]), gammas=tuple(row[cfg.depth:]))
+        rng_i = seed_stream(cfg.seed, _TAG_FITNESS, 4, i)
+        assert value == _histogram_fitness(f, angles, cfg, rng_i)
     single = evaluate_fitness(f, angles, cfg, seed_stream(3, 1))
     assert single == _histogram_fitness(f, angles, cfg, seed_stream(3, 1))
 
 
 def test_tournament_tie_break_lowest_index():
-    pop = [_ind((0.1,), (0.1,), 5.0), _ind((0.2,), (0.2,), 5.0), _ind((0.3,), (0.3,), 3.0)]
-    winner = tournament_select(pop, k=50, rng=np.random.default_rng(0))
-    assert winner is pop[0]
+    winner = tournament_select([5.0, 5.0, 3.0], k=50, rng=np.random.default_rng(0))
+    assert winner == 0
 
 
 def test_tournament_k_large_returns_global_best():
     rng = np.random.default_rng(1)
-    pop = [_ind((0.1 * i,), (0.1,), float(i)) for i in range(8)]
-    winner = tournament_select(pop, k=64, rng=rng)
-    assert winner is pop[7]
+    winner = tournament_select([float(i) for i in range(8)], k=64, rng=rng)
+    assert winner == 7
 
 
 def test_tournament_k1_is_uniform():
     rng = np.random.default_rng(2)
-    pop = [_ind((0.1 * i,), (0.1,), float(i)) for i in range(4)]
+    fitness = [float(i) for i in range(4)]
     hits = np.zeros(4)
     for _ in range(4000):
-        winner = tournament_select(pop, k=1, rng=rng)
-        hits[int(winner.fitness)] += 1
+        hits[tournament_select(fitness, k=1, rng=rng)] += 1
     np.testing.assert_allclose(hits / 4000, 0.25, atol=0.03)
 
 
@@ -139,57 +131,59 @@ def test_tournament_empty_population():
 
 
 def test_crossover_identical_parents():
-    a = _ind((0.3, 0.4), (1.0, 2.0))
+    a = _row((0.3, 0.4), (1.0, 2.0))
     child = crossover(a, a, np.random.default_rng(3))
-    assert child.angles == a.angles
-    assert child.fitness is None
+    assert child.tobytes() == a.tobytes()
+    assert child is not a
 
 
 def test_crossover_cut_semantics():
-    a = _ind((0.1, 0.2), (0.3, 0.4))
-    b = _ind((0.5, 0.6), (0.7, 0.8))
+    a = _row((0.1, 0.2), (0.3, 0.4))
+    b = _row((0.5, 0.6), (0.7, 0.8))
     child = crossover(a, b, _FixedInts(2))
-    assert child.angles == AngleVector(betas=(0.1, 0.2), gammas=(0.7, 0.8))
+    assert child.tolist() == [0.1, 0.2, 0.7, 0.8]
 
 
 def test_crossover_depth1_cut_is_one():
-    a = _ind((0.1,), (0.3,))
-    b = _ind((0.5,), (0.7,))
+    a = _row((0.1,), (0.3,))
+    b = _row((0.5,), (0.7,))
     child = crossover(a, b, np.random.default_rng(4))
-    assert child.angles == AngleVector(betas=(0.1,), gammas=(0.7,))
+    assert child.tolist() == [0.1, 0.7]
+
+
+def test_crossover_rejects_unequal_rows():
+    with pytest.raises(ValueError):
+        crossover(_row((0.1,), (0.3,)), _row((0.1, 0.2), (0.3, 0.4)), np.random.default_rng(0))
 
 
 def test_crossover_keeps_bounds():
     rng = np.random.default_rng(5)
     for _ in range(20):
-        a = _ind(tuple(rng.uniform(0, math.pi, 2)), tuple(rng.uniform(0, 2 * math.pi, 2)))
-        b = _ind(tuple(rng.uniform(0, math.pi, 2)), tuple(rng.uniform(0, 2 * math.pi, 2)))
+        a, b = _random_genes(rng, 2, 2)
         child = crossover(a, b, rng)
-        assert all(0 <= x < math.pi for x in child.angles.betas)
-        assert all(0 <= x < 2 * math.pi for x in child.angles.gammas)
+        assert all(0 <= x < math.pi for x in child[:2])
+        assert all(0 <= x < 2 * math.pi for x in child[2:])
 
 
 def test_mutate_prob_zero_and_one():
     rng = np.random.default_rng(6)
-    ind = _ind((0.3, 0.4), (1.0, 2.0))
-    same = mutate(ind, 0.0, rng)
-    assert same.angles == ind.angles
-    changed = mutate(ind, 1.0, rng)
-    assert changed.angles != ind.angles
-    assert all(0 <= x < math.pi for x in changed.angles.betas)
-    assert all(0 <= x < 2 * math.pi for x in changed.angles.gammas)
+    genes = _row((0.3, 0.4), (1.0, 2.0))
+    same = mutate(genes, 0.0, rng)
+    assert same.tobytes() == genes.tobytes()
+    changed = mutate(genes, 1.0, rng)
+    assert all(changed != genes)
+    assert all(0 <= x < math.pi for x in changed[:2])
+    assert all(0 <= x < 2 * math.pi for x in changed[2:])
+    assert genes.tolist() == [0.3, 0.4, 1.0, 2.0]  # the input row is not written
 
 
 def test_mutate_fraction_matches_probability():
     rng = np.random.default_rng(7)
-    ind = _ind((0.5, 0.5), (0.5, 0.5))
+    genes = _row((0.5, 0.5), (0.5, 0.5))
     flipped = 0
     trials = 2500
     for _ in range(trials):
-        out = mutate(ind, 0.25, rng)
-        genes_in = [*ind.angles.betas, *ind.angles.gammas]
-        genes_out = [*out.angles.betas, *out.angles.gammas]
-        flipped += sum(a != b for a, b in zip(genes_in, genes_out))
+        flipped += int(np.count_nonzero(mutate(genes, 0.25, rng) != genes))
     assert flipped / (4 * trials) == pytest.approx(0.25, abs=0.02)
 
 
@@ -206,11 +200,6 @@ def test_config_validation():
         GaConfig(generations=-1)
     with pytest.raises(ValueError):
         GaConfig(depth=0)
-
-
-def test_config_json_round_trip():
-    cfg = GaConfig(generations=12, seed=99, quantile_levels=QuantileSet.of([0.2, 0.4]))
-    assert GaConfig.from_json_obj(cfg.to_json_obj()) == cfg
 
 
 def test_optimize_zero_generations(widget):

@@ -23,6 +23,10 @@ SHORT = dict(generations=3, population=6, elites=1, shots_per_eval=60, seed=17)
 
 WIDGET_HASH = "sha256:6d72e0e5448c8c93abc201da9eb95e06214fa6adca29bac7ee31010faeefb2e3"
 SYNTH20_HASH = "sha256:a6d77adff4067e55ac3ce2a75b19ac9c6ee08da23216e0fe842b129b870ff6e5"
+# GA corners the depth-2 runs above never reach: depth 1 draws no crossover
+# cut; depth 3 with no elites and k=1 widens the cut range and keeps no row
+WIDGET_D1_HASH = "sha256:1f8cd8b52cff1b636d1f3d18314dfe22deb84ab17114430162ecf04652522445"
+SYNTH20_D3_HASH = "sha256:eef838a0c60aa615d85c771135e5c73a7fd8380cf6f7e1ece3187317339ec57a"
 SHAPED17 = 3190375.1977925296
 # sha256 of values.tobytes() + mass.tobytes() of the same exact g-distribution
 G17_DIGEST = "9c0682974b4b2bfffb3e98bf1d0fc2417ed2b590303e6071a09306bfec18c036"
@@ -42,6 +46,23 @@ def test_golden_synthetic_n20_run(tmp_path, monkeypatch):
     art = run_optimize("synth20.cnf", GaConfig(**SHORT), final_shots=5000)
     assert art["run"]["oracle"] is not None
     assert art["repro_hash"] == SYNTH20_HASH
+
+
+def test_golden_widget_depth1_run(tmp_path, monkeypatch):
+    shutil.copy(DATA / "widget.cnf", tmp_path / "widget.cnf")
+    monkeypatch.chdir(tmp_path)
+    cfg = GaConfig(**{**SHORT, "depth": 1})
+    art = run_optimize("widget.cnf", cfg, final_shots=5000)
+    assert art["repro_hash"] == WIDGET_D1_HASH
+
+
+def test_golden_synthetic_n20_depth3_no_elites_run(tmp_path, monkeypatch):
+    f = random_formula(np.random.default_rng(0), n=20, m=91)
+    (tmp_path / "synth20.cnf").write_text(rs.to_dimacs(f))
+    monkeypatch.chdir(tmp_path)
+    cfg = GaConfig(**{**SHORT, "depth": 3, "elites": 0, "tournament_size": 1})
+    art = run_optimize("synth20.cnf", cfg, final_shots=5000)
+    assert art["repro_hash"] == SYNTH20_D3_HASH
 
 
 def test_golden_exact_shaped_cost_multichunk():

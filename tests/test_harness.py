@@ -151,6 +151,19 @@ def test_cli_optimize_has_no_cost_flags(widget_path, tmp_path, flag, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("shots", ["0", "-3"])
+def test_cli_optimize_checks_final_shots_before_the_ga(
+    widget_path, tmp_path, shots, monkeypatch, capsys
+):
+    calls = []
+    monkeypatch.setattr("ranksat.harness.optimize", lambda *a, **k: calls.append(a))
+    argv = ["optimize", widget_path, "--final-shots", shots, "--out", str(tmp_path / "x.json")]
+    assert main(argv) == 2
+    assert calls == []
+    assert "shot count must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_run_optimize_zero_angles_equivalent(widget_path):
     # generations=0 reduces to the best of the random initial population
     art = run_optimize(widget_path, _tiny_cfg(generations=0), final_shots=1000)
@@ -278,6 +291,24 @@ def test_cli_report_sections(widget_path, tmp_path, capsys):
     assert main(["report", str(path), "--what", "final", "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert sum(r["count"] for r in rows) == 2000
+
+
+def test_cli_report_history_json(widget_path, tmp_path, capsys):
+    art = run_optimize(widget_path, _tiny_cfg(), final_shots=500)
+    path = tmp_path / "run.json"
+    save_artifact(art, str(path))
+    assert main(["report", str(path), "--what", "history", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == art["run"]["history"]
+
+
+@pytest.mark.parametrize("what", ["initial", "history"])
+def test_cli_report_g_level_only_for_final(widget_path, tmp_path, what, capsys):
+    path = tmp_path / "run.json"
+    save_artifact(run_optimize(widget_path, _tiny_cfg(), final_shots=500), str(path))
+    assert main(["report", str(path), "--what", what, "--g-level"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--g-level" in captured.err and what in captured.err
 
 
 def test_report_g_level_regenerates(widget_path, tmp_path, capsys):

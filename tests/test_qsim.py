@@ -230,15 +230,13 @@ def test_p_one_rows_bit_identical_to_single_states():
     rng = np.random.default_rng(21)
     for n in (1, 2, 3, 5, 20, 33, 62):
         for depth in (1, 2, 3):
-            angles = [
-                AngleVector(
-                    betas=tuple(rng.uniform(0, math.pi, depth)),
-                    gammas=tuple(rng.uniform(0, 2 * math.pi, depth)),
-                )
-                for _ in range(int(rng.integers(2, 12)))
-            ]
-            rows = p_one_rows(n, angles)
-            for a, row in zip(angles, rows):
+            size = int(rng.integers(2, 12))
+            betas = rng.uniform(0, math.pi, (size, depth))
+            gammas = rng.uniform(0, 2 * math.pi, (size, depth))
+            rows = p_one_rows(n, betas, gammas)
+            assert rows.shape == (size, n)
+            for b, g, row in zip(betas.tolist(), gammas.tolist(), rows):
+                a = AngleVector(betas=tuple(b), gammas=tuple(g))
                 single = prepare_state(n, a)
                 assert single.amps.tobytes() == _product_state_loop(n, a).tobytes()
                 assert row.tobytes() == single.p_one().tobytes()
@@ -246,9 +244,9 @@ def test_p_one_rows_bit_identical_to_single_states():
 
 def test_p_one_rows_validates():
     with pytest.raises(ValueError):
-        p_one_rows(0, [AngleVector.zeros(1)])
+        p_one_rows(0, np.zeros((1, 1)), np.zeros((1, 1)))
     with pytest.raises(ValueError):
-        p_one_rows(3, [AngleVector.zeros(1), AngleVector.zeros(2)])
+        p_one_rows(3, np.zeros((2, 1)), np.zeros((2, 2)))
 
 
 def test_sample_blocks_draw_like_one_draw():
