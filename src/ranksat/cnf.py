@@ -268,11 +268,14 @@ def parse_json_instance(text: str | dict) -> CnfFormula:
     if not isinstance(obj, dict) or "n" not in obj or "clauses" not in obj:
         raise DimacsError("JSON instance must carry 'n' and 'clauses'")
     try:
-        n = int(obj["n"])
+        n = obj["n"]
         raw = list(obj["clauses"])
-        lits = [tuple(int(l) for l in cl["lits"]) for cl in raw]
+        lits = [tuple(cl["lits"]) for cl in raw]
     except (TypeError, KeyError, ValueError) as exc:
         raise DimacsError(f"malformed JSON instance: {exc}")
+    for value in (n, *(l for cl in lits for l in cl)):  # int() truncates 3.9, reads true as 1
+        if type(value) is not int:
+            raise DimacsError(f"malformed JSON instance: expected a JSON integer, got {value!r}")
     for pos, cl in enumerate(raw, start=1):
         if "w" in cl:
             raise DimacsError(f"clause {pos}: clause weights are not supported")

@@ -1,13 +1,16 @@
 """Genetic-algorithm search over circuit angles.
 
 The population is one (population, 2*depth) float64 gene matrix, each row
-``[betas..., gammas...]``, with a list of fitness values beside it. Fitness
-is the negated shaped cost estimated from a fresh shot sample, so the GA
-maximizes while the method minimizes. Reproducibility contract: a master
-seed derives one child stream per purpose — population init, one stream per
-generation for all of its selection, crossover and mutation draws (taken
-child by child), one stream per (generation, row) fitness evaluation, and
-the final report sample — so results cannot depend on evaluation order.
+``[betas..., gammas...]``, with a fitness array beside it, both kept sorted
+best first (ties keep their previous order). Fitness is the negated shaped
+cost estimated from a fresh shot sample, so the GA maximizes while the
+method minimizes. Reproducibility contract: a master seed derives one child
+stream per purpose — population init, one stream per generation for all of
+its selection, crossover and mutation draws, one stream per (generation,
+row) fitness evaluation, and the final report sample — so results cannot
+depend on evaluation order. A generation's stream draws whole arrays in a
+fixed order: tournament a, tournament b, cuts (none at depth 1), flips,
+fresh values.
 """
 from __future__ import annotations
 
@@ -125,10 +128,6 @@ def _gene_bounds(depth: int) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros(2 * depth), highs
 
 
-def _angles_from_genes(genes: np.ndarray, depth: int) -> AngleVector:
-    return AngleVector(betas=tuple(genes[:depth].tolist()), gammas=tuple(genes[depth:].tolist()))
-
-
 def evaluate_fitness(
     f: CnfFormula, angles: AngleVector, cfg: GaConfig, rng: np.random.Generator
 ) -> float:
@@ -153,29 +152,29 @@ def _fitness_values(
     return [-cost for cost in shaped_costs(costs, cfg.quantile_levels)]
 
 
-def tournament_select(fitness: Sequence[float], k: int, rng: np.random.Generator) -> int:
-    """Row of the best of k uniform draws with replacement; ties go to the lowest row."""
-    if len(fitness) == 0:
+def tournament_select(size: int, k: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Winners of count k-draw tournaments (with replacement) on a best-first population."""
+    if size < 1:
         raise ValueError("population is empty")
-    drawn = rng.integers(0, len(fitness), size=k)
-    return int(min(drawn, key=lambda i: (-fitness[i], i)))
+    return rng.integers(0, size, (count, k)).min(axis=1)
 
 
 def crossover(a: np.ndarray, b: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Single-point crossover of two [betas..., gammas...] gene rows."""
-    if len(a) != len(b):
-        raise ValueError("parents must have equal gene counts")
-    cut = int(rng.integers(1, len(a))) if len(a) > 2 else 1
-    return np.concatenate([a[:cut], b[cut:]])
+    """Single-point crossover of paired (count, 2*depth) parent rows, one cut per child."""
+    if a.shape != b.shape:
+        raise ValueError("parent arrays must have equal shapes")
+    count, width = a.shape
+    cuts = rng.integers(1, width, (count, 1)) if width > 2 else 1
+    return np.where(np.arange(width) < cuts, a, b)
 
 
 def mutate(genes: np.ndarray, prob: float, rng: np.random.Generator) -> np.ndarray:
-    """Resample each gene uniformly within its bound with probability prob."""
+    """Resample each gene of (count, 2*depth) rows uniformly in its bound with probability prob."""
     if not (0.0 <= prob <= 1.0):
         raise ValueError(f"mutation probability must be in [0, 1], got {prob}")
-    lows, highs = _gene_bounds(len(genes) // 2)
-    flips = rng.random(len(genes)) < prob
-    fresh = rng.uniform(lows, highs)
+    lows, highs = _gene_bounds(genes.shape[1] // 2)
+    flips = rng.random(genes.shape) < prob
+    fresh = rng.uniform(lows, highs, genes.shape)
     return np.where(flips, fresh, genes)
 
 
@@ -183,45 +182,41 @@ def optimize(f: CnfFormula, cfg: GaConfig) -> tuple[AngleVector, RunHistory]:
     """Run the GA and return the best-so-far angles plus the full history.
 
     Generation 0 is the uniformly random initial population; each later
-    generation copies the elite rows (with cached fitness) and fills the
+    generation keeps the elite rows (with cached fitness) and fills the
     rest through tournament selection, crossover and mutation. Fully
     deterministic for a given config.
     """
-    size, depth = cfg.population, cfg.depth
+    size, depth, elites = cfg.population, cfg.depth, cfg.elites
     lows, highs = _gene_bounds(depth)
-    init_rng = seed_stream(cfg.seed, _TAG_INIT)
-    genes = init_rng.uniform(lows, highs, size=(size, 2 * depth))
-    fitness: list[float] = []
-    order: list[int] = []  # row indices by descending fitness, ties to the lowest
+    genes = seed_stream(cfg.seed, _TAG_INIT).uniform(lows, highs, size=(size, 2 * depth))
+    fitness = np.empty(0)
     records: list[GenerationRecord] = []
     best: tuple[float, AngleVector] | None = None
 
     for t in range(cfg.generations + 1):
         if t:
             ev_rng = seed_stream(cfg.seed, _TAG_EVOLVE, t)
-            elites = order[:cfg.elites]
-            children = []
-            for _ in range(size - len(elites)):
-                a = tournament_select(fitness, cfg.tournament_size, ev_rng)
-                b = tournament_select(fitness, cfg.tournament_size, ev_rng)
-                child = crossover(genes[a], genes[b], ev_rng)
-                children.append(mutate(child, cfg.mutation_prob, ev_rng))
-            genes = np.vstack([genes[elites], *children])
-            fitness = [fitness[i] for i in elites]
+            a = tournament_select(size, cfg.tournament_size, size - elites, ev_rng)
+            b = tournament_select(size, cfg.tournament_size, size - elites, ev_rng)
+            children = crossover(genes[a], genes[b], ev_rng)
+            genes = np.vstack([genes[:elites], mutate(children, cfg.mutation_prob, ev_rng)])
+            fitness = fitness[:elites]
         # Each evaluation draws from its own per-(generation, row) stream,
         # so batching them, or evaluating in any order, yields the same result.
         done = len(fitness)
         rngs = [seed_stream(cfg.seed, _TAG_FITNESS, t, i) for i in range(done, size)]
-        fitness += _fitness_values(f, genes[done:], cfg, rngs)
+        fitness = np.concatenate([fitness, _fitness_values(f, genes[done:], cfg, rngs)])
 
-        order = sorted(range(size), key=lambda i: (-fitness[i], i))
-        top = order[0]
-        if best is None or fitness[top] > best[0]:
-            best = (fitness[top], _angles_from_genes(genes[top], depth))
+        order = np.argsort(-fitness, kind="stable")
+        genes, fitness = genes[order], fitness[order]
+        top = float(fitness[0])
+        if best is None or top > best[0]:
+            row = genes[0].tolist()
+            best = (top, AngleVector(betas=tuple(row[:depth]), gammas=tuple(row[depth:])))
         records.append(GenerationRecord(
             generation=t,
-            best_fitness=fitness[top],
-            mean_fitness=sum(fitness) / size,
+            best_fitness=top,
+            mean_fitness=float(fitness.mean()),
             best_so_far_fitness=best[0],
             best_so_far_angles=best[1],
         ))

@@ -68,9 +68,10 @@ class AngleVector:
             raise ValueError(f"angles must be a JSON list of layers, got {type(obj).__name__}")
         for k, layer in enumerate(obj):
             if not isinstance(layer, dict) or not all(
-                type(layer.get(key)) in (int, float) for key in ("beta", "gamma")
+                type(layer.get(key)) in (int, float) and math.isfinite(layer[key])
+                for key in ("beta", "gamma")
             ):
-                raise ValueError(f"angle layer {k} is not an object with numeric beta and gamma")
+                raise ValueError(f"angle layer {k} is not an object with finite beta and gamma")
         return cls(
             betas=tuple(float(layer["beta"]) for layer in obj),
             gammas=tuple(float(layer["gamma"]) for layer in obj),

@@ -104,6 +104,24 @@ def test_json_instance_malformed():
         rs.parse_json_instance('{"n": 2, "clauses": [{"lits": [1, 1]}]}')
 
 
+@pytest.mark.parametrize("doc", [
+    {"n": 3.9, "clauses": [{"lits": [1, -2]}]},
+    {"n": 3, "clauses": [{"lits": [1, -2.7]}]},
+    {"n": 3, "clauses": [{"lits": [1.0, 2]}]},
+    {"n": 3, "clauses": [{"lits": [True, 3]}]},
+    {"n": True, "clauses": [{"lits": [1]}]},
+    {"n": "3", "clauses": [{"lits": [1]}]},
+], ids=["float-n", "float-lit", "integral-float-lit", "bool-lit", "bool-n", "string-n"])
+def test_json_instance_rejects_non_integers(tmp_path, doc, capsys):
+    # int() would truncate 3.9 to 3 and read true as variable 1
+    with pytest.raises(rs.DimacsError, match="expected a JSON integer"):
+        rs.parse_json_instance(json.dumps(doc))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert "expected a JSON integer" in capsys.readouterr().err
+
+
 def test_load_instance_file_dispatch(tmp_path, widget):
     cnf = tmp_path / "a.cnf"
     cnf.write_text(rs.to_dimacs(widget))

@@ -26,13 +26,15 @@ def _row(betas, gammas):
 
 
 class _FixedInts:
-    """rng stub whose integers() always returns the same cut point."""
+    """rng stub whose integers() returns the given cut points, shaped as asked."""
 
-    def __init__(self, value):
-        self.value = value
+    def __init__(self, values):
+        self.values = values
+        self.calls = []
 
     def integers(self, low, high, size=None):
-        return self.value
+        self.calls.append((low, high, size))
+        return np.reshape(self.values, size)
 
 
 def test_evaluate_fitness_perfect_state():
@@ -106,84 +108,103 @@ def test_batched_fitness_equals_histogram_path(widget, case, size, shots, levels
 
 
 def test_tournament_tie_break_lowest_index():
-    winner = tournament_select([5.0, 5.0, 3.0], k=50, rng=np.random.default_rng(0))
-    assert winner == 0
+    # rows are best first, so of rows 0 and 1 tied at the top, row 0 wins
+    winners = tournament_select(3, k=50, count=100, rng=np.random.default_rng(0))
+    assert winners.tolist() == [0] * 100
 
 
 def test_tournament_k_large_returns_global_best():
-    rng = np.random.default_rng(1)
-    winner = tournament_select([float(i) for i in range(8)], k=64, rng=rng)
-    assert winner == 7
+    winners = tournament_select(8, k=64, count=20, rng=np.random.default_rng(1))
+    assert winners.tolist() == [0] * 20
 
 
 def test_tournament_k1_is_uniform():
-    rng = np.random.default_rng(2)
-    fitness = [float(i) for i in range(4)]
-    hits = np.zeros(4)
-    for _ in range(4000):
-        hits[tournament_select(fitness, k=1, rng=rng)] += 1
+    winners = tournament_select(4, k=1, count=4000, rng=np.random.default_rng(2))
+    hits = np.bincount(winners, minlength=4)
     np.testing.assert_allclose(hits / 4000, 0.25, atol=0.03)
+
+
+def test_tournament_rank_distribution_chi_square():
+    from scipy import stats
+
+    # the winner's rank r is the minimum of k uniform draws from P rows:
+    # P(r) = ((P - r)^k - (P - r - 1)^k) / P^k
+    size, k, count = 9, 3, 40_000
+    winners = tournament_select(size, k, count, np.random.default_rng(12))
+    observed = np.bincount(winners, minlength=size)
+    r = np.arange(size)
+    expected = ((size - r) ** k - (size - r - 1) ** k) / size**k * count
+    _, pvalue = stats.chisquare(observed, expected)
+    assert pvalue > 6.33e-5  # 4-sigma two-sided
 
 
 def test_tournament_empty_population():
     with pytest.raises(ValueError):
-        tournament_select([], 1, np.random.default_rng(0))
+        tournament_select(0, 1, 5, np.random.default_rng(0))
 
 
 def test_crossover_identical_parents():
-    a = _row((0.3, 0.4), (1.0, 2.0))
+    a = np.array([_row((0.3, 0.4), (1.0, 2.0)), _row((0.5, 0.6), (1.5, 2.5))])
     child = crossover(a, a, np.random.default_rng(3))
     assert child.tobytes() == a.tobytes()
     assert child is not a
 
 
 def test_crossover_cut_semantics():
-    a = _row((0.1, 0.2), (0.3, 0.4))
-    b = _row((0.5, 0.6), (0.7, 0.8))
-    child = crossover(a, b, _FixedInts(2))
-    assert child.tolist() == [0.1, 0.2, 0.7, 0.8]
+    a = np.array([_row((0.1, 0.2), (0.3, 0.4))] * 3)
+    b = np.array([_row((0.5, 0.6), (0.7, 0.8))] * 3)
+    rng = _FixedInts([1, 2, 3])
+    child = crossover(a, b, rng)
+    assert rng.calls == [(1, 4, (3, 1))]  # one cut in 1..3 per child
+    assert child.tolist() == [
+        [0.1, 0.6, 0.7, 0.8],
+        [0.1, 0.2, 0.7, 0.8],
+        [0.1, 0.2, 0.3, 0.8],
+    ]
 
 
 def test_crossover_depth1_cut_is_one():
-    a = _row((0.1,), (0.3,))
-    b = _row((0.5,), (0.7,))
-    child = crossover(a, b, np.random.default_rng(4))
-    assert child.tolist() == [0.1, 0.7]
+    a = np.array([_row((0.1,), (0.3,)), _row((0.2,), (0.4,))])
+    b = np.array([_row((0.5,), (0.7,)), _row((0.6,), (0.8,))])
+    rng = _FixedInts([])
+    child = crossover(a, b, rng)
+    assert rng.calls == []  # two genes leave one cut point: nothing is drawn
+    assert child.tolist() == [[0.1, 0.7], [0.2, 0.8]]
 
 
 def test_crossover_rejects_unequal_rows():
+    rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        crossover(_row((0.1,), (0.3,)), _row((0.1, 0.2), (0.3, 0.4)), np.random.default_rng(0))
+        crossover(np.zeros((2, 2)), np.zeros((2, 4)), rng)
+    with pytest.raises(ValueError):
+        crossover(np.zeros((2, 4)), np.zeros((3, 4)), rng)
 
 
 def test_crossover_keeps_bounds():
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        a, b = _random_genes(rng, 2, 2)
-        child = crossover(a, b, rng)
-        assert all(0 <= x < math.pi for x in child[:2])
-        assert all(0 <= x < 2 * math.pi for x in child[2:])
+    a, b = _random_genes(rng, 20, 2), _random_genes(rng, 20, 2)
+    child = crossover(a, b, rng)
+    assert child.shape == (20, 4)
+    assert np.all((0 <= child[:, :2]) & (child[:, :2] < math.pi))
+    assert np.all((0 <= child[:, 2:]) & (child[:, 2:] < 2 * math.pi))
 
 
 def test_mutate_prob_zero_and_one():
     rng = np.random.default_rng(6)
-    genes = _row((0.3, 0.4), (1.0, 2.0))
+    genes = np.array([_row((0.3, 0.4), (1.0, 2.0))] * 5)
     same = mutate(genes, 0.0, rng)
     assert same.tobytes() == genes.tobytes()
     changed = mutate(genes, 1.0, rng)
-    assert all(changed != genes)
-    assert all(0 <= x < math.pi for x in changed[:2])
-    assert all(0 <= x < 2 * math.pi for x in changed[2:])
-    assert genes.tolist() == [0.3, 0.4, 1.0, 2.0]  # the input row is not written
+    assert np.all(changed != genes)
+    assert np.all((0 <= changed[:, :2]) & (changed[:, :2] < math.pi))
+    assert np.all((0 <= changed[:, 2:]) & (changed[:, 2:] < 2 * math.pi))
+    assert genes.tolist() == [[0.3, 0.4, 1.0, 2.0]] * 5  # the input rows are not written
 
 
 def test_mutate_fraction_matches_probability():
-    rng = np.random.default_rng(7)
-    genes = _row((0.5, 0.5), (0.5, 0.5))
-    flipped = 0
     trials = 2500
-    for _ in range(trials):
-        flipped += int(np.count_nonzero(mutate(genes, 0.25, rng) != genes))
+    genes = np.full((trials, 4), 0.5)
+    flipped = np.count_nonzero(mutate(genes, 0.25, np.random.default_rng(7)) != genes)
     assert flipped / (4 * trials) == pytest.approx(0.25, abs=0.02)
 
 
@@ -242,3 +263,34 @@ def test_optimize_records_match_angles(widget):
     best, history = optimize(widget, cfg)
     assert history.records[-1].best_so_far_angles == best
     assert all(r.best_so_far_angles.depth == cfg.depth for r in history.records)
+
+
+def test_optimize_elite_stays_ahead_of_tied_children(widget, monkeypatch):
+    # Generation 0 scores [-3, -1, -2, -4], so its row 1 becomes the elite;
+    # every child after that ties it at -1. Tournaments always pick row 0 and
+    # mutation replaces every gene, so the parents of each generation show
+    # which row led the previous one: the elite, ahead of its tied children.
+    scored, parents = [], []
+
+    def fake_fitness(f, genes, cfg, rngs):
+        scored.append(genes.copy())
+        return [-3.0, -1.0, -2.0, -4.0] if len(scored) == 1 else [-1.0] * len(genes)
+
+    def spy_crossover(a, b, rng):
+        parents.append(a.copy())
+        return crossover(a, b, rng)
+
+    def first_row(size, k, count, rng):
+        return np.zeros(count, dtype=int)
+
+    monkeypatch.setattr(rs.evolve, "_fitness_values", fake_fitness)
+    monkeypatch.setattr(rs.evolve, "tournament_select", first_row)
+    monkeypatch.setattr(rs.evolve, "crossover", spy_crossover)
+    cfg = GaConfig(generations=3, population=4, elites=1, mutation_prob=1.0, seed=4)
+    best, history = optimize(widget, cfg)
+    elite = scored[0][1]
+    assert len(parents) == 3
+    assert all(np.array_equal(p, np.tile(elite, (3, 1))) for p in parents)
+    assert all(not np.any(np.all(rows == elite, axis=1)) for rows in scored[1:])
+    assert best == AngleVector(betas=tuple(elite[:2]), gammas=tuple(elite[2:]))
+    assert [r.best_fitness for r in history.records] == [-1.0] * 4

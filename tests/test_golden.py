@@ -21,12 +21,12 @@ from conftest import DATA, random_formula
 
 SHORT = dict(generations=3, population=6, elites=1, shots_per_eval=60, seed=17)
 
-WIDGET_HASH = "sha256:6d72e0e5448c8c93abc201da9eb95e06214fa6adca29bac7ee31010faeefb2e3"
-SYNTH20_HASH = "sha256:a6d77adff4067e55ac3ce2a75b19ac9c6ee08da23216e0fe842b129b870ff6e5"
+WIDGET_HASH = "sha256:b270304e188fb9d84227334e56ae54f70c2876142fa6cd537931c3e0fab2fa28"
+SYNTH20_HASH = "sha256:19aa3277feaa2a651a2df3db9eab86927845c078dba292c254589076f9e73217"
 # GA corners the depth-2 runs above never reach: depth 1 draws no crossover
 # cut; depth 3 with no elites and k=1 widens the cut range and keeps no row
-WIDGET_D1_HASH = "sha256:1f8cd8b52cff1b636d1f3d18314dfe22deb84ab17114430162ecf04652522445"
-SYNTH20_D3_HASH = "sha256:eef838a0c60aa615d85c771135e5c73a7fd8380cf6f7e1ece3187317339ec57a"
+WIDGET_D1_HASH = "sha256:fdc2adcfe981b245d2f1bd0027b9ef0524b8f9fa471b39872466a667eace1eb3"
+SYNTH20_D3_HASH = "sha256:389ece0d61e38f480d7d1f70a10963e84eee6304ef1274011283f4a91583e97b"
 SHAPED17 = 3190375.1977925296
 # sha256 of values.tobytes() + mass.tobytes() of the same exact g-distribution
 G17_DIGEST = "9c0682974b4b2bfffb3e98bf1d0fc2417ed2b590303e6071a09306bfec18c036"

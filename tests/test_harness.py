@@ -408,6 +408,10 @@ def test_cli_refuses_artifact_missing_a_section(
     ([{"beta": 0.1, "gamma": 0.2}, {"beta": 0.1}], "angle layer 1"),
     ([{"beta": 0.1, "gamma": "x"}], "angle layer 0"),
     (_sample_artifact(5), "list of layers"),
+    # a NaN bias compares False with every uniform, so each shot would read all zeros
+    ([{"beta": float("nan"), "gamma": 1.0}], "angle layer 0"),
+    ([{"beta": 0.1, "gamma": 0.2}, {"beta": 0.1, "gamma": float("inf")}], "angle layer 1"),
+    (_sample_artifact([{"beta": float("-inf"), "gamma": 0.2}]), "angle layer 0"),
 ])
 def test_cli_sample_malformed_angles(widget_path, tmp_path, doc, message, capsys):
     angles = tmp_path / "a.json"

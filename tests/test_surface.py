@@ -95,3 +95,27 @@ def test_perfbench_tracer_installs_and_restores(widget_path, monkeypatch):
     names = {span.name for span in t.finished()}
     assert {"evolve.optimize", "cnf.score"} <= names
     assert bindings() == before
+
+
+def test_perfbench_splits_ga_generations(widget, monkeypatch):
+    # perfbench opens a GA generation at each seed_stream(seed, _TAG_EVOLVE, t)
+    # span whose parent is evolve.optimize; the GA must keep drawing one there
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    tracer = importlib.import_module("tracer")
+    tag = rs.evolve._TAG_EVOLVE
+    cfg = GaConfig(generations=3, population=4, elites=1, shots_per_eval=50)
+    with tracer.Tracer() as t:
+        layers.install(t, rs)
+        rs.evolve.optimize(widget, cfg)
+    spans = t.finished()
+    optimize = {i for i, span in enumerate(spans) if span.name == "evolve.optimize"}
+    opening = [
+        span for span in spans
+        if span.name == "evolve.seed_stream" and span.parent in optimize
+        and span.work[:1] == (tag,)
+    ]
+    assert len(opening) == 3
+    slots = cfg.population * (cfg.generations + 1)
+    metrics = layers.layer_metrics(spans, widget.n, 3, slots, tag)
+    assert metrics["evolve.generation_s_p50"] > 0
