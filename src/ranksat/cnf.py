@@ -304,11 +304,6 @@ def to_dimacs(f: CnfFormula) -> str:
 # ---------------------------------------------------------------------------
 # Scoring
 
-def _check_length(f: CnfFormula, a: Sequence[int]) -> None:
-    if len(a) != f.n:
-        raise ValueError(f"assignment length {len(a)} != n={f.n}")
-
-
 def eval_clause(clause: Clause, a: Sequence[int]) -> bool:
     """True iff at least one literal of the clause is satisfied by ``a``."""
     for lit in clause.literals:
@@ -319,77 +314,89 @@ def eval_clause(clause: Clause, a: Sequence[int]) -> bool:
 
 
 def h_count(f: CnfFormula, a: Sequence[int]) -> int:
-    """Number of unsatisfied clauses."""
-    _check_length(f, a)
+    """Number of unsatisfied clauses; every entry of ``a`` must be 0 or 1."""
+    if len(a) != f.n:
+        raise ValueError(f"assignment length {len(a)} != n={f.n}")
+    if any(bit not in (0, 1) for bit in a):
+        raise ValueError("assignment bits must be 0 or 1")
     return sum(1 for clause in f.clauses if not eval_clause(clause, a))
 
 
 # ---------------------------------------------------------------------------
 # Batch scoring
 
-SCORE_BLOCK_CELLS = 2**18  # clause x row cells per scoring block, well inside a 2 MB L2
+SCORE_BLOCK_CELLS = 2**18  # clause x row cells per g block: a 2 MB float64 temporary
+H_BLOCK_CELLS = 4 * SCORE_BLOCK_CELLS  # h keeps only 1-byte cells; 4x the rows measured fastest
 
 
 class ClauseArrays:
-    """Literal columns for scoring many assignments at once.
+    """Literal planes for scoring many assignments at once.
 
-    ``bits`` arguments are (s, n) arrays of 0/1; all outputs are per-row.
-    Two ``(width, m)`` arrays hold literal slot ``j`` of clause ``i`` at
-    ``[j, i]``: ``_vars`` its 0-based variable and ``_fails`` the bit value
-    on which it fails (0 for a positive literal, 1 for a negated one). A
-    clause is unsatisfied exactly when every slot sits on its failing value.
-    A clause shorter than ``width`` repeats its first literal in the spare
-    slots, which leaves that AND unchanged.
+    ``bits`` arguments are (s, n) arrays of 0/1, and any other entry raises
+    ValueError; all outputs are per-row. A block of rows becomes ``2n``
+    planes: plane ``v`` is true where variable ``v`` (0-based) is 0, plane
+    ``n + v`` where it is 1. ``_lits[j, i] = var + n*negated`` is the plane
+    on which literal slot ``j`` of clause ``i`` fails, so a clause is
+    unsatisfied on the AND of its gathered planes; a clause shorter than
+    ``width`` repeats its first literal in the spare slots. ``h`` and ``g``
+    score blocks of about H_BLOCK_CELLS and SCORE_BLOCK_CELLS clause x row
+    cells, one ``unsat_matrix`` call each, so their peaks do not grow with s.
     """
 
     def __init__(self, f: CnfFormula):
-        self.n = f.n
-        self.m = f.m
+        self.n, self.m = f.n, f.m
         width = max((len(c.literals) for c in f.clauses), default=1)
         slots = [c.literals + c.literals[:1] * (width - len(c.literals)) for c in f.clauses]
         signed = np.array(
             [[lit.signed for lit in column] for column in zip(*slots)], dtype=np.int64
         ).reshape(width, self.m)
-        self._vars = np.abs(signed) - 1
-        self._fails = (signed < 0).astype(np.uint8)
-        index = np.arange(1, self.m + 1, dtype=np.float64)
-        self._weights = np.stack([np.ones(self.m), index**2])  # rows give h and d
+        self._lits = np.abs(signed) - 1 + self.n * (signed < 0)
 
     def _checked(self, bits: np.ndarray) -> np.ndarray:
-        bits = np.asarray(bits, dtype=np.uint8)
+        """``bits`` as an (s, n) bool array; uint8 bits are checked and viewed without a copy."""
+        bits = np.asarray(bits)
         if bits.ndim != 2 or bits.shape[1] != self.n:
-            raise ValueError(f"expected (s, {self.n}) bit matrix, got {bits.shape}")
-        return bits
+            raise ValueError(f"expected an (s, {self.n}) matrix of bits, got shape {bits.shape}")
+        if bits.dtype == np.uint8:
+            binary, flags = bits.max(initial=0) <= 1, bits.view(np.bool_)
+        else:
+            flags = bits.astype(np.bool_, copy=False)
+            binary = flags is bits or np.array_equal(flags, bits)
+        if not binary:
+            raise ValueError("assignment bits must be 0 or 1")
+        return flags
 
     def unsat_matrix(self, bits: np.ndarray) -> np.ndarray:
         """(s, m) boolean matrix: clause i unsatisfied by row r."""
-        by_var = np.ascontiguousarray(self._checked(bits).T)  # (n, s): one row per variable
-        unsat = by_var[self._vars[0]] == self._fails[0, :, None]  # (m, s)
-        for vars_j, fails_j in zip(self._vars[1:], self._fails[1:]):
-            unsat &= by_var[vars_j] == fails_j[:, None]
+        bits = self._checked(bits)
+        s = len(bits)
+        if s == 0:
+            return np.zeros((0, self.m), dtype=np.bool_)
+        planes = np.empty((2 * self.n, s), dtype=np.bool_)
+        planes[self.n:] = bits.T
+        np.logical_not(planes[self.n:], out=planes[:self.n])
+        # one s-byte void item per plane, so each gathered plane is a single copy
+        items = planes.view(np.dtype((np.void, s))).reshape(-1)
+        unsat = items[self._lits[0]].view(np.bool_).reshape(self.m, s)
+        for lits in self._lits[1:]:
+            unsat &= items[lits].view(np.bool_).reshape(self.m, s)
         return unsat.T
 
-    def h(self, bits: np.ndarray) -> np.ndarray:
-        return self.h_and_d(bits)[0]
-
-    def h_and_d(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row (h, d) as int64, exact while d_max(m) <= 2**53 (m <= 300,079).
-
-        Rows are scored in blocks of about SCORE_BLOCK_CELLS clause x row
-        cells, so the peak memory does not grow with the row count.
-        """
+    def _per_row(self, bits: np.ndarray, cells: int, reduce, dtype) -> np.ndarray:
         bits = self._checked(bits)
-        rows = max(1, SCORE_BLOCK_CELLS // max(self.m, 1))
-        hd = np.empty((2, len(bits)))
+        rows = max(1, cells // max(self.m, 1))
+        out = np.empty(len(bits), dtype)
         for start in range(0, len(bits), rows):
-            unsat = self.unsat_matrix(bits[start:start + rows]).T  # (m, rows)
-            # float64 sums of integers below 2**53 are exact in any order
-            hd[:, start:start + rows] = self._weights @ unsat
-        h, d = hd.astype(np.int64)
-        return h, d
+            out[start:start + rows] = reduce(self.unsat_matrix(bits[start:start + rows]).T)
+        return out
+
+    def h(self, bits: np.ndarray) -> np.ndarray:
+        """Per-row count of unsatisfied clauses, summed in the narrowest type holding m."""
+        count = np.min_scalar_type(self.m)
+        return self._per_row(bits, H_BLOCK_CELLS, lambda u: np.add.reduce(u, 0, count), np.int64)
 
     def g(self, bits: np.ndarray) -> np.ndarray:
-        """Per-row cost zeta*h + d in float64, exact up to MAX_EXACT_CLAUSES."""
-        zeta = float(_cost_base(self.m))
-        h, d = self.h_and_d(bits)
-        return zeta * h + d
+        """Per-row cost zeta*h + d in float64, exact up to MAX_EXACT_CLAUSES: every term and
+        partial sum of ``(zeta + i**2) . unsat`` is an integer of at most 2**53."""
+        weights = _cost_base(self.m) + np.arange(1, self.m + 1, dtype=np.float64) ** 2
+        return self._per_row(bits, SCORE_BLOCK_CELLS, lambda u: weights @ u, np.float64)

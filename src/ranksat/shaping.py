@@ -175,13 +175,6 @@ def shaped_costs(costs: np.ndarray, levels: QuantileSet) -> list[float]:
     return (means + quantiles).tolist()
 
 
-def _check_shots(f: CnfFormula, shots: ShotSet) -> None:
-    if shots.count < 1:
-        raise ValueError("shot set is empty")
-    if shots.n != f.n:
-        raise ValueError(f"shots have {shots.n} bits, formula has n={f.n}")
-
-
 def cost_histogram(
     f: CnfFormula, shots: ShotSet, params: CostParams
 ) -> CostHistogram:
@@ -190,13 +183,11 @@ def cost_histogram(
     ``params`` must be ``default_params(f)``.
     """
     _require_default_params(f, params)
-    _check_shots(f, shots)
     return CostHistogram.from_samples(f.arrays.g(shots.bits))
 
 
 def h_histogram(f: CnfFormula, shots: ShotSet) -> CostHistogram:
     """Histogram of the unsatisfied-clause count; used for reporting."""
-    _check_shots(f, shots)
     return CostHistogram.from_samples(f.arrays.h(shots.bits))
 
 

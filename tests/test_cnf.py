@@ -8,6 +8,7 @@ import ranksat as rs
 from ranksat import oracle
 from ranksat.cli import main
 from ranksat.cnf import (
+    H_BLOCK_CELLS,
     MAX_EXACT_CLAUSES,
     SCORE_BLOCK_CELLS,
     ClauseArrays,
@@ -288,19 +289,59 @@ def test_batch_matches_scalar():
     for _ in range(10):
         f = random_formula(rng)
         cases.append((f, rng.integers(0, 2, size=(16, f.n)).astype(np.uint8)))
-    # rows spanning two full score blocks and a remainder
-    f = random_formula(rng, n=40, m=600)
-    rows = 2 * (SCORE_BLOCK_CELLS // f.m) + 5
+    # at the ga-n200 size, rows spanning two full blocks and a remainder of each block size
+    f = random_formula(rng, n=200, m=852)
+    blocks = [cells // f.m for cells in (SCORE_BLOCK_CELLS, H_BLOCK_CELLS)]
+    rows = 2 * max(blocks) + 5
+    assert all(rows // block >= 2 and rows % block for block in blocks)
     cases.append((f, rng.integers(0, 2, size=(rows, f.n)).astype(np.uint8)))
     for f, bits in cases:
-        arrays = ClauseArrays(f)
-        h, d = arrays.h_and_d(bits)
-        assert h.tolist() == arrays.h(bits).tolist()
-        assert h.tolist() == [rs.h_count(f, row) for row in bits.tolist()]
-        assert d.tolist() == [divergence(f, row) for row in bits.tolist()]
+        arrays, zeta = ClauseArrays(f), rs.default_params(f).zeta
+        h = [rs.h_count(f, row) for row in bits.tolist()]
+        assert arrays.h(bits).tolist() == h
+        g = [zeta * k + divergence(f, row) for k, row in zip(h, bits.tolist())]
+        assert arrays.g(bits).tolist() == g
 
 
-@pytest.mark.parametrize("method", ["unsat_matrix", "h_and_d"])
+def test_g_exact_at_clause_limit():
+    # the one-row weight product at the exactness limit, where the top cost needs 53 bits
+    accepted = rs.CnfFormula.from_signed(3, [[1, -2, 3]] * MAX_EXACT_CLAUSES)
+    top = _g_max(MAX_EXACT_CLAUSES)
+    assert top.bit_length() == 53
+    g = accepted.arrays.g(np.array([[0, 1, 0], [1, 0, 0]], dtype=np.uint8))
+    assert g.tolist() == [top, 0]
+
+
+NON_BINARY = [
+    np.array([[2, 0]], dtype=np.uint8),
+    np.array([[2, 0]]),
+    np.array([[0.7, 1.0]]),
+    np.array([[1, -1]]),
+    np.array([[np.nan, 0.0]]),
+]
+
+
+@pytest.mark.parametrize("bits", NON_BINARY, ids=lambda b: f"{b.dtype}-{b[0].tolist()}")
+def test_scorers_refuse_non_binary_bits(bits):
+    # [2, 0] once gave h_count 1 but batch h 0, and 0.7 was truncated to 0
+    f = rs.CnfFormula.from_signed(2, [[1, 2], [-1, -2]])
+    with pytest.raises(ValueError, match="0 or 1"):
+        rs.h_count(f, bits[0].tolist())
+    for method in ("h", "g", "unsat_matrix"):
+        with pytest.raises(ValueError, match="0 or 1"):
+            getattr(f.arrays, method)(bits)
+
+
+def test_scorers_accept_any_binary_dtype():
+    f = rs.CnfFormula.from_signed(2, [[1, 2], [-1, -2]])
+    rows = [[0, 0], [1, 0], [1, 1]]
+    for dtype in (np.uint8, np.int64, np.float64, np.bool_):
+        bits = np.array(rows, dtype=dtype)
+        assert f.arrays.h(bits).tolist() == [1, 0, 1]
+        assert f.arrays.h(bits).tolist() == [rs.h_count(f, row) for row in bits.tolist()]
+
+
+@pytest.mark.parametrize("method", ["unsat_matrix", "h", "g"])
 def test_scoring_memory_bound(method):
     # scoring keeps a few (s, m) bool matrices alive, never an (s, m, width) gather
     s, rng = 2000, np.random.default_rng(4)
@@ -318,7 +359,8 @@ def test_scoring_memory_bound(method):
     assert peak < 4 * s * f.m
 
 
-def test_h_and_d_peak_does_not_grow_with_rows():
+@pytest.mark.parametrize("method", ["h", "g"])
+def test_scoring_peak_does_not_grow_with_rows(method):
     # a whole (s, m) bool matrix plus its reductions needed about 3.25*s*m bytes (28 MB here)
     s, rng = 20_000, np.random.default_rng(4)
     f = random_formula(rng, n=100, m=426)
@@ -326,7 +368,7 @@ def test_h_and_d_peak_does_not_grow_with_rows():
     bits = rng.integers(0, 2, size=(s, f.n)).astype(np.uint8)
     tracemalloc.start()
     try:
-        arrays.h_and_d(bits)
+        getattr(arrays, method)(bits)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
