@@ -12,6 +12,7 @@ import hashlib
 import io
 import json
 import tarfile
+from collections import Counter
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
@@ -243,8 +244,9 @@ def regenerate_g_histogram(artifact: dict) -> CostHistogram:
     Sampling is deterministic given the artifact's seed, so the g-level view
     does not need to be stored. A recorded relative path that does not exist
     from the working directory falls back to the absolute path under "meta".
-    Raises ValueError when neither exists as recorded, or when the instance
-    file no longer matches the sha256 recorded in the artifact.
+    Raises ValueError when neither exists as recorded, when the instance file
+    no longer matches the sha256 recorded in the artifact, or when the
+    regenerated shots' h = g // zeta counts differ from the stored h histogram.
     """
     run = artifact["run"]
     path = run["instance"]["path"]
@@ -265,8 +267,17 @@ def regenerate_g_histogram(artifact: dict) -> CostHistogram:
             raise ValueError(f"recorded cost_params differ from the fixed weights {params}")
     else:
         rng = final_sample_stream(run["seed"])
-    state = prepare_state(f.n, angles)
-    return cost_histogram(f, sample(state, shots_n, rng), params)
+    hist = cost_histogram(f, sample(prepare_state(f.n, angles), shots_n, rng), params)
+    regenerated = Counter()
+    for g, count in zip(hist.values.tolist(), hist.counts.tolist()):
+        regenerated[g // params.zeta] += count
+    stored = artifact_histogram(artifact)
+    stored = Counter(dict(zip(stored.values.tolist(), stored.counts.tolist())))
+    if regenerated != stored:
+        h = min((regenerated - stored) + (stored - regenerated))
+        raise ValueError(f"regenerated shots do not match the stored h histogram: h={h:g} "
+                         f"has {regenerated[h]} shots, the artifact {stored[h]} (older sampler?)")
+    return hist
 
 
 # ---------------------------------------------------------------------------

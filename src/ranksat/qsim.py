@@ -28,7 +28,7 @@ __all__ = [
     "fill_shots",
 ]
 
-SAMPLE_BLOCK_CELLS = 2**18  # uniforms per sampling block: a 2 MB float64 temporary
+SAMPLE_BLOCK_CELLS = 2**18  # shot-bits per sampling block: a 512 KB temporary of 16-bit words
 
 BETA_PERIOD = math.pi       # beta is periodic modulo pi up to measurement stats
 GAMMA_PERIOD = 2 * math.pi
@@ -167,7 +167,7 @@ def sample(state: QuantumState, s: int, rng: np.random.Generator) -> ShotSet:
 
     Because the state is a product state, measuring qubit j independently
     with probability |a_j1|**2 of reading 1 is distributionally identical to
-    sampling the full 2**n vector. Deterministic for a given rng state.
+    sampling the full 2**n vector. Deterministic for a given rng state; see fill_shots.
     """
     if s < 1:
         raise ValueError(f"shot count must be >= 1, got {s}")
@@ -177,13 +177,27 @@ def sample(state: QuantumState, s: int, rng: np.random.Generator) -> ShotSet:
 
 
 def fill_shots(out: np.ndarray, p1: np.ndarray, rng: np.random.Generator) -> None:
-    """Write ``rng.random(out.shape) < p1`` into the (s, n) uint8 ``out``.
+    """Fill the C-contiguous (s, n) uint8 ``out`` with shots that read 1 in column j w.p. p1[j].
 
-    Uniforms are drawn in row blocks of about SAMPLE_BLOCK_CELLS, which
-    consume the stream exactly as one (s, n) draw does, so no float64
-    (s, n) temporary is ever built.
+    Cell c (row-major) reads 1 when the little-endian 16-bit word c of ``random_raw`` is below
+    t_j = min(floor(65536*p1[j]), 65535). Cells whose word equals t_j are settled after the last
+    block, in flat order, by one ``rng.random(k) < 65536*p1[j] - t_j`` draw, so P(1) is
+    ceil(p*2**69)/2**69: exactly p for p >= 2**-16, and 1 for p >= 1. Blocks of about
+    SAMPLE_BLOCK_CELLS hold a multiple of 4 rows (whole uint64 words), so the bits and the
+    stream equal those of one (s, n) draw.
     """
-    rows = max(1, SAMPLE_BLOCK_CELLS // out.shape[1])
+    if not out.flags.c_contiguous:
+        raise ValueError("shot output must be a C-contiguous (s, n) array")
+    n = out.shape[1]
+    scaled = 65536.0 * np.asarray(p1, dtype=np.float64)
+    t = np.minimum(scaled, 65535.0).astype(np.uint16)  # p >= 0, so the cast floors
+    rows, ties = max(4, SAMPLE_BLOCK_CELLS // n // 4 * 4), []
     for start in range(0, out.shape[0], rows):
         block = out[start:start + rows]
-        np.less(rng.random(block.shape), p1, out=block)
+        raw = rng.bit_generator.random_raw(-(-block.size // 4)).astype("<u8", copy=False)
+        words = raw.view("<u2")[:block.size].reshape(block.shape)
+        np.less(words, t, out=block)
+        ties.append(np.flatnonzero(words == t) + start * n)
+    tie = np.concatenate(ties)
+    if tie.size:
+        out.reshape(-1)[tie] = rng.random(tie.size) < scaled[tie % n] - t[tie % n]

@@ -21,12 +21,12 @@ from conftest import DATA, random_formula
 
 SHORT = dict(generations=3, population=6, elites=1, shots_per_eval=60, seed=17)
 
-WIDGET_HASH = "sha256:b270304e188fb9d84227334e56ae54f70c2876142fa6cd537931c3e0fab2fa28"
-SYNTH20_HASH = "sha256:19aa3277feaa2a651a2df3db9eab86927845c078dba292c254589076f9e73217"
+WIDGET_HASH = "sha256:84db42a52368f73574f3244f2733a1eef36fe5d19ed290d631ac764781fb733e"
+SYNTH20_HASH = "sha256:49a31c419fedb40fd00f046c6bc9e119d681d2a2473219099ecd8a9c8a66be84"
 # GA corners the depth-2 runs above never reach: depth 1 draws no crossover
 # cut; depth 3 with no elites and k=1 widens the cut range and keeps no row
-WIDGET_D1_HASH = "sha256:fdc2adcfe981b245d2f1bd0027b9ef0524b8f9fa471b39872466a667eace1eb3"
-SYNTH20_D3_HASH = "sha256:389ece0d61e38f480d7d1f70a10963e84eee6304ef1274011283f4a91583e97b"
+WIDGET_D1_HASH = "sha256:58115fd27e9323de7cd607d9a87111fa09571545440db3ce8029b32add1e9e85"
+SYNTH20_D3_HASH = "sha256:489fc109106849d9d5f1c6f623b3e67f297f7af1640aa3686aa63352b5c9e49c"
 SHAPED17 = 3190375.1977925296
 # sha256 of values.tobytes() + mass.tobytes() of the same exact g-distribution
 G17_DIGEST = "9c0682974b4b2bfffb3e98bf1d0fc2417ed2b590303e6071a09306bfec18c036"

@@ -323,6 +323,23 @@ def test_report_g_level_regenerates(widget_path, tmp_path, capsys):
     assert sum(int(ln.split(",")[1]) for ln in out.strip().splitlines()[1:]) == 2000
 
 
+def test_cli_report_g_level_refuses_other_shots(widget_path, tmp_path, capsys):
+    # as an artifact from an earlier sampler would: same total, other h counts
+    art = run_optimize(widget_path, _tiny_cfg(), final_shots=2000)
+    rows = art["run"]["final_sample"]["h_histogram"]
+    assert len(rows) >= 2
+    rows[0]["count"] += 1
+    rows[1]["count"] -= 1
+    art["repro_hash"] = repro_hash(art["run"])
+    path = tmp_path / "run.json"
+    save_artifact(art, str(path))
+    assert main(["report", str(path), "--what", "final", "--g-level"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "do not match the stored h histogram" in captured.err
+    assert f"h={rows[0]['h']} " in captured.err
+
+
 def test_cli_report_g_level_stale_instance(widget_path, tmp_path, capsys):
     inst = tmp_path / "w.cnf"
     inst.write_text(Path(widget_path).read_text())

@@ -9,12 +9,13 @@ from ranksat.qsim import (
     QuantumState,
     SAMPLE_BLOCK_CELLS,
     bits_from_ranks,
+    fill_shots,
     p_one_rows,
     prepare_state,
     sample,
 )
 
-from dense_reference import amplitude, dense_state, probability, rank_of
+from dense_reference import amplitude, dense_state, probability, rank_of, raw_word_shots
 
 
 def test_rank_of_examples():
@@ -250,13 +251,49 @@ def test_p_one_rows_validates():
 
 
 def test_sample_blocks_draw_like_one_draw():
-    n = 1000
-    s = 3 * (SAMPLE_BLOCK_CELLS // n) + 17  # three full blocks and a remainder
-    state = prepare_state(n, AngleVector(betas=(0.4, 1.1), gammas=(0.7, 2.3)))
-    shots = sample(state, s, np.random.default_rng(5))
-    one_draw = np.random.default_rng(5).random((s, n)) < state.p_one()
-    assert shots.bits.dtype == np.uint8
-    np.testing.assert_array_equal(shots.bits, one_draw)
+    angles = AngleVector(betas=(0.4, 1.1), gammas=(0.7, 2.3))
+    for n in (1000, 999, 7):
+        state = prepare_state(n, angles)
+        s = 3 * (SAMPLE_BLOCK_CELLS // n) + 17  # three full blocks and a remainder
+        shots = sample(state, s, np.random.default_rng(5))
+        one_draw = raw_word_shots(state.p_one(), s, np.random.default_rng(5))
+        assert shots.bits.dtype == np.uint8
+        np.testing.assert_array_equal(shots.bits, one_draw)
+
+
+def test_fill_shots_threshold_multiples_are_the_word_compare():
+    # p = k/65536 leaves no fraction, so a tied word reads 0 like any word >= k
+    k = np.array([0, 1, 2, 255, 32768, 40000, 65535])
+    s = 20_000
+    bits = np.empty((s, k.size), dtype=np.uint8)
+    fill_shots(bits, k / 65536, np.random.default_rng(9))
+    raw = np.random.default_rng(9).bit_generator.random_raw(-(-s * k.size // 4))
+    words = raw.astype("<u8").view("<u2")[:s * k.size].reshape(s, k.size)
+    np.testing.assert_array_equal(bits, words < k)
+
+
+def test_fill_shots_edges_are_certain():
+    # 300k cells per column: about 4.6 ties each, which the refinement must settle
+    p1 = np.array([0.0, 1.0, 1.0 + 2.0**-52])
+    bits = np.empty((300_000, 3), dtype=np.uint8)
+    fill_shots(bits, p1, np.random.default_rng(2))
+    assert not bits[:, 0].any()
+    assert bits[:, 1:].all()
+
+
+def test_fill_shots_below_a_word_step_uses_the_tie_path():
+    # p < 2**-16 gives threshold 0, so every 1 is a tied word refined by a uniform
+    p, shape = 3 * 2.0**-19, (4096, 4096)
+    bits = np.empty(shape, dtype=np.uint8)
+    fill_shots(bits, np.full(shape[1], p), np.random.default_rng(4))
+    cells = shape[0] * shape[1]
+    assert abs(int(bits.sum()) - cells * p) < 4 * math.sqrt(cells * p * (1 - p))
+
+
+def test_fill_shots_refuses_a_strided_out():
+    out = np.empty((8, 2 * 5), dtype=np.uint8)[:, ::2]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        fill_shots(out, np.full(5, 0.5), np.random.default_rng(0))
 
 
 def test_sample_memory_is_the_bits_plus_a_block():
