@@ -38,7 +38,6 @@ from .shaping import (
 )
 from .evolve import GaConfig, RunHistory, evaluate_fitness, optimize
 from .oracle import (
-    DistributionTable,
     GuardError,
     enumerate_h,
     exact_h_distribution,
@@ -57,6 +56,6 @@ __all__ = [
     "CostHistogram", "QuantileSet",
     "cost_histogram", "h_histogram", "quantile", "shaped_cost",
     "GaConfig", "RunHistory", "evaluate_fitness", "optimize",
-    "DistributionTable", "GuardError",
+    "GuardError",
     "enumerate_h", "list_solutions", "exact_h_distribution", "exact_shaped_cost",
 ]

@@ -27,7 +27,7 @@ from .harness import (
 )
 from .oracle import GUARD_MAX_N, GuardError, enumerate_h
 from .qsim import AngleVector
-from .shaping import QuantileSet, histogram_to_csv, histogram_to_json_obj, rows_to_csv
+from .shaping import QuantileSet, rows_to_csv
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -126,7 +126,7 @@ def cmd_sample(args) -> int:
             )
     artifact = run_sample(args.instance, angles, shots=args.shots, seed=args.seed)
     hist = artifact_histogram(artifact)
-    _emit(histogram_to_csv(hist, value_label="h"), args.out_hist)
+    _emit(hist.to_csv(), args.out_hist)
     if args.out:
         save_artifact(artifact, args.out)
     return EXIT_OK
@@ -137,40 +137,30 @@ def cmd_report(args) -> int:
         return _fail(f"--g-level applies only to --what final, not {args.what}", EXIT_INPUT)
     artifact = load_artifact(args.artifact)
     run = artifact["run"]
+    label = "g" if args.g_level else "h"
     if args.what == "final":
-        if args.g_level:
-            hist = regenerate_g_histogram(artifact)
-            label = "g"
-        else:
-            hist = artifact_histogram(artifact)
-            label = "h"
-        if args.format == "json":
-            _emit(json.dumps(histogram_to_json_obj(hist, label), indent=2) + "\n", args.out)
-        else:
-            _emit(histogram_to_csv(hist, value_label=label), args.out)
+        hist = regenerate_g_histogram(artifact) if args.g_level else artifact_histogram(artifact)
+        rows = hist.to_json_obj(label)
     elif args.what == "initial":
-        oracle = run.get("oracle")
-        if not oracle:
+        if not run.get("oracle"):
             return _fail("artifact has no oracle section", EXIT_INPUT)
-        rows = oracle["initial_h"]
-        if args.format == "json":
-            _emit(json.dumps(rows, indent=2) + "\n", args.out)
-        else:
-            _emit(rows_to_csv(rows, "h"), args.out)
+        rows = run["oracle"]["initial_h"]
     else:  # history
-        history = run.get("history")
-        if history is None:
+        rows = run.get("history")
+        if rows is None:
             return _fail("artifact has no history section", EXIT_INPUT)
-        if args.format == "json":
-            _emit(json.dumps(history, indent=2) + "\n", args.out)
-            return EXIT_OK
+    if args.format == "json":
+        _emit(json.dumps(rows, indent=2) + "\n", args.out)
+    elif args.what == "history":
         lines = ["generation,best_fitness,mean_fitness,best_so_far_fitness"]
         lines += [
             f"{r['generation']},{r['best_fitness']!r},{r['mean_fitness']!r},"
             f"{r['best_so_far_fitness']!r}"
-            for r in history
+            for r in rows
         ]
         _emit("\n".join(lines) + "\n", args.out)
+    else:
+        _emit(rows_to_csv(rows, label), args.out)
     return EXIT_OK
 
 
@@ -183,16 +173,10 @@ def cmd_compare(args) -> int:
         raise ValueError("artifacts refer to different instances")
     hist_a = artifact_histogram(art_a)
     hist_b = artifact_histogram(art_b)
-    rows_a = {int(v): (int(c), float(p)) for v, c, p in
-              zip(hist_a.values, hist_a.counts, hist_a.probabilities())}
-    rows_b = {int(v): (int(c), float(p)) for v, c, p in
-              zip(hist_b.values, hist_b.counts, hist_b.probabilities())}
-    support = sorted(set(rows_a) | set(rows_b))
     lines = ["h,count_a,probability_a,count_b,probability_b"]
-    for h in support:
-        ca, pa = rows_a.get(h, (0, 0.0))
-        cb, pb = rows_b.get(h, (0, 0.0))
-        lines.append(f"{h},{ca},{pa:.9g},{cb},{pb:.9g}")
+    for h in sorted({*hist_a.values.tolist(), *hist_b.values.tolist()}):
+        lines.append(f"{int(h)},{hist_a.count_at(h)},{hist_a.probability_at(h):.9g},"
+                     f"{hist_b.count_at(h)},{hist_b.probability_at(h):.9g}")
     _emit("\n".join(lines) + "\n", args.out)
     sum_a = histogram_summary(hist_a)
     sum_b = histogram_summary(hist_b)

@@ -12,7 +12,6 @@ import hashlib
 import io
 import json
 import tarfile
-from collections import Counter
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
@@ -21,21 +20,9 @@ from typing import Callable
 from . import __version__
 from .cnf import default_params, load_instance_file
 from .evolve import GaConfig, final_sample_stream, optimize
-from .oracle import (
-    DistributionTable,
-    GUARD_MAX_N,
-    enumerate_h,
-    exact_h_distribution,
-)
+from .oracle import GUARD_MAX_N, enumerate_h, exact_h_distribution
 from .qsim import AngleVector, prepare_state, sample
-from .shaping import (
-    CostHistogram,
-    cost_histogram,
-    h_histogram,
-    histogram_from_json_obj,
-    histogram_to_json_obj,
-    nearest_rank_quantile,
-)
+from .shaping import CostHistogram, cost_histogram, h_histogram, nearest_rank_quantile
 
 __all__ = [
     "RUN_SCHEMA",
@@ -99,9 +86,8 @@ def _meta(command: str, instance_path: str) -> dict:
 
 
 def histogram_summary(hist: CostHistogram) -> dict:
-    p0 = float(hist.counts[0] / hist.total) if hist.values[0] == 0 else 0.0
     return {
-        "p_h0": p0,
+        "p_h0": hist.probability_at(0),
         "mean_h": hist.mean,
         "e_0.1": nearest_rank_quantile(hist.values, hist.cumfreq, 0.1),
         "e_0.5": nearest_rank_quantile(hist.values, hist.cumfreq, 0.5),
@@ -111,12 +97,12 @@ def histogram_summary(hist: CostHistogram) -> dict:
 def _sample_section(hist: CostHistogram, shots: int) -> dict:
     return {
         "shots": shots,
-        "h_histogram": histogram_to_json_obj(hist, value_label="h"),
+        "h_histogram": hist.to_json_obj(),
         **histogram_summary(hist),
     }
 
 
-def improvement_factor(final_p0: float, initial: DistributionTable) -> float | None:
+def improvement_factor(final_p0: float, initial: CostHistogram) -> float | None:
     """Ratio of the final h=0 probability to the uniform baseline."""
     baseline = initial.probability_at(0)
     if baseline == 0.0:
@@ -235,7 +221,13 @@ def artifact_angles(artifact: dict) -> AngleVector:
 
 
 def artifact_histogram(artifact: dict) -> CostHistogram:
-    return histogram_from_json_obj(artifact["run"]["final_sample"]["h_histogram"], "h")
+    """The stored final-sample h histogram; its counts must sum to the stored shots."""
+    section = artifact["run"]["final_sample"]
+    hist = CostHistogram.from_json_obj(section["h_histogram"])
+    if hist.total != section["shots"]:
+        raise ValueError(f"final_sample.h_histogram counts {hist.total} shots, "
+                         f"but final_sample.shots is {section['shots']!r}")
+    return hist
 
 
 def regenerate_g_histogram(artifact: dict) -> CostHistogram:
@@ -268,15 +260,13 @@ def regenerate_g_histogram(artifact: dict) -> CostHistogram:
     else:
         rng = final_sample_stream(run["seed"])
     hist = cost_histogram(f, sample(prepare_state(f.n, angles), shots_n, rng), params)
-    regenerated = Counter()
-    for g, count in zip(hist.values.tolist(), hist.counts.tolist()):
-        regenerated[g // params.zeta] += count
+    regenerated = CostHistogram.from_samples((hist.values // params.zeta).repeat(hist.counts))
     stored = artifact_histogram(artifact)
-    stored = Counter(dict(zip(stored.values.tolist(), stored.counts.tolist())))
-    if regenerated != stored:
-        h = min((regenerated - stored) + (stored - regenerated))
-        raise ValueError(f"regenerated shots do not match the stored h histogram: h={h:g} "
-                         f"has {regenerated[h]} shots, the artifact {stored[h]} (older sampler?)")
+    for h in sorted({*regenerated.values.tolist(), *stored.values.tolist()}):
+        if regenerated.count_at(h) != stored.count_at(h):
+            raise ValueError(f"regenerated shots do not match the stored h histogram: h={h:g} "
+                             f"has {regenerated.count_at(h)} shots, the artifact "
+                             f"{stored.count_at(h)} (older sampler?)")
     return hist
 
 

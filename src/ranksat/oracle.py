@@ -17,6 +17,9 @@ cache slot holds the tables of the last formula the oracle saw, through a
 weak reference, so they are freed with the formula and an equal but
 separately parsed formula builds its own. Cached arrays are read-only.
 
+The h-distributions are ``CostHistogram``s over the nonempty h-levels: the
+counts are assignments and the probabilities the state's mass at each level.
+
 The shaped cost takes the h-level of each quantile from the h-level masses
 and its d from the ranks at that level alone, so its quantile terms are exact
 costs g = zeta*h + d; its mean is a float sum within a few ulps of exact.
@@ -24,17 +27,15 @@ costs g = zeta*h + d; its mean is a float sum within a few ulps of exact.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 
 import numpy as np
 
 from .cnf import CnfFormula, CostParams, _cost_base, _require_default_params, d_max
 from .qsim import AngleVector, bits_from_ranks, prepare_state
-from .shaping import QuantileSet, _nearest_rank_index, nearest_rank_quantile, rows_to_csv
+from .shaping import CostHistogram, QuantileSet, _nearest_rank_index, nearest_rank_quantile
 
 __all__ = [
     "GuardError",
-    "DistributionTable",
     "GUARD_MAX_N",
     "enumerate_h",
     "list_solutions",
@@ -50,55 +51,6 @@ _LOW_BITS = 10
 
 class GuardError(RuntimeError):
     """Raised when an enumeration would exceed the resource guard."""
-
-
-@dataclass(frozen=True, eq=False)
-class DistributionTable:
-    """Distribution over h-values: assignment counts plus probability mass.
-
-    For plain enumeration the probability is count / 2**n; for a prepared
-    state it is the total quantum probability of the bucket. Empty buckets
-    are omitted.
-    """
-
-    h_values: np.ndarray     # int64, ascending
-    counts: np.ndarray       # int64, assignments per bucket
-    probabilities: np.ndarray
-    domain_size: int
-
-    def __post_init__(self):
-        if int(self.counts.sum()) != self.domain_size:
-            raise ValueError("bucket counts must sum to the domain size")
-        if abs(float(self.probabilities.sum()) - 1.0) > 1e-9:
-            raise ValueError("bucket probabilities must sum to 1")
-
-    def as_dict(self) -> dict[int, tuple[int, float]]:
-        return {
-            int(h): (int(c), float(p))
-            for h, c, p in zip(self.h_values, self.counts, self.probabilities)
-        }
-
-    def count_at(self, h: int) -> int:
-        idx = np.nonzero(self.h_values == h)[0]
-        return int(self.counts[idx[0]]) if idx.size else 0
-
-    def probability_at(self, h: int) -> float:
-        idx = np.nonzero(self.h_values == h)[0]
-        return float(self.probabilities[idx[0]]) if idx.size else 0.0
-
-    def cumfreq(self) -> np.ndarray:
-        cum = np.cumsum(self.probabilities)
-        return cum / cum[-1]
-
-    def to_json_obj(self) -> list[dict]:
-        cum = self.cumfreq()
-        return [
-            {"h": int(h), "count": int(c), "probability": float(p), "cumfreq": float(cf)}
-            for h, c, p, cf in zip(self.h_values, self.counts, self.probabilities, cum)
-        ]
-
-    def to_csv(self) -> str:
-        return rows_to_csv(self.to_json_obj(), "h")
 
 
 def _unsat_table(f: CnfFormula, weights: list[int]) -> np.ndarray:
@@ -225,20 +177,22 @@ def _block_bincount(
 
 def _h_distribution(
     tables: tuple[np.ndarray, np.ndarray], probs: np.ndarray | None
-) -> DistributionTable:
-    """Buckets of the h table; mass is count / 2**n without ``probs``."""
+) -> CostHistogram:
+    """The nonempty h-levels of the h table, with their assignment counts and
+    mass; mass is count / 2**n without ``probs``."""
     h, counts = tables
     mass = counts / h.size if probs is None else _block_bincount(h, counts.size, probs)
     support = np.nonzero(counts)[0]
-    return DistributionTable(
-        h_values=support.astype(np.int64),
+    cum = np.cumsum(mass[support])
+    return CostHistogram(
+        values=support.astype(np.int64),
         counts=counts[support],
         probabilities=mass[support],
-        domain_size=h.size,
+        cumfreq=cum / cum[-1],
     )
 
 
-def enumerate_h(f: CnfFormula, max_n: int = GUARD_MAX_N) -> DistributionTable:
+def enumerate_h(f: CnfFormula, max_n: int = GUARD_MAX_N) -> CostHistogram:
     """Exact count of assignments per unsatisfied-clause value."""
     return _h_distribution(_h_table(f, max_n), None)
 
@@ -251,7 +205,7 @@ def list_solutions(f: CnfFormula, max_n: int = GUARD_MAX_N) -> list[list[int]]:
 
 def exact_h_distribution(
     f: CnfFormula, angles: AngleVector, max_n: int = GUARD_MAX_N
-) -> DistributionTable:
+) -> CostHistogram:
     """Infinite-shot h-distribution of the prepared state.
 
     Accumulates |<x|state>|**2 into bucket h(x) for every assignment x.
@@ -286,17 +240,17 @@ def _exact_cost_terms(f: CnfFormula, angles: AngleVector, levels: QuantileSet, m
     total = float(dist.probabilities.sum())
     blocks = [slice(start, start + _BLOCK) for start in range(0, d.size, _BLOCK)]
     d_sum = sum(d[b].astype(np.float64) @ probs[b] for b in blocks)
-    mean = float(base * (dist.h_values @ dist.probabilities) + d_sum) / total
+    mean = float(base * (dist.values @ dist.probabilities) + d_sum) / total
     cum = np.cumsum(np.append(0.0, dist.probabilities))  # cum[i]: mass below level i
     quantiles = []
     for p in levels:
         i = _nearest_rank_index(cum[1:] / total, p)
-        ranks = np.flatnonzero(h == dist.h_values[i])
+        ranks = np.flatnonzero(h == dist.values[i])
         d_values, inverse = np.unique(d[ranks], return_inverse=True)
         mass = np.bincount(inverse, probs[ranks])
         del ranks, inverse  # freed before the next level's arrays
         cum_d = (cum[i] + np.cumsum(mass)) / total
-        quantiles.append(base * int(dist.h_values[i]) + nearest_rank_quantile(d_values, cum_d, p))
+        quantiles.append(base * int(dist.values[i]) + nearest_rank_quantile(d_values, cum_d, p))
     return mean, quantiles
 
 

@@ -1,5 +1,8 @@
 """Distribution shaping: histograms, nearest-rank quantiles, shaped cost.
 
+``CostHistogram`` is the one distribution type: a sampled cost or h
+histogram, and the oracle's exact h-distributions of a prepared state.
+
 The shaped objective is the empirical mean of the sampled cost plus the sum
 of nearest-rank quantiles at the levels in a QuantileSet. Cumulative
 frequencies accumulate from the smallest cost upward, and the quantile at
@@ -26,9 +29,7 @@ __all__ = [
     "shaped_cost",
     "shaped_costs",
     "nearest_rank_quantile",
-    "histogram_to_csv",
     "rows_to_csv",
-    "histogram_to_json_obj",
 ]
 
 DEFAULT_QUANTILE_LEVELS = (0.01, 0.05, 0.1)
@@ -75,15 +76,18 @@ class QuantileSet:
 
 @dataclass(frozen=True, eq=False)
 class CostHistogram:
-    """Value -> count histogram with running cumulative frequencies.
+    """Distribution over strictly increasing values: counted items and their probabilities.
 
-    ``values`` is strictly increasing, ``counts`` positive, and ``cumfreq``
-    holds cumsum(counts)/total so the final entry is exactly 1.
+    One type serves both sides. Sampled, ``counts`` are shots and each
+    probability is count/total. Exact (``ranksat.oracle``), ``counts`` are
+    assignments and each probability is the state's mass at the value.
+    ``cumfreq`` is the running sum of the probabilities, ending at 1, and
+    ``mean`` is the mean over the counted items.
     """
 
     values: np.ndarray
-    counts: np.ndarray
-    total: int
+    counts: np.ndarray  # int64
+    probabilities: np.ndarray
     cumfreq: np.ndarray
 
     def __post_init__(self):
@@ -93,43 +97,81 @@ class CostHistogram:
             raise ValueError("histogram values must be strictly increasing")
         if np.any(self.counts <= 0):
             raise ValueError("histogram counts must be positive")
-        if int(self.counts.sum()) != self.total:
-            raise ValueError("histogram counts must sum to total")
+        if abs(float(self.probabilities.sum()) - 1.0) > 1e-9:
+            raise ValueError("histogram probabilities must sum to 1")
         if abs(self.cumfreq[-1] - 1.0) > 1e-12:
             raise ValueError("cumulative frequency must end at 1")
+
+    @classmethod
+    def _counted(cls, values: np.ndarray, counts: np.ndarray) -> "CostHistogram":
+        total = int(counts.sum())
+        return cls(
+            values=values, counts=counts.astype(np.int64),
+            probabilities=counts / total, cumfreq=np.cumsum(counts) / total,
+        )
 
     @classmethod
     def from_samples(cls, samples: np.ndarray) -> "CostHistogram":
         samples = np.asarray(samples, dtype=np.float64)
         if samples.size == 0:
             raise ValueError("cannot build a histogram from zero samples")
-        values, counts = np.unique(samples, return_counts=True)
-        total = int(counts.sum())
-        return cls(
-            values=values,
-            counts=counts.astype(np.int64),
-            total=total,
-            cumfreq=np.cumsum(counts) / total,
-        )
+        return cls._counted(*np.unique(samples, return_counts=True))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, int]]) -> "CostHistogram":
-        """Build from (value, count) pairs, e.g. a published table."""
-        items = sorted((float(v), int(c)) for v, c in pairs if int(c) > 0)
+        """Build from (value, count) pairs, e.g. a published table; zero counts are dropped."""
+        items = sorted((float(v), int(c)) for v, c in pairs)
+        for v, c in items:
+            if c < 0:
+                raise ValueError(f"histogram count at value {v:g} is negative: {c}")
+        items = [(v, c) for v, c in items if c > 0]
         values = np.array([v for v, _ in items], dtype=np.float64)
-        counts = np.array([c for _, c in items], dtype=np.int64)
-        total = int(counts.sum())
-        return cls(
-            values=values, counts=counts, total=total,
-            cumfreq=np.cumsum(counts) / total,
-        )
+        return cls._counted(values, np.array([c for _, c in items], dtype=np.int64))
+
+    @classmethod
+    def from_json_obj(cls, rows: Sequence[dict], label: str = "h") -> "CostHistogram":
+        """Read ``to_json_obj`` rows, each with a JSON integer value >= 0 and count >= 1."""
+        pairs = []
+        for i, row in enumerate(rows):
+            pair = (row.get(label), row.get("count")) if isinstance(row, dict) else (None, None)
+            if not all(type(x) is int for x in pair) or pair[0] < 0 or pair[1] < 1:
+                raise ValueError(
+                    f"histogram row {i} needs integers {label} >= 0 and count >= 1: {row!r}"
+                )
+            pairs.append(pair)
+        return cls.from_pairs(pairs)
+
+    @property
+    def total(self) -> int:
+        return int(self.counts.sum())
+
+    @property
+    def h_values(self) -> np.ndarray:
+        return self.values  # read only by perfbench/; drop with its next change (ROADMAP item 1)
 
     @property
     def mean(self) -> float:
         return float(np.dot(self.values, self.counts) / self.total)
 
-    def probabilities(self) -> np.ndarray:
-        return self.counts / self.total
+    def count_at(self, value: float) -> int:
+        return int(self.counts[self.values == value].sum())
+
+    def probability_at(self, value: float) -> float:
+        return float(self.probabilities[self.values == value].sum())
+
+    def to_json_obj(self, label: str = "h") -> list[dict]:
+        return [
+            {
+                label: int(v) if float(v).is_integer() else float(v),
+                "count": int(c),
+                "probability": float(p),
+                "cumfreq": float(cf),
+            }
+            for v, c, p, cf in zip(self.values, self.counts, self.probabilities, self.cumfreq)
+        ]
+
+    def to_csv(self, label: str = "h") -> str:
+        return rows_to_csv(self.to_json_obj(label), label)
 
 
 def nearest_rank_quantile(
@@ -194,8 +236,8 @@ def h_histogram(f: CnfFormula, shots: ShotSet) -> CostHistogram:
 def rows_to_csv(rows: Sequence[dict], value_label: str) -> str:
     """CSV with columns <value_label>,count,probability,cumfreq.
 
-    ``rows`` are JSON table rows as emitted by ``histogram_to_json_obj`` and
-    ``DistributionTable.to_json_obj``.
+    ``rows`` are JSON table rows as emitted by ``CostHistogram.to_json_obj``,
+    or stored in an artifact.
     """
     lines = [f"{value_label},count,probability,cumfreq"]
     lines += [
@@ -203,25 +245,3 @@ def rows_to_csv(rows: Sequence[dict], value_label: str) -> str:
         for r in rows
     ]
     return "\n".join(lines) + "\n"
-
-
-def histogram_to_csv(hist: CostHistogram, value_label: str = "value") -> str:
-    """CSV with columns value,count,probability,cumfreq."""
-    return rows_to_csv(histogram_to_json_obj(hist, value_label), value_label)
-
-
-def histogram_to_json_obj(hist: CostHistogram, value_label: str = "value") -> list[dict]:
-    probs = hist.probabilities()
-    return [
-        {
-            value_label: int(v) if float(v).is_integer() else float(v),
-            "count": int(c),
-            "probability": float(p),
-            "cumfreq": float(cf),
-        }
-        for v, c, p, cf in zip(hist.values, hist.counts, probs, hist.cumfreq)
-    ]
-
-
-def histogram_from_json_obj(obj: Sequence[dict], value_label: str = "value") -> CostHistogram:
-    return CostHistogram.from_pairs((row[value_label], row["count"]) for row in obj)

@@ -55,8 +55,10 @@ def test_c01_widget_initial_distribution_exact(widget):
         t0 = time.perf_counter()
         table = enumerate_h(widget)
         best = min(best, time.perf_counter() - t0)
-    assert table.as_dict() == {0: (4, 0.125), 1: (16, 0.5), 2: (12, 0.375)}
-    assert table.domain_size == 32
+    assert table.values.tolist() == [0, 1, 2]
+    assert table.counts.tolist() == [4, 16, 12]
+    assert table.probabilities.tolist() == [0.125, 0.5, 0.375]
+    assert table.total == 32
     assert best < 1e-3, f"enumeration took {best * 1e3:.3f} ms"
     _passed("C1", "widget exact initial h-distribution {0:4, 1:16, 2:12} in < 1 ms")
 
@@ -70,7 +72,7 @@ def test_c02_uf20_01_initial_distribution_exact():
     start = time.perf_counter()
     table = enumerate_h(f)
     elapsed = time.perf_counter() - start
-    got = {int(h): int(c) for h, c in zip(table.h_values, table.counts)}
+    got = {int(h): int(c) for h, c in zip(table.values, table.counts)}
     assert got == expected
     assert elapsed < 10.0, f"enumeration took {elapsed:.2f} s"
     _passed("C2", "uf20-01 exact initial h-distribution matches all 30 reference counts")

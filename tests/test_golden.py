@@ -1,4 +1,4 @@
-"""Golden pins: exact run bytes and an exact oracle value.
+"""Golden pins: exact run bytes, an exact oracle value and the CLI's table output.
 
 A refactor that claims to keep behaviour must pass these unchanged. A change
 that alters results on purpose re-baselines the pins and says so in
@@ -11,8 +11,9 @@ import shutil
 import numpy as np
 
 import ranksat as rs
+from ranksat.cli import main
 from ranksat.evolve import GaConfig
-from ranksat.harness import run_optimize
+from ranksat.harness import run_optimize, save_artifact
 from ranksat.oracle import exact_g_distribution, exact_shaped_cost
 from ranksat.qsim import AngleVector
 from ranksat.shaping import QuantileSet
@@ -74,3 +75,48 @@ def test_golden_exact_shaped_cost_multichunk():
     # the shaped cost can absorb last-bit drift in single masses; the digest cannot
     values, mass = exact_g_distribution(f, angles)
     assert hashlib.sha256(values.tobytes() + mass.tobytes()).hexdigest() == G17_DIGEST
+
+
+# sha256 of the stdout of each CLI call on the widget run above (WIDGET_HASH)
+# and of a 3000-shot sample of its best angles, which "compare" reads
+CLI_PINS = {
+    "enumerate":
+        "f3a1392a934078ce30addaaa390a55a8e6f3f311d1d25c6bd6cf39e67c4e43e8",
+    "enumerate --format json":
+        "f9c00b66fdd280c21bdcb86d4d9fd79cad887783761515ff7f19a8b349d3a4d2",
+    "report --what final":
+        "a89db58991d8182ffa31ab617ad2a0eaa970423c684aca5c6d245504adf2183e",
+    "report --what final --format json":
+        "697c5443dd5dd36660ce4669075c351ba53349281b03ad841357d335d1cb1afc",
+    "report --what initial":
+        "f3a1392a934078ce30addaaa390a55a8e6f3f311d1d25c6bd6cf39e67c4e43e8",
+    "report --what initial --format json":
+        "f9c00b66fdd280c21bdcb86d4d9fd79cad887783761515ff7f19a8b349d3a4d2",
+    "report --what final --g-level":
+        "c4f28802ce043e4aa9bac98dddf791a086d6a3397e956a45fb501940ef6b684f",
+    "report --what final --g-level --format json":
+        "53aa77ce0ba19adb525e02428736dbafd570a32229feecfc686e042e5f3315f9",
+    "sample":
+        "abaf1f2a6fad2788362a0abf91a5486ba618dbb68cac2202c9e17e871f92c128",
+    "compare":
+        "ba8a1dbba804f3bb6c2406c0bb1aafb33cf9976779f6ea29fd8490f22a2419c9",
+}
+
+
+def test_golden_cli_tables(tmp_path, monkeypatch, capsys):
+    shutil.copy(DATA / "widget.cnf", tmp_path / "widget.cnf")
+    monkeypatch.chdir(tmp_path)
+    save_artifact(run_optimize("widget.cnf", GaConfig(**SHORT), final_shots=5000), "run.json")
+    calls = {
+        "sample": ["sample", "widget.cnf", "--angles", "run.json", "--shots", "3000",
+                   "--seed", "5", "--out", "sample.json"],
+        "compare": ["compare", "run.json", "sample.json"],
+    }
+    digests = {}
+    for key in CLI_PINS:
+        verb, *flags = key.split()
+        target = "widget.cnf" if verb == "enumerate" else "run.json"
+        argv = calls.get(key) or [verb, target, *flags]
+        assert main(argv) == 0
+        digests[key] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == CLI_PINS

@@ -258,6 +258,34 @@ def test_cli_compare_self(widget_path, tmp_path, capsys):
     assert "p_h0" in out and "e_0.1" in out and "e_0.5" in out and "mean_h" in out
 
 
+@pytest.mark.parametrize("row,key,value,message", [
+    (0, "count", -5, "row 0"),
+    (1, "count", 2.9, "row 1"),
+    (0, "count", True, "row 0"),
+    (0, "h", -1, "row 0"),
+    (1, "h", "1", "row 1"),
+    (0, "count", None, "final_sample.shots"),  # None: one shot more than stored
+], ids=["negative", "fractional", "bool", "negative-h", "string-h", "total"])
+@pytest.mark.parametrize("verb", ["report", "compare"])
+def test_cli_refuses_bad_histogram_counts(
+    widget_path, tmp_path, verb, row, key, value, message, capsys
+):
+    # a rehashed artifact whose stored counts no shot sample could give
+    good = run_optimize(widget_path, _tiny_cfg(), final_shots=2000)
+    bad = json.loads(json.dumps(good))
+    rows = bad["run"]["final_sample"]["h_histogram"]
+    assert len(rows) >= 2
+    rows[row][key] = rows[row][key] + 1 if value is None else value
+    bad["repro_hash"] = repro_hash(bad["run"])
+    save_artifact(good, str(tmp_path / "good.json"))
+    save_artifact(bad, str(tmp_path / "bad.json"))
+    paths = [str(tmp_path / "good.json"), str(tmp_path / "bad.json")]
+    assert main([verb, *paths] if verb == "compare" else [verb, paths[1]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_cli_compare_instance_mismatch(widget_path, tmp_path, capsys):
     art_a = run_optimize(widget_path, _tiny_cfg(), final_shots=500)
     other = tmp_path / "other.cnf"

@@ -32,14 +32,18 @@ from dense_reference import (
 
 def test_enumerate_widget(widget):
     table = enumerate_h(widget)
-    assert table.as_dict() == {0: (4, 0.125), 1: (16, 0.5), 2: (12, 0.375)}
-    assert table.domain_size == 32
+    assert table.values.tolist() == [0, 1, 2]
+    assert table.counts.tolist() == [4, 16, 12]
+    assert table.probabilities.tolist() == [0.125, 0.5, 0.375]
+    assert table.total == 32
     assert table.counts.sum() == 32
 
 
 def test_enumerate_empty_formula():
     table = enumerate_h(rs.CnfFormula(n=3, clauses=()))
-    assert table.as_dict() == {0: (8, 1.0)}
+    assert table.values.tolist() == [0]
+    assert table.counts.tolist() == [8]
+    assert table.probabilities.tolist() == [1.0]
 
 
 def test_resource_guard():
@@ -52,7 +56,7 @@ def test_resource_guard():
     with pytest.raises(GuardError):
         exact_h_distribution(big, AngleVector.zeros(1))
     # the guard is configurable
-    assert enumerate_h(small, max_n=5).domain_size == 32
+    assert enumerate_h(small, max_n=5).total == 32
 
 
 def test_list_solutions_widget(widget):
@@ -84,7 +88,7 @@ def test_exact_h_zero_angles_equals_enumeration(widget):
     for f in (widget, random_formula(rng, n=10, m=30)):
         exact = exact_h_distribution(f, AngleVector.zeros(2))
         uniform = enumerate_h(f)
-        np.testing.assert_array_equal(exact.h_values, uniform.h_values)
+        np.testing.assert_array_equal(exact.values, uniform.values)
         np.testing.assert_array_equal(exact.counts, uniform.counts)
         np.testing.assert_allclose(
             exact.probabilities, uniform.probabilities, atol=1e-12
@@ -120,10 +124,10 @@ def test_sampler_agrees_with_exact_distribution(widget):
     exact = exact_h_distribution(widget, angles)
     state = prepare_state(widget.n, angles)
     shots = sample(state, 100_000, np.random.default_rng(31))
-    observed = np.zeros(len(exact.h_values))
+    observed = np.zeros(len(exact.values))
     hist = h_histogram(widget, shots)
     lookup = {int(v): int(c) for v, c in zip(hist.values, hist.counts)}
-    for i, h in enumerate(exact.h_values):
+    for i, h in enumerate(exact.values):
         observed[i] = lookup.get(int(h), 0)
     expected = exact.probabilities * shots.count
     keep = expected >= 5
@@ -212,10 +216,11 @@ def test_oracle_matches_scalar_loop(f):
         if h == 0:
             solutions.append(bits)
 
-    assert {h: c for h, (c, _) in enumerate_h(f).as_dict().items()} == counts
+    table = enumerate_h(f)
+    assert dict(zip(table.values.tolist(), table.counts.tolist())) == counts
     assert list_solutions(f) == solutions
     exact_h = exact_h_distribution(f, angles)
-    assert exact_h.h_values.tolist() == sorted(counts)
+    assert exact_h.values.tolist() == sorted(counts)
     np.testing.assert_allclose(
         exact_h.probabilities, [h_mass[h] for h in sorted(h_mass)], rtol=0, atol=1e-12
     )
@@ -237,7 +242,7 @@ def test_dense_crosscheck_exact_h():
     probs = np.abs(dense) ** 2
     h = ClauseArrays(f).h(all_assignments(f.n))
     buckets = np.bincount(h, weights=probs, minlength=f.m + 1)
-    for value, p in zip(table.h_values, table.probabilities):
+    for value, p in zip(table.values, table.probabilities):
         assert abs(buckets[value] - p) < 1e-10
 
 

@@ -8,9 +8,6 @@ from ranksat.shaping import (
     QuantileSet,
     cost_histogram,
     h_histogram,
-    histogram_to_csv,
-    histogram_to_json_obj,
-    histogram_from_json_obj,
     nearest_rank_quantile,
     quantile,
     shaped_cost,
@@ -109,16 +106,19 @@ def test_shaped_cost_right_shift_monotone():
 
 def test_csv_json_round_trip():
     hist = CostHistogram.from_pairs([(0.0, 3), (2.5, 4), (7.0, 1)])
-    assert histogram_to_csv(hist, value_label="g") == (
+    assert hist.to_csv("g") == (
         "g,count,probability,cumfreq\n"
         "0,3,0.375,0.375\n"
         "2.5,4,0.5,0.875\n"
         "7,1,0.125,1\n"
     )
-    rows = histogram_to_json_obj(hist, value_label="g")
-    again2 = histogram_from_json_obj(rows, value_label="g")
-    np.testing.assert_array_equal(again2.values, hist.values)
+    rows = hist.to_json_obj("g")
     assert rows[-1]["cumfreq"] == 1.0
+    with pytest.raises(ValueError, match="row 1"):
+        CostHistogram.from_json_obj(rows, "g")  # stored values are integers
+    whole = CostHistogram.from_pairs([(0, 3), (2, 4), (7, 1)])
+    again2 = CostHistogram.from_json_obj(whole.to_json_obj("g"), "g")
+    np.testing.assert_array_equal(again2.values, whole.values)
 
 
 def test_quantile_set_validation():
@@ -134,12 +134,23 @@ def test_quantile_set_validation():
     assert QuantileSet.default().levels == (0.01, 0.05, 0.1)
 
 
+def test_from_pairs_drops_zero_counts_and_refuses_negative_ones():
+    hist = CostHistogram.from_pairs([(4, 2), (1, 0), (2, 6)])
+    assert hist.values.tolist() == [2.0, 4.0]
+    assert hist.counts.tolist() == [6, 2]
+    assert hist.total == 8
+    assert hist.count_at(1) == 0 and hist.count_at(4) == 2
+    assert hist.probability_at(2) == 0.75 and hist.probability_at(3) == 0.0
+    with pytest.raises(ValueError, match="value 1 is negative"):
+        CostHistogram.from_pairs([(2, 6), (1, -5)])
+
+
 def test_histogram_validation():
     with pytest.raises(ValueError):
         CostHistogram.from_samples(np.array([]))
     with pytest.raises(ValueError):
         CostHistogram(
-            values=np.array([1.0]), counts=np.array([2]), total=3,
+            values=np.array([1.0]), counts=np.array([2]), probabilities=np.array([2 / 3]),
             cumfreq=np.array([1.0]),
         )
 

@@ -43,8 +43,10 @@ def test_perfbench_targets_exist(monkeypatch):
     assert missing == []
 
 
-def test_perfbench_call_shapes(widget):
+def test_perfbench_call_shapes(widget, monkeypatch):
     # perfbench/workloads.py and perfbench/run.py call these positionally
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
     params = rs.cnf.default_params(widget)
     assert params.zeta == 386.0
     angles, levels = rs.qsim.AngleVector.zeros(2), rs.shaping.QuantileSet.default()
@@ -53,6 +55,11 @@ def test_perfbench_call_shapes(widget):
     assert hist.total == 100
     assert rs.oracle.exact_shaped_cost(widget, angles, params, levels) > 0
     assert rs.cnf.h_count(widget, [1, 1, 1, 0, 0]) == 0
+    # the oracle workload's checks read the exact distributions' fields
+    dist = rs.oracle.exact_h_distribution(widget, angles)
+    assert abs(dist.probabilities.sum() - 1.0) <= 1e-9
+    assert workloads.unresolved_levels(dist, levels, 100_000) >= 0
+    assert rs.oracle.enumerate_h(widget).count_at(0) == 4
 
 
 @pytest.mark.parametrize("method", ["h", "g"])
