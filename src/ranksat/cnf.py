@@ -325,8 +325,13 @@ def h_count(f: CnfFormula, a: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 # Batch scoring
 
-SCORE_BLOCK_CELLS = 2**18  # clause x row cells per g block: a 2 MB float64 temporary
+SCORE_BLOCK_CELLS = 2**18  # clause x row cells per g or d block: a 2 MB float64 temporary
 H_BLOCK_CELLS = 4 * SCORE_BLOCK_CELLS  # h keeps only 1-byte cells; 4x the rows measured fastest
+
+
+def _d_weights(m: int) -> np.ndarray:
+    """The int64 row of divergence weights i**2 of clauses 1..m."""
+    return np.arange(1, m + 1, dtype=np.int64) ** 2
 
 
 class ClauseArrays:
@@ -338,9 +343,10 @@ class ClauseArrays:
     ``n + v`` where it is 1. ``_lits[j, i] = var + n*negated`` is the plane
     on which literal slot ``j`` of clause ``i`` fails, so a clause is
     unsatisfied on the AND of its gathered planes; a clause shorter than
-    ``width`` repeats its first literal in the spare slots. ``h`` and ``g``
-    score blocks of about H_BLOCK_CELLS and SCORE_BLOCK_CELLS clause x row
-    cells, one ``unsat_matrix`` call each, so their peaks do not grow with s.
+    ``width`` repeats its first literal in the spare slots. ``h`` and
+    ``h_counts`` score blocks of about H_BLOCK_CELLS clause x row cells, ``d``
+    and ``g`` blocks of about SCORE_BLOCK_CELLS, one ``unsat_matrix`` call
+    each, so their peaks do not grow with the number of rows.
     """
 
     def __init__(self, f: CnfFormula):
@@ -351,6 +357,7 @@ class ClauseArrays:
             [[lit.signed for lit in column] for column in zip(*slots)], dtype=np.int64
         ).reshape(width, self.m)
         self._lits = np.abs(signed) - 1 + self.n * (signed < 0)
+        self._weights = _d_weights(self.m).astype(np.float64)
 
     def _checked(self, bits: np.ndarray) -> np.ndarray:
         """``bits`` as an (s, n) bool array; uint8 bits are checked and viewed without a copy."""
@@ -382,12 +389,17 @@ class ClauseArrays:
             unsat &= items[lits].view(np.bool_).reshape(self.m, s)
         return unsat.T
 
-    def _per_row(self, bits: np.ndarray, cells: int, reduce, dtype) -> np.ndarray:
+    def _blocks(self, bits: np.ndarray, cells: int, group: int = 1):
+        """(start, (m, rows) uint8 unsat block) over blocks of whole groups of rows."""
         bits = self._checked(bits)
-        rows = max(1, cells // max(self.m, 1))
-        out = np.empty(len(bits), dtype)
+        rows = max(1, cells // max(self.m, 1) // group) * group
         for start in range(0, len(bits), rows):
-            out[start:start + rows] = reduce(self.unsat_matrix(bits[start:start + rows]).T)
+            yield start, self.unsat_matrix(bits[start:start + rows]).T.view(np.uint8)
+
+    def _per_row(self, bits: np.ndarray, cells: int, reduce, dtype) -> np.ndarray:
+        out = np.empty(len(bits), dtype)
+        for start, u in self._blocks(bits, cells):
+            out[start:start + u.shape[1]] = reduce(u)
         return out
 
     def h(self, bits: np.ndarray) -> np.ndarray:
@@ -395,8 +407,32 @@ class ClauseArrays:
         count = np.min_scalar_type(self.m)
         return self._per_row(bits, H_BLOCK_CELLS, lambda u: np.add.reduce(u, 0, count), np.int64)
 
+    def h_counts(self, bits: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row h, and each clause's unsat count over every group of s consecutive rows.
+
+        One pass: h (rows,) is reduced in the narrowest type holding m, the
+        (rows // s, m) counts in the narrowest type holding s. A block holds
+        whole groups, so a block of one group grows with s.
+        """
+        if s < 1 or len(bits) % s:
+            raise ValueError(f"{len(bits)} rows do not split into groups of {s}")
+        h = np.empty(len(bits), np.min_scalar_type(self.m))
+        counts = np.empty((len(bits) // s, self.m), np.min_scalar_type(s))
+        for start, u in self._blocks(bits, H_BLOCK_CELLS, s):
+            rows = u.shape[1]
+            np.add.reduce(u, 0, h.dtype, out=h[start:start + rows])
+            grouped = u.reshape(self.m, rows // s, s)
+            counts[start // s:(start + rows) // s] = np.add.reduce(grouped, 2, counts.dtype).T
+        return h, counts
+
+    def d(self, bits: np.ndarray) -> np.ndarray:
+        """Per-row divergence, the sum of i**2 over the unsatisfied clauses i, in float64:
+        every partial sum is an integer below d_max(m) + 1 <= 2**53, so it is exact."""
+        return self._per_row(bits, SCORE_BLOCK_CELLS, lambda u: self._weights @ u, np.float64)
+
     def g(self, bits: np.ndarray) -> np.ndarray:
         """Per-row cost zeta*h + d in float64, exact up to MAX_EXACT_CLAUSES: every term and
-        partial sum of ``(zeta + i**2) . unsat`` is an integer of at most 2**53."""
-        weights = _cost_base(self.m) + np.arange(1, self.m + 1, dtype=np.float64) ** 2
+        partial sum of ``(zeta + i**2) . unsat`` is an integer of at most 2**53. Only
+        ``shaping.cost_histogram`` uses it; the GA scores h and d in integers."""
+        weights = _cost_base(self.m) + self._weights
         return self._per_row(bits, SCORE_BLOCK_CELLS, lambda u: weights @ u, np.float64)

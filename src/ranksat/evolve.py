@@ -21,7 +21,7 @@ import numpy as np
 
 from .cnf import CnfFormula
 from .qsim import AngleVector, BETA_PERIOD, GAMMA_PERIOD, fill_shots, p_one_rows
-from .shaping import QuantileSet, shaped_costs
+from .shaping import QuantileSet, level_shaped_costs
 
 __all__ = [
     "GaConfig",
@@ -142,14 +142,18 @@ def _fitness_values(
     rngs: Sequence[np.random.Generator],
 ) -> list[float]:
     """evaluate_fitness of each gene row with its own stream, in one pass:
-    all states at once, one (P*s, n) shot matrix, one scoring call."""
+    all states at once, one (P*s, n) shot matrix, h and clause counts in one
+    scoring pass, and d only for the shots at the quantile h-levels."""
     s, depth = cfg.shots_per_eval, genes.shape[1] // 2
     p_one = p_one_rows(f.n, genes[:, :depth], genes[:, depth:])
     bits = np.empty((len(genes) * s, f.n), dtype=np.uint8)
     for i, rng in enumerate(rngs):
         fill_shots(bits[i * s:(i + 1) * s], p_one[i], rng)
-    costs = f.arrays.g(bits).reshape(len(genes), s)
-    return [-cost for cost in shaped_costs(costs, cfg.quantile_levels)]
+    h, counts = f.arrays.h_counts(bits, s)
+    costs = level_shaped_costs(
+        h.reshape(-1, s), counts, lambda idx: f.arrays.d(bits[idx]), cfg.quantile_levels
+    )
+    return [-cost for cost in costs]
 
 
 def tournament_select(size: int, k: int, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -10,13 +10,12 @@ level p is the smallest cost value whose cumulative frequency reaches p.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .cnf import CnfFormula, CostParams, _require_default_params
+from .cnf import CnfFormula, CostParams, _cost_base, _d_weights, _require_default_params, d_max
 from .qsim import ShotSet
 
 __all__ = [
@@ -27,7 +26,7 @@ __all__ = [
     "h_histogram",
     "quantile",
     "shaped_cost",
-    "shaped_costs",
+    "level_shaped_costs",
     "nearest_rank_quantile",
     "rows_to_csv",
 ]
@@ -201,20 +200,47 @@ def shaped_cost(hist: CostHistogram, levels: QuantileSet) -> float:
     return hist.mean + sum(quantile(hist, p) for p in levels)
 
 
-def shaped_costs(costs: np.ndarray, levels: QuantileSet) -> list[float]:
-    """``shaped_cost`` of the histogram of each row of a (P, s) integer-valued cost matrix.
+def level_shaped_costs(
+    h: np.ndarray,
+    clause_counts: np.ndarray,
+    d_at: Callable[[np.ndarray], np.ndarray],
+    levels: QuantileSet,
+) -> list[float]:
+    """``shaped_cost`` of the cost g = zeta*h + d over each row of shots, scored in integers.
 
-    A sorted row with cumfreq = arange(1, s+1)/s holds every cumsum(counts)/s
-    entry of its histogram, so the nearest-rank quantiles are the same
-    values. The mean is the exactly rounded row sum over s, bit-identical to
-    the histogram's while s * max(cost) < 2**53.
+    ``h`` is a (P, s) matrix of per-shot unsat counts, ``clause_counts`` the
+    (P, m) count of shots per row that leave each clause unsatisfied, and
+    ``d_at(idx)`` returns the divergence of the shots at flat indices ``idx``
+    of ``h``. The mean is the exact integer total zeta*sum(h) + sum(i**2 *
+    c_i) over s, correctly rounded. d < zeta, so ordering by (h, d) is
+    ordering by g: the quantile of nearest rank k takes its h-level from the
+    sorted h, then the (k - #below)-th smallest d among the row's shots at
+    that level, so d is computed only for those shots. Bit-identical to the
+    histogram of g while s * max(g) < 2**53.
     """
-    s = costs.shape[1]
-    ordered = np.sort(costs, axis=1)
+    rows, s = h.shape
+    m = clause_counts.shape[1]
+    zeta, weights = _cost_base(m), _d_weights(m)
+    exact = np.int64 if s * d_max(m) < 2**63 else object  # object: Python ints
+    d_sums = clause_counts.astype(exact) @ weights.astype(exact)
+    means = [(zeta * hs + ds) / s for hs, ds in zip(h.sum(axis=1).tolist(), d_sums.tolist())]
+
+    # key = row*(m+1) + h: sorted within rows, the flat keys are sorted as a whole
+    key = (np.arange(rows)[:, None] * (m + 1) + h).reshape(-1)
+    ordered = np.sort(key.reshape(rows, s), axis=1).reshape(-1)
     cumfreq = np.arange(1, s + 1) / s
-    quantiles = sum(ordered[:, _nearest_rank_index(cumfreq, p)] for p in levels)
-    means = np.array([math.fsum(row) for row in ordered.tolist()]) / s
-    return (means + quantiles).tolist()
+    ranks = [_nearest_rank_index(cumfreq, p) for p in levels]
+    pos = np.arange(0, rows * s, s)[:, None] + ranks  # flat sorted position of each quantile
+    level_key = ordered[pos]
+    in_level = pos - np.searchsorted(ordered, level_key)  # rank among the level's shots
+    picked = np.flatnonzero(np.isin(key, level_key))
+    d = d_at(picked)
+    order = np.lexsort((d, key[picked]))
+    first = np.searchsorted(key[picked][order], level_key)
+    level_h = level_key - np.arange(rows)[:, None] * (m + 1)
+    quantiles = zeta * level_h + d[order][first + in_level]
+    total = sum(quantiles[:, j].astype(np.float64) for j in range(len(ranks)))
+    return (np.array(means) + total).tolist()
 
 
 def cost_histogram(

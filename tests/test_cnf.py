@@ -299,8 +299,24 @@ def test_batch_matches_scalar():
         arrays, zeta = ClauseArrays(f), rs.default_params(f).zeta
         h = [rs.h_count(f, row) for row in bits.tolist()]
         assert arrays.h(bits).tolist() == h
-        g = [zeta * k + divergence(f, row) for k, row in zip(h, bits.tolist())]
-        assert arrays.g(bits).tolist() == g
+        d = [divergence(f, row) for row in bits.tolist()]
+        assert arrays.d(bits).tolist() == d
+        assert arrays.g(bits).tolist() == [zeta * k + dk for k, dk in zip(h, d)]
+
+
+@pytest.mark.parametrize("s,groups", [(250, 7), (1500, 2)])
+def test_h_counts_is_one_pass_of_unsat_matrix(s, groups):
+    # at m=852 an h block holds 4 groups of 250 rows, or one group of 1500 on its own
+    rng = np.random.default_rng(10)
+    f = random_formula(rng, n=200, m=852)
+    bits = rng.integers(0, 2, size=(groups * s, f.n)).astype(np.uint8)
+    h, counts = f.arrays.h_counts(bits, s)
+    unsat = f.arrays.unsat_matrix(bits)
+    assert h.dtype == np.uint16 and counts.dtype == np.min_scalar_type(s)
+    assert h.tolist() == unsat.sum(axis=1).tolist()
+    assert counts.tolist() == unsat.reshape(groups, s, f.m).sum(axis=1).tolist()
+    with pytest.raises(ValueError, match="groups of"):
+        f.arrays.h_counts(bits, s + 1)
 
 
 def test_g_exact_at_clause_limit():
@@ -327,9 +343,11 @@ def test_scorers_refuse_non_binary_bits(bits):
     f = rs.CnfFormula.from_signed(2, [[1, 2], [-1, -2]])
     with pytest.raises(ValueError, match="0 or 1"):
         rs.h_count(f, bits[0].tolist())
-    for method in ("h", "g", "unsat_matrix"):
+    for method in ("h", "d", "g", "unsat_matrix"):
         with pytest.raises(ValueError, match="0 or 1"):
             getattr(f.arrays, method)(bits)
+    with pytest.raises(ValueError, match="0 or 1"):
+        f.arrays.h_counts(bits, 1)
 
 
 def test_scorers_accept_any_binary_dtype():

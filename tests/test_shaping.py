@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -8,10 +11,13 @@ from ranksat.shaping import (
     QuantileSet,
     cost_histogram,
     h_histogram,
+    level_shaped_costs,
     nearest_rank_quantile,
     quantile,
     shaped_cost,
 )
+
+from ranksat.cnf import MAX_EXACT_CLAUSES, d_max
 
 from conftest import all_assignments
 
@@ -205,3 +211,35 @@ def test_nearest_rank_quantile_mass_path():
     assert nearest_rank_quantile(values, cum, 0.2) == 1.0
     assert nearest_rank_quantile(values, cum, 0.2000001) == 2.0
     assert nearest_rank_quantile(values, cum, 0.9999999) == 3.0
+
+
+def test_level_shaped_mean_is_correctly_rounded_above_2_53():
+    # 4000 unit clauses: about half fail per shot, so the 250-shot total of g exceeds 2**53
+    rng = np.random.default_rng(2)
+    m, n, s = 4000, 12, 250
+    lits = (rng.integers(1, n + 1, m) * rng.choice([-1, 1], m)).tolist()
+    f = rs.CnfFormula.from_signed(n, [[lit] for lit in lits])
+    bits = rng.integers(0, 2, (s, n)).astype(np.uint8)
+    levels = QuantileSet.default()
+    h, counts = f.arrays.h_counts(bits, s)
+    value = level_shaped_costs(h.reshape(1, s), counts, lambda i: f.arrays.d(bits[i]), levels)
+    g = f.arrays.g(bits)
+    total = sum(int(x) for x in g)
+    assert total > 2**53
+    mean = float(Fraction(total, s))
+    hist = CostHistogram.from_samples(g)
+    assert value == [mean + sum(quantile(hist, p) for p in levels)]
+    # the former float path rounds the sum and then the quotient: one unit off here
+    assert math.fsum(g) / s != mean
+
+
+def test_level_shaped_total_cannot_overflow_at_the_clause_limit():
+    # synthetic counts: every one of 2**20 shots leaves all MAX_EXACT_CLAUSES clauses unsatisfied
+    m, s = MAX_EXACT_CLAUSES, 2**20
+    g_max = (d_max(m) + 1) * m + d_max(m)
+    assert s * g_max > 2**63  # the integer total does not fit int64
+    h = np.full((1, s), m, dtype=np.int16)
+    counts = np.full((1, m), s, dtype=np.uint32)
+    value = level_shaped_costs(h, counts, lambda i: np.full(len(i), float(d_max(m))),
+                               QuantileSet.default())
+    assert value == [float(g_max) + (float(g_max) + g_max + g_max)]

@@ -62,9 +62,9 @@ def test_perfbench_call_shapes(widget, monkeypatch):
     assert rs.oracle.enumerate_h(widget).count_at(0) == 4
 
 
-@pytest.mark.parametrize("method", ["h", "g"])
+@pytest.mark.parametrize("method", ["h", "d", "g"])
 def test_scorers_reach_unsat_matrix(method, monkeypatch):
-    # the cnf.score metrics count unsat_matrix calls: one per block, also through h and g
+    # the cnf.score metrics count unsat_matrix calls: one per block, also through h, d and g
     calls = []
     inner = ClauseArrays.unsat_matrix
 
@@ -74,7 +74,7 @@ def test_scorers_reach_unsat_matrix(method, monkeypatch):
 
     monkeypatch.setattr(ClauseArrays, "unsat_matrix", counted)
     f = CnfFormula.from_signed(3, [[1, -2], [3]] * 2048)
-    block = {"h": H_BLOCK_CELLS, "g": SCORE_BLOCK_CELLS}[method] // f.m
+    block = {"h": H_BLOCK_CELLS, "d": SCORE_BLOCK_CELLS, "g": SCORE_BLOCK_CELLS}[method] // f.m
     getattr(f.arrays, method)(np.zeros((2 * block + 1, 3), dtype=np.uint8))
     assert calls == [block, block, 1]
 
