@@ -5,18 +5,19 @@ The population is one (population, 2*depth) float64 gene matrix, each row
 best first (ties keep their previous order). Fitness is the negated shaped
 cost estimated from a fresh shot sample, so the GA maximizes while the
 method minimizes. Reproducibility contract: a master seed derives one child
-stream per purpose — population init, one stream per generation for all of
-its selection, crossover and mutation draws, one stream per (generation,
-row) fitness evaluation, and the final report sample — so results cannot
-depend on evaluation order. A generation's stream draws whole arrays in a
-fixed order: tournament a, tournament b, cuts (none at depth 1), flips,
-fresh values.
+stream per purpose — population init, one breeding stream per generation
+for all of its selection, crossover and mutation draws, one fitness stream
+per generation, and the final report sample. A breeding stream draws whole
+arrays in a fixed order: tournament a, tournament b, cuts (none at depth 1),
+flips, fresh values. A fitness stream fills one (rows*s, n) shot matrix for
+the generation's new rows (all of generation 0, the rows after the elites
+later) in one fill_shots call; row i reads shots i*s to (i+1)*s - 1. The
+best-first population fixes that row order, so results cannot depend on
+evaluation order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
-
 import numpy as np
 
 from .cnf import CnfFormula
@@ -132,23 +133,18 @@ def evaluate_fitness(
     f: CnfFormula, angles: AngleVector, cfg: GaConfig, rng: np.random.Generator
 ) -> float:
     """Negated shaped cost of a shots_per_eval sample at these angles."""
-    return _fitness_values(f, np.array([[*angles.betas, *angles.gammas]]), cfg, [rng])[0]
+    return _fitness_values(f, np.array([[*angles.betas, *angles.gammas]]), cfg, rng)[0]
 
 
 def _fitness_values(
-    f: CnfFormula,
-    genes: np.ndarray,
-    cfg: GaConfig,
-    rngs: Sequence[np.random.Generator],
+    f: CnfFormula, genes: np.ndarray, cfg: GaConfig, rng: np.random.Generator
 ) -> list[float]:
-    """evaluate_fitness of each gene row with its own stream, in one pass:
-    all states at once, one (P*s, n) shot matrix, h and clause counts in one
-    scoring pass, and d only for the shots at the quantile h-levels."""
+    """evaluate_fitness of each gene row in one pass: all states at once, one (P*s, n) shot
+    matrix drawn from ``rng`` by one fill_shots call, row i reading shots i*s to (i+1)*s - 1,
+    h and clause counts in one scoring pass, and d only at the quantile h-levels."""
     s, depth = cfg.shots_per_eval, genes.shape[1] // 2
-    p_one = p_one_rows(f.n, genes[:, :depth], genes[:, depth:])
     bits = np.empty((len(genes) * s, f.n), dtype=np.uint8)
-    for i, rng in enumerate(rngs):
-        fill_shots(bits[i * s:(i + 1) * s], p_one[i], rng)
+    fill_shots(bits, p_one_rows(f.n, genes[:, :depth], genes[:, depth:]), rng)
     h, counts = f.arrays.h_counts(bits, s)
     costs = level_shaped_costs(
         h.reshape(-1, s), counts, lambda idx: f.arrays.d(bits[idx]), cfg.quantile_levels
@@ -205,11 +201,9 @@ def optimize(f: CnfFormula, cfg: GaConfig) -> tuple[AngleVector, RunHistory]:
             children = crossover(genes[a], genes[b], ev_rng)
             genes = np.vstack([genes[:elites], mutate(children, cfg.mutation_prob, ev_rng)])
             fitness = fitness[:elites]
-        # Each evaluation draws from its own per-(generation, row) stream,
-        # so batching them, or evaluating in any order, yields the same result.
-        done = len(fitness)
-        rngs = [seed_stream(cfg.seed, _TAG_FITNESS, t, i) for i in range(done, size)]
-        fitness = np.concatenate([fitness, _fitness_values(f, genes[done:], cfg, rngs)])
+        # the new rows after the elites draw their shots from the generation's one stream
+        rng = seed_stream(cfg.seed, _TAG_FITNESS, t)
+        fitness = np.concatenate([fitness, _fitness_values(f, genes[len(fitness):], cfg, rng)])
 
         order = np.argsort(-fitness, kind="stable")
         genes, fitness = genes[order], fitness[order]

@@ -179,25 +179,31 @@ def sample(state: QuantumState, s: int, rng: np.random.Generator) -> ShotSet:
 def fill_shots(out: np.ndarray, p1: np.ndarray, rng: np.random.Generator) -> None:
     """Fill the C-contiguous (s, n) uint8 ``out`` with shots that read 1 in column j w.p. p1[j].
 
-    Cell c (row-major) reads 1 when the little-endian 16-bit word c of ``random_raw`` is below
-    t_j = min(floor(65536*p1[j]), 65535). Cells whose word equals t_j are settled after the last
-    block, in flat order, by one ``rng.random(k) < 65536*p1[j] - t_j`` draw, so P(1) is
-    ceil(p*2**69)/2**69: exactly p for p >= 2**-16, and 1 for p >= 1. Blocks of about
-    SAMPLE_BLOCK_CELLS hold a multiple of 4 rows (whole uint64 words), so the bits and the
-    stream equal those of one (s, n) draw.
+    ``p1`` is one (n,) bias row, or a (groups, n) array whose row k biases the consecutive shot
+    rows k*s/groups to (k+1)*s/groups - 1. Cell c (row-major) reads 1 when the little-endian
+    16-bit word c of ``random_raw`` is below t_j = min(floor(65536*p1[j]), 65535) of its group.
+    Cells whose word equals t_j are settled after the last block, in flat order, by one
+    ``rng.random(k) < 65536*p1[j] - t_j`` draw, so P(1) is ceil(p*2**69)/2**69: exactly p for
+    p >= 2**-16, and 1 for p >= 1. Blocks of about SAMPLE_BLOCK_CELLS hold a multiple of 4 rows
+    (whole uint64 words), so the bits and the stream equal those of one (s, n) draw.
     """
     if not out.flags.c_contiguous:
         raise ValueError("shot output must be a C-contiguous (s, n) array")
-    n = out.shape[1]
-    scaled = 65536.0 * np.asarray(p1, dtype=np.float64)
+    scaled = 65536.0 * np.atleast_2d(np.asarray(p1, dtype=np.float64))
     t = np.minimum(scaled, 65535.0).astype(np.uint16)  # p >= 0, so the cast floors
+    groups, n = t.shape
+    s = len(out) // groups
+    if out.shape != (groups * s, n):
+        raise ValueError(f"shot output {out.shape} does not split into {groups} groups of {n} bits")
     rows, ties = max(4, SAMPLE_BLOCK_CELLS // n // 4 * 4), []
-    for start in range(0, out.shape[0], rows):
+    for start in range(0, len(out), rows):
         block = out[start:start + rows]
         raw = rng.bit_generator.random_raw(-(-block.size // 4)).astype("<u8", copy=False)
         words = raw.view("<u2")[:block.size].reshape(block.shape)
-        np.less(words, t, out=block)
-        ties.append(np.flatnonzero(words == t) + start * n)
+        limits = t[0] if groups == 1 else t[np.arange(start, start + len(block)) // s]
+        np.less(words, limits, out=block)
+        ties.append(np.flatnonzero(words == limits) + start * n)
     tie = np.concatenate(ties)
     if tie.size:
-        out.reshape(-1)[tie] = rng.random(tie.size) < scaled[tie % n] - t[tie % n]
+        cell = (tie // n // s, tie % n)
+        out.reshape(-1)[tie] = rng.random(tie.size) < scaled[cell] - t[cell]

@@ -14,8 +14,9 @@ added through one slice of a ``(2,)*n`` view, so the inner loops are as short
 as the clause's lowest variable makes them.
 
 ``raw_word_shots`` is the sampler's contract as one whole-matrix draw: one
-``random_raw`` draw of 16-bit words compared with the thresholds, then one
-``rng.random`` draw that refines the tied cells in flat order.
+``random_raw`` draw of 16-bit words compared with each cell's threshold (of
+its group's bias row), then one ``rng.random`` draw that refines the tied
+cells in flat order.
 
 ``float_g_distribution`` is the oracle's earlier exact g-distribution: a
 float64 g table per rank from ``slice_unsat_table`` and one ``np.unique`` over
@@ -94,14 +95,18 @@ def dense_state(n: int, betas, gammas) -> np.ndarray:
 
 
 def raw_word_shots(p1, s, rng) -> np.ndarray:
-    """(s, n) uint8 shot bits: word < floor(65536*p) clamped to 65535, ties refined by a uniform."""
-    n = len(p1)
-    words = rng.bit_generator.random_raw(-(-s * n // 4)).astype("<u8").view("<u2")[:s * n]
-    t = np.minimum(np.floor(65536 * p1), 65535)[np.arange(s * n) % n]
-    bits = (words < t).astype(np.uint8)
-    tie = np.flatnonzero(words == t)
-    bits[tie] = rng.random(tie.size) < 65536 * p1[tie % n] - t[tie]
-    return bits.reshape(s, n)
+    """(groups*s, n) uint8 shot bits for an (n,) or (groups, n) bias array, s shots per group:
+    word < floor(65536*p) clamped to 65535, ties refined by a uniform, p of the cell's group."""
+    p = np.atleast_2d(p1)
+    groups, n = p.shape
+    cells = np.arange(groups * s * n)
+    words = rng.bit_generator.random_raw(-(-cells.size // 4)).astype("<u8").view("<u2")
+    p = p[cells // n // s, cells % n]
+    t = np.minimum(np.floor(65536 * p), 65535)
+    bits = (words[:cells.size] < t).astype(np.uint8)
+    tie = np.flatnonzero(words[:cells.size] == t)
+    bits[tie] = rng.random(tie.size) < 65536 * p[tie] - t[tie]
+    return bits.reshape(groups * s, n)
 
 
 def slice_unsat_table(f, weights) -> np.ndarray:

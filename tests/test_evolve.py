@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 import ranksat as rs
+from ranksat.cnf import ClauseArrays
 from ranksat.evolve import (
+    _TAG_EVOLVE,
     _TAG_FITNESS,
+    _TAG_INIT,
     GaConfig,
     _fitness_values,
     crossover,
@@ -15,7 +18,7 @@ from ranksat.evolve import (
     seed_stream,
     tournament_select,
 )
-from ranksat.qsim import AngleVector, prepare_state, sample
+from ranksat.qsim import AngleVector, ShotSet, fill_shots, p_one_rows, prepare_state, sample
 from ranksat.shaping import QuantileSet, cost_histogram, shaped_cost
 
 from conftest import random_formula
@@ -62,16 +65,19 @@ def test_evaluate_fitness_deterministic(widget):
     assert a == b
 
 
-def _histogram_fitness(f, angles, cfg, rng):
-    """One evaluation through the per-state histogram path."""
-    shots = sample(prepare_state(f.n, angles), cfg.shots_per_eval, rng)
-    hist = cost_histogram(f, shots, rs.default_params(f))
+def _histogram_fitness(f, bits, cfg):
+    """One evaluation of the given shots through the histogram path."""
+    hist = cost_histogram(f, ShotSet(bits=bits), rs.default_params(f))
     return -shaped_cost(hist, cfg.quantile_levels)
 
 
 def _random_genes(rng, size, depth):
     betas = rng.uniform(0, math.pi, (size, depth))
     return np.hstack([betas, rng.uniform(0, 2 * math.pi, (size, depth))])
+
+
+# every assignment leaves exactly one clause unsatisfied: h ties at 1, d is 1 or 4
+TIED = rs.CnfFormula.from_signed(2, [[1], [-1]])
 
 
 @pytest.mark.parametrize(
@@ -82,6 +88,8 @@ def _random_genes(rng, size, depth):
         ("n20", 5, 97, QuantileSet.of([0.01, 0.06, 0.11, 0.16, 0.21, 0.26, 0.32])),
         ("n200", 6, 250, QuantileSet.default()),  # 1500 rows over blocks of 307
         ("n200", 1, 250, QuantileSet.default()),
+        ("single", 12, 20, QuantileSet.default()),
+        ("tied", 6, 250, QuantileSet.default()),
     ],
 )
 def test_batched_fitness_equals_histogram_path(widget, case, size, shots, levels):
@@ -89,22 +97,55 @@ def test_batched_fitness_equals_histogram_path(widget, case, size, shots, levels
     f = {
         "widget": widget,
         "n20": random_formula(np.random.default_rng(0), n=20, m=91),
+        "single": random_formula(np.random.default_rng(0), n=20, m=91),
         "n200": random_formula(np.random.default_rng(1), n=200, m=852),
+        "tied": TIED,
     }[case]
     cfg = GaConfig(shots_per_eval=shots, quantile_levels=levels, seed=int(rng.integers(1 << 30)))
-    genes = _random_genes(rng, size, cfg.depth)
-    # as in optimize: the rows after the elites, each with its row's stream
-    done = size // 3
-    rngs = [seed_stream(cfg.seed, _TAG_FITNESS, 4, i) for i in range(done, size)]
-    fitness = _fitness_values(f, genes[done:], cfg, rngs)
-    assert len(fitness) == size - done
-    for i, value in zip(range(done, size), fitness):
-        row = genes[i].tolist()
-        angles = AngleVector(betas=tuple(row[:cfg.depth]), gammas=tuple(row[cfg.depth:]))
-        rng_i = seed_stream(cfg.seed, _TAG_FITNESS, 4, i)
-        assert value == _histogram_fitness(f, angles, cfg, rng_i)
+    genes = _random_genes(rng, size, cfg.depth)[size // 3:]  # as in optimize: the rows after the elites
+    fitness = _fitness_values(f, genes, cfg, seed_stream(cfg.seed, _TAG_FITNESS, 4))
+    # the same shots: one fill_shots draw from the same stream, row i reading its own s rows
+    bits = np.empty((len(genes) * shots, f.n), dtype=np.uint8)
+    p_one = p_one_rows(f.n, genes[:, :cfg.depth], genes[:, cfg.depth:])
+    fill_shots(bits, p_one, seed_stream(cfg.seed, _TAG_FITNESS, 4))
+    rows = bits.reshape(len(genes), shots, f.n)
+    assert fitness == [_histogram_fitness(f, row, cfg) for row in rows]
+    h = np.sort(f.arrays.h(bits).reshape(len(genes), shots), axis=1)
+    if case == "single":  # some quantile's h-level holds one shot of its row
+        assert any(np.count_nonzero(row == row[0]) == 1 for row in h)
+    if case == "tied":
+        assert np.all(h == 1)
+    row = genes[-1].tolist()
+    angles = AngleVector(betas=tuple(row[:cfg.depth]), gammas=tuple(row[cfg.depth:]))
     single = evaluate_fitness(f, angles, cfg, seed_stream(3, 1))
-    assert single == _histogram_fitness(f, angles, cfg, seed_stream(3, 1))
+    shots_one = sample(prepare_state(f.n, angles), shots, seed_stream(3, 1))
+    assert single == _histogram_fitness(f, shots_one.bits, cfg)
+
+
+def test_optimize_hot_path_draws_one_stream_and_one_sample_per_generation(widget, monkeypatch):
+    # no float g product, no per-row streams: one fitness stream and one fill_shots call
+    # per generation, each for all of the generation's new rows
+    streams, filled = [], []
+
+    def refuse_g(self, bits):
+        raise AssertionError("the GA must not score the float g product")
+
+    def counted_stream(seed, *path):
+        streams.append(path)
+        return seed_stream(seed, *path)
+
+    def counted_fill(out, p1, rng):
+        filled.append(len(p1))
+        fill_shots(out, p1, rng)
+
+    monkeypatch.setattr(ClauseArrays, "g", refuse_g)
+    monkeypatch.setattr(rs.evolve, "seed_stream", counted_stream)
+    monkeypatch.setattr(rs.evolve, "fill_shots", counted_fill)
+    cfg = GaConfig(generations=4, population=6, elites=2, shots_per_eval=50, seed=2)
+    optimize(widget, cfg)
+    breeding = [path for t in range(1, 5) for path in ((_TAG_EVOLVE, t), (_TAG_FITNESS, t))]
+    assert streams == [(_TAG_INIT,), (_TAG_FITNESS, 0)] + breeding
+    assert filled == [6, 4, 4, 4, 4]
 
 
 def test_tournament_tie_break_lowest_index():
@@ -272,7 +313,7 @@ def test_optimize_elite_stays_ahead_of_tied_children(widget, monkeypatch):
     # which row led the previous one: the elite, ahead of its tied children.
     scored, parents = [], []
 
-    def fake_fitness(f, genes, cfg, rngs):
+    def fake_fitness(f, genes, cfg, rng):
         scored.append(genes.copy())
         return [-3.0, -1.0, -2.0, -4.0] if len(scored) == 1 else [-1.0] * len(genes)
 

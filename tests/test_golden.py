@@ -22,12 +22,12 @@ from conftest import DATA, random_formula
 
 SHORT = dict(generations=3, population=6, elites=1, shots_per_eval=60, seed=17)
 
-WIDGET_HASH = "sha256:84db42a52368f73574f3244f2733a1eef36fe5d19ed290d631ac764781fb733e"
-SYNTH20_HASH = "sha256:49a31c419fedb40fd00f046c6bc9e119d681d2a2473219099ecd8a9c8a66be84"
+WIDGET_HASH = "sha256:76181efccd595efa5b73af6ed015d94161ca6775d357205c59c72dfd7a400c40"
+SYNTH20_HASH = "sha256:8e09957e9ec6fc60733e97fd3e63f3afda0e85a634f5de23efa04fc1188060f5"
 # GA corners the depth-2 runs above never reach: depth 1 draws no crossover
 # cut; depth 3 with no elites and k=1 widens the cut range and keeps no row
-WIDGET_D1_HASH = "sha256:58115fd27e9323de7cd607d9a87111fa09571545440db3ce8029b32add1e9e85"
-SYNTH20_D3_HASH = "sha256:489fc109106849d9d5f1c6f623b3e67f297f7af1640aa3686aa63352b5c9e49c"
+WIDGET_D1_HASH = "sha256:37f6d4677ebd7545285a96cd636d2046727ef5546f13fb8df0143001b23e762b"
+SYNTH20_D3_HASH = "sha256:494486ce115cfcc57de741b5b5f0a53e1237a2741c30408a9ca23e84fb3ac3dd"
 SHAPED17 = 3190375.1977925296
 # sha256 of values.tobytes() + mass.tobytes() of the same exact g-distribution
 G17_DIGEST = "9c0682974b4b2bfffb3e98bf1d0fc2417ed2b590303e6071a09306bfec18c036"
@@ -85,21 +85,21 @@ CLI_PINS = {
     "enumerate --format json":
         "f9c00b66fdd280c21bdcb86d4d9fd79cad887783761515ff7f19a8b349d3a4d2",
     "report --what final":
-        "a89db58991d8182ffa31ab617ad2a0eaa970423c684aca5c6d245504adf2183e",
+        "f98220b001588e9b72fdff4afd1013066839daa4c1df2ce8c6abdb98ef800854",
     "report --what final --format json":
-        "697c5443dd5dd36660ce4669075c351ba53349281b03ad841357d335d1cb1afc",
+        "825a9623acebea2b8bd26267635d60c6e16ac5225641de717195ccd6821ba6f9",
     "report --what initial":
         "f3a1392a934078ce30addaaa390a55a8e6f3f311d1d25c6bd6cf39e67c4e43e8",
     "report --what initial --format json":
         "f9c00b66fdd280c21bdcb86d4d9fd79cad887783761515ff7f19a8b349d3a4d2",
     "report --what final --g-level":
-        "c4f28802ce043e4aa9bac98dddf791a086d6a3397e956a45fb501940ef6b684f",
+        "5736221d634e4776915c6e38182bda968b8f04385384032b92ba5ddaf05fe823",
     "report --what final --g-level --format json":
-        "53aa77ce0ba19adb525e02428736dbafd570a32229feecfc686e042e5f3315f9",
+        "8f176dc0994fa4d2d4577547b9d0f8281d86901cc272d42545087c9d2666fc5b",
     "sample":
-        "abaf1f2a6fad2788362a0abf91a5486ba618dbb68cac2202c9e17e871f92c128",
+        "bf34d555a311eea95865ba1adc9230c0696ee3b6b41900532cec6e58f24e6d63",
     "compare":
-        "ba8a1dbba804f3bb6c2406c0bb1aafb33cf9976779f6ea29fd8490f22a2419c9",
+        "e8a30427278b89d33f0ea93a0c723ed3f594a719dcfdd6ec971ecd6109c87144",
 }
 
 

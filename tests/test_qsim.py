@@ -261,6 +261,28 @@ def test_sample_blocks_draw_like_one_draw():
         np.testing.assert_array_equal(shots.bits, one_draw)
 
 
+def test_grouped_fill_shots_draws_like_one_draw():
+    # n=999 gives blocks of 260 rows: the first boundary falls inside group 2 of 100 rows.
+    # All groups share the threshold 30000, but a tie reads 0 in group 0 (no fraction
+    # left) and almost surely 1 in the others (fraction 0.999).
+    n, s = 999, 100
+    p1 = np.full((5, n), 30000.999 / 65536)
+    p1[0] = 30000 / 65536
+    assert (SAMPLE_BLOCK_CELLS // n // 4 * 4) % s
+    bits = np.empty((5 * s, n), dtype=np.uint8)
+    fill_shots(bits, p1, np.random.default_rng(6))
+    np.testing.assert_array_equal(bits, raw_word_shots(p1, s, np.random.default_rng(6)))
+    words = np.random.default_rng(6).bit_generator.random_raw(-(-bits.size // 4))
+    tied = np.flatnonzero(words.astype("<u8").view("<u2")[:bits.size] == 30000)
+    assert np.any(bits.reshape(-1)[tied[tied >= s * n]] == 1)
+    # one bias row is the (n,) path, and rows that split unevenly are refused
+    one = np.empty((s, n), dtype=np.uint8)
+    fill_shots(one, p1[1:2], np.random.default_rng(6))
+    np.testing.assert_array_equal(one, raw_word_shots(p1[1], s, np.random.default_rng(6)))
+    with pytest.raises(ValueError, match="groups"):
+        fill_shots(np.empty((7, n), dtype=np.uint8), p1[:2], np.random.default_rng(0))
+
+
 def test_fill_shots_threshold_multiples_are_the_word_compare():
     # p = k/65536 leaves no fraction, so a tied word reads 0 like any word >= k
     k = np.array([0, 1, 2, 255, 32768, 40000, 65535])
