@@ -27,7 +27,7 @@ from .harness import (
 )
 from .oracle import GUARD_MAX_N, GuardError, enumerate_h
 from .qsim import AngleVector
-from .shaping import QuantileSet, rows_to_csv
+from .shaping import CostHistogram, QuantileSet, rows_to_csv
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -144,7 +144,12 @@ def cmd_report(args) -> int:
     elif args.what == "initial":
         if not run.get("oracle"):
             return _fail("artifact has no oracle section", EXIT_INPUT)
-        rows = run["oracle"]["initial_h"]
+        hist = CostHistogram.from_json_obj(run["oracle"]["initial_h"])
+        n = run["instance"]["n"]
+        if not (type(n) is int and 0 <= n < 63 and hist.total == 1 << n):
+            raise ValueError(f"oracle.initial_h counts {hist.total} assignments, "
+                             f"but instance.n is {n!r}")
+        rows = hist.to_json_obj(label)  # probabilities and cumfreq re-derived from the counts
     else:  # history
         rows = run.get("history")
         if rows is None:

@@ -329,11 +329,6 @@ SCORE_BLOCK_CELLS = 2**18  # clause x row cells per g or d block: a 2 MB float64
 H_BLOCK_CELLS = 4 * SCORE_BLOCK_CELLS  # h keeps only 1-byte cells; 4x the rows measured fastest
 
 
-def _d_weights(m: int) -> np.ndarray:
-    """The int64 row of divergence weights i**2 of clauses 1..m."""
-    return np.arange(1, m + 1, dtype=np.int64) ** 2
-
-
 class ClauseArrays:
     """Literal planes for scoring many assignments at once.
 
@@ -357,7 +352,7 @@ class ClauseArrays:
             [[lit.signed for lit in column] for column in zip(*slots)], dtype=np.int64
         ).reshape(width, self.m)
         self._lits = np.abs(signed) - 1 + self.n * (signed < 0)
-        self._weights = _d_weights(self.m).astype(np.float64)
+        self._weights = np.arange(1, self.m + 1, dtype=np.float64) ** 2  # d's i**2 row
 
     def _checked(self, bits: np.ndarray) -> np.ndarray:
         """``bits`` as an (s, n) bool array; uint8 bits are checked and viewed without a copy."""
@@ -390,9 +385,11 @@ class ClauseArrays:
         return unsat.T
 
     def _blocks(self, bits: np.ndarray, cells: int, group: int = 1):
-        """(start, (m, rows) uint8 unsat block) over blocks of whole groups of rows."""
+        """(start, (m, rows) uint8 unsat block) over blocks of about ``cells`` cells, cut at
+        whole groups of rows where one fits. Callers drop each block before the next."""
         bits = self._checked(bits)
-        rows = max(1, cells // max(self.m, 1) // group) * group
+        rows = max(1, cells // max(self.m, 1))
+        rows = rows // group * group or rows
         for start in range(0, len(bits), rows):
             yield start, self.unsat_matrix(bits[start:start + rows]).T.view(np.uint8)
 
@@ -400,6 +397,7 @@ class ClauseArrays:
         out = np.empty(len(bits), dtype)
         for start, u in self._blocks(bits, cells):
             out[start:start + u.shape[1]] = reduce(u)
+            del u  # else it stays alive while the next block is built
         return out
 
     def h(self, bits: np.ndarray) -> np.ndarray:
@@ -408,31 +406,35 @@ class ClauseArrays:
         return self._per_row(bits, H_BLOCK_CELLS, lambda u: np.add.reduce(u, 0, count), np.int64)
 
     def h_counts(self, bits: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row h, and each clause's unsat count over every group of s consecutive rows.
-
-        One pass: h (rows,) is reduced in the narrowest type holding m, the
-        (rows // s, m) counts in the narrowest type holding s. A block holds
-        whole groups, so a block of one group grows with s.
-        """
+        """Per-row h, and the (rows // s, m) unsat count of each clause over each group of s
+        consecutive rows, from one pass over the h blocks reduced in the narrowest types
+        holding m and s. Blocks hold whole groups where one fits; a larger group spans
+        blocks and sums its part of each, so the peak does not grow with s."""
         if s < 1 or len(bits) % s:
             raise ValueError(f"{len(bits)} rows do not split into groups of {s}")
         h = np.empty(len(bits), np.min_scalar_type(self.m))
-        counts = np.empty((len(bits) // s, self.m), np.min_scalar_type(s))
+        counts = np.zeros((len(bits) // s, self.m), np.min_scalar_type(s))
         for start, u in self._blocks(bits, H_BLOCK_CELLS, s):
-            rows = u.shape[1]
-            np.add.reduce(u, 0, h.dtype, out=h[start:start + rows])
-            grouped = u.reshape(self.m, rows // s, s)
-            counts[start // s:(start + rows) // s] = np.add.reduce(grouped, 2, counts.dtype).T
+            stop = start + u.shape[1]
+            np.add.reduce(u, 0, h.dtype, out=h[start:stop])
+            if start % s == 0 and stop % s == 0:  # whole groups
+                counts[start // s:stop // s] = np.add.reduce(
+                    u.reshape(self.m, -1, s), 2, counts.dtype).T
+            else:  # part of a group larger than a block, or of two
+                for g in range(start // s, (stop - 1) // s + 1):
+                    lo, hi = max(g * s, start) - start, min(g * s + s, stop) - start
+                    counts[g] += np.add.reduce(u[:, lo:hi], 1, counts.dtype)
+            del u
         return h, counts
 
     def d(self, bits: np.ndarray) -> np.ndarray:
         """Per-row divergence, the sum of i**2 over the unsatisfied clauses i, in float64:
-        every partial sum is an integer below d_max(m) + 1 <= 2**53, so it is exact."""
+        every partial sum is an integer of at most d_max(m) < 2**53, so it is exact."""
         return self._per_row(bits, SCORE_BLOCK_CELLS, lambda u: self._weights @ u, np.float64)
 
     def g(self, bits: np.ndarray) -> np.ndarray:
         """Per-row cost zeta*h + d in float64, exact up to MAX_EXACT_CLAUSES: every term and
         partial sum of ``(zeta + i**2) . unsat`` is an integer of at most 2**53. Only
-        ``shaping.cost_histogram`` uses it; the GA scores h and d in integers."""
+        ``shaping.cost_histogram`` uses it; the GA scores ``h_counts`` and ``d`` instead."""
         weights = _cost_base(self.m) + self._weights
         return self._per_row(bits, SCORE_BLOCK_CELLS, lambda u: weights @ u, np.float64)

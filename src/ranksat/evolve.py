@@ -5,19 +5,18 @@ The population is one (population, 2*depth) float64 gene matrix, each row
 best first (ties keep their previous order). Fitness is the negated shaped
 cost estimated from a fresh shot sample, so the GA maximizes while the
 method minimizes. Reproducibility contract: a master seed derives one child
-stream per purpose — population init, one breeding stream per generation
-for all of its selection, crossover and mutation draws, one fitness stream
-per generation, and the final report sample. A breeding stream draws whole
-arrays in a fixed order: tournament a, tournament b, cuts (none at depth 1),
-flips, fresh values. A fitness stream fills one (rows*s, n) shot matrix for
-the generation's new rows (all of generation 0, the rows after the elites
-later) in one fill_shots call; row i reads shots i*s to (i+1)*s - 1. The
-best-first population fixes that row order, so results cannot depend on
-evaluation order.
+stream per purpose — population init, one breeding stream and one fitness
+stream per generation, and the final report sample. A breeding stream draws
+whole arrays in a fixed order: tournament a, tournament b, cuts (none at
+depth 1), flips, fresh values. A fitness stream fills one (rows*s, n) shot
+matrix for the generation's new rows in one fill_shots call, row i reading
+shots i*s to (i+1)*s - 1; the best-first population fixes that row order,
+so results cannot depend on evaluation order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
 import numpy as np
 
 from .cnf import CnfFormula

@@ -194,7 +194,7 @@ def fill_shots(out: np.ndarray, p1: np.ndarray, rng: np.random.Generator) -> Non
     groups, n = t.shape
     s = len(out) // groups
     if out.shape != (groups * s, n):
-        raise ValueError(f"shot output {out.shape} does not split into {groups} groups of {n} bits")
+        raise ValueError(f"shot output {out.shape} does not split into {groups} groups of n={n}")
     rows, ties = max(4, SAMPLE_BLOCK_CELLS // n // 4 * 4), []
     for start in range(0, len(out), rows):
         block = out[start:start + rows]

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .cnf import CnfFormula, CostParams, _cost_base, _d_weights, _require_default_params, d_max
+from .cnf import CnfFormula, CostParams, _cost_base, _require_default_params, d_max
 from .qsim import ShotSet
 
 __all__ = [
@@ -209,25 +209,26 @@ def level_shaped_costs(
     """``shaped_cost`` of the cost g = zeta*h + d over each row of shots, scored in integers.
 
     ``h`` is a (P, s) matrix of per-shot unsat counts, ``clause_counts`` the
-    (P, m) count of shots per row that leave each clause unsatisfied, and
-    ``d_at(idx)`` returns the divergence of the shots at flat indices ``idx``
-    of ``h``. The mean is the exact integer total zeta*sum(h) + sum(i**2 *
-    c_i) over s, correctly rounded. d < zeta, so ordering by (h, d) is
-    ordering by g: the quantile of nearest rank k takes its h-level from the
-    sorted h, then the (k - #below)-th smallest d among the row's shots at
-    that level, so d is computed only for those shots. Bit-identical to the
+    (P, m) unsat count of each clause over each row's shots, and ``d_at(idx)``
+    the divergence d of the shots at flat indices ``idx`` of ``h``. The mean
+    is the exact total zeta*sum(h) + sum(i**2 * c_i) over s, correctly
+    rounded. d < zeta, so ordering by (h, d) is ordering by g: the quantile
+    of nearest rank k takes its h-level from the sorted h, then the
+    (k - #below)-th smallest d at that level, so only the shots at the
+    quantile h-levels need d. Bit-identical to ``shaped_cost`` of the
     histogram of g while s * max(g) < 2**53.
     """
     rows, s = h.shape
     m = clause_counts.shape[1]
-    zeta, weights = _cost_base(m), _d_weights(m)
+    zeta, weights = _cost_base(m), np.arange(1, m + 1, dtype=np.int64) ** 2
     exact = np.int64 if s * d_max(m) < 2**63 else object  # object: Python ints
     d_sums = clause_counts.astype(exact) @ weights.astype(exact)
     means = [(zeta * hs + ds) / s for hs, ds in zip(h.sum(axis=1).tolist(), d_sums.tolist())]
 
     # key = row*(m+1) + h: sorted within rows, the flat keys are sorted as a whole
-    key = (np.arange(rows)[:, None] * (m + 1) + h).reshape(-1)
-    ordered = np.sort(key.reshape(rows, s), axis=1).reshape(-1)
+    key = np.arange(rows)[:, None] * (m + 1) + h
+    ordered = np.sort(key, axis=1).reshape(-1)
+    key = key.reshape(-1)
     cumfreq = np.arange(1, s + 1) / s
     ranks = [_nearest_rank_index(cumfreq, p) for p in levels]
     pos = np.arange(0, rows * s, s)[:, None] + ranks  # flat sorted position of each quantile
@@ -237,10 +238,8 @@ def level_shaped_costs(
     d = d_at(picked)
     order = np.lexsort((d, key[picked]))
     first = np.searchsorted(key[picked][order], level_key)
-    level_h = level_key - np.arange(rows)[:, None] * (m + 1)
-    quantiles = zeta * level_h + d[order][first + in_level]
-    total = sum(quantiles[:, j].astype(np.float64) for j in range(len(ranks)))
-    return (np.array(means) + total).tolist()
+    quantiles = zeta * (level_key % (m + 1)) + d[order][first + in_level]  # exact g values
+    return (np.array(means) + sum(quantiles.T)).tolist()
 
 
 def cost_histogram(

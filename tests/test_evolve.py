@@ -102,7 +102,8 @@ def test_batched_fitness_equals_histogram_path(widget, case, size, shots, levels
         "tied": TIED,
     }[case]
     cfg = GaConfig(shots_per_eval=shots, quantile_levels=levels, seed=int(rng.integers(1 << 30)))
-    genes = _random_genes(rng, size, cfg.depth)[size // 3:]  # as in optimize: the rows after the elites
+    # as in optimize: one pass over the rows after the elites
+    genes = _random_genes(rng, size, cfg.depth)[size // 3:]
     fitness = _fitness_values(f, genes, cfg, seed_stream(cfg.seed, _TAG_FITNESS, 4))
     # the same shots: one fill_shots draw from the same stream, row i reading its own s rows
     bits = np.empty((len(genes) * shots, f.n), dtype=np.uint8)

@@ -286,6 +286,34 @@ def test_cli_refuses_bad_histogram_counts(
     assert message in captured.err
 
 
+def test_cli_report_initial_rederives_checked_rows(widget_path, tmp_path, capsys):
+    # a rehashed artifact whose stored initial_h rows no enumeration could give
+    good = run_optimize(widget_path, _tiny_cfg(), final_shots=500)
+    save_artifact(good, str(tmp_path / "good.json"))
+    assert main(["report", str(tmp_path / "good.json"), "--what", "initial"]) == 0
+    expected = capsys.readouterr().out
+
+    def report(edit):
+        bad = json.loads(json.dumps(good))
+        edit(bad["run"]["oracle"]["initial_h"], bad["run"]["instance"])
+        bad["repro_hash"] = repro_hash(bad["run"])
+        save_artifact(bad, str(tmp_path / "bad.json"))
+        code = main(["report", str(tmp_path / "bad.json"), "--what", "initial"])
+        return code, capsys.readouterr()
+
+    # a stored probability is not printed: every row is re-derived from the counts
+    code, captured = report(lambda rows, _: rows[1].update(probability=7.5))
+    assert (code, captured.out) == (0, expected)
+    code, captured = report(lambda rows, _: rows[0].update(count=-5))
+    assert (code, captured.out) == (2, "")
+    assert "row 0" in captured.err
+    code, captured = report(lambda rows, _: rows[0].update(count=rows[0]["count"] + 1))
+    assert (code, captured.out) == (2, "")
+    assert "33 assignments, but instance.n is 5" in captured.err
+    code, captured = report(lambda _, instance: instance.update(n="5"))
+    assert (code, captured.out) == (2, "")
+
+
 def test_cli_compare_instance_mismatch(widget_path, tmp_path, capsys):
     art_a = run_optimize(widget_path, _tiny_cfg(), final_shots=500)
     other = tmp_path / "other.cnf"
