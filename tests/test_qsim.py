@@ -259,12 +259,9 @@ def test_sample_blocks_draw_like_one_draw():
         one_draw = raw_word_shots(state.p_one(), s, np.random.default_rng(5))
         assert shots.bits.dtype == np.uint8
         np.testing.assert_array_equal(shots.bits, one_draw)
-
-
-def test_grouped_fill_shots_draws_like_one_draw():
-    # n=999 gives blocks of 260 rows: the first boundary falls inside group 2 of 100 rows.
-    # All groups share the threshold 30000, but a tie reads 0 in group 0 (no fraction
-    # left) and almost surely 1 in the others (fraction 0.999).
+    # grouped biases: n=999 gives blocks of 260 rows, so the first boundary falls inside
+    # group 2 of 100 rows. All groups share the threshold 30000, but a tie reads 0 in
+    # group 0 (no fraction left) and almost surely 1 in the others (fraction 0.999).
     n, s = 999, 100
     p1 = np.full((5, n), 30000.999 / 65536)
     p1[0] = 30000 / 65536
