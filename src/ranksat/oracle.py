@@ -242,15 +242,23 @@ def _exact_cost_terms(f: CnfFormula, angles: AngleVector, levels: QuantileSet, m
     d_sum = sum(d[b].astype(np.float64) @ probs[b] for b in blocks)
     mean = float(base * (dist.values @ dist.probabilities) + d_sum) / total
     cum = np.cumsum(np.append(0.0, dist.probabilities))  # cum[i]: mass below level i
-    quantiles = []
-    for p in levels:
-        i = _nearest_rank_index(cum[1:] / total, p)
-        ranks = np.flatnonzero(h == dist.values[i])
-        d_values, inverse = np.unique(d[ranks], return_inverse=True)
-        mass = np.bincount(inverse, probs[ranks])
-        del ranks, inverse  # freed before the next level's arrays
-        cum_d = (cum[i] + np.cumsum(mass)) / total
-        quantiles.append(base * int(dist.values[i]) + nearest_rank_quantile(d_values, cum_d, p))
+    at = [_nearest_rank_index(cum[1:] / total, p) for p in levels]
+    picked = np.zeros(h.size, dtype=bool)
+    for i in set(at):
+        picked |= h == int(dist.values[i])
+    ranks = np.flatnonzero(picked)  # one gather, in ascending rank order
+    del picked
+    h_at, d_levels = h[ranks], {}
+    for i in sorted(set(at)):
+        level = ranks[h_at == int(dist.values[i])]
+        d_values, inverse = np.unique(d[level], return_inverse=True)
+        mass = np.bincount(inverse, probs[level])
+        del level, inverse  # freed before the next level's arrays
+        d_levels[i] = d_values, (cum[i] + np.cumsum(mass)) / total
+    quantiles = [
+        base * int(dist.values[i]) + nearest_rank_quantile(*d_levels[i], p)
+        for i, p in zip(at, levels)
+    ]
     return mean, quantiles
 
 
