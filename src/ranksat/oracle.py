@@ -152,7 +152,7 @@ def _state_probabilities(f: CnfFormula, angles: AngleVector) -> np.ndarray:
     Qubit j is multiplied in at step j, the same order as a per-rank product
     over j, so each entry is bit-identical to that product.
     """
-    p1 = prepare_state(f.n, angles).p_one()
+    p1 = prepare_state(f.n, angles).p1
     probs = np.ones(1 << f.n)  # step j sets ranks 2**j..2**(j+1)-1 to ranks 0..2**j-1 times q1
     for j, (q0, q1) in enumerate(zip(1.0 - p1, p1)):
         np.multiply(probs[:1 << j], q1, out=probs[1 << j:2 << j])

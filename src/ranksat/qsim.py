@@ -2,8 +2,20 @@
 
 The phase layer multiplies the |1> amplitude of qubit j by exp(-i*gamma*2**j)
 and the mixer applies exp(-i*beta*X) per qubit. Neither couples qubits, so
-the full 2**n state is always the tensor product of n amplitude pairs; this
-keeps preparation and sampling exact and fast at any qubit count.
+the full 2**n state is always the tensor product of n single-qubit states;
+this keeps preparation and sampling exact and fast at any qubit count.
+
+Each qubit is a real Bloch vector (x, y, z), starting at (1, 0, 0) for |+>.
+Layer k turns (x, y) by -theta_kj with theta_kj = gamma_k*2**j, then turns
+(y, z) by 2*beta_k; the probability of reading 1 is p1 = (1 - z)/2. At depth
+1 this is the closed form p1_j = (1 + sin(2*beta)*sin(gamma*2**j))/2.
+
+Numerical contract: the rotations run in float64, with each cos/sin pair
+taken from one complex exp. p1 agrees with the complex amplitude product
+(``tests/dense_reference.product_state_loop``) within 2e-15 for n <= 1000,
+and is clipped to [0, 1], which rounding would otherwise leave by about
+1e-16. Every operation is elementwise, so a batch row equals its one-row
+preparation bit for bit.
 
 Bit order: qubit j carries rank weight 2**j and DIMACS variable j+1, so a
 measured bitstring is simultaneously a rank's binary expansion and a truth
@@ -80,17 +92,13 @@ class AngleVector:
 
 @dataclass(frozen=True, eq=False)
 class QuantumState:
-    """Product state: row j holds the (|0>, |1>) amplitude pair of qubit j."""
+    """Product state: p1[j] is the probability that qubit j reads 1."""
 
-    amps: np.ndarray  # (n, 2) complex128
+    p1: np.ndarray  # (n,) float64 in [0, 1]
 
     @property
     def n(self) -> int:
-        return self.amps.shape[0]
-
-    def p_one(self) -> np.ndarray:
-        """Per-qubit probability of measuring 1."""
-        return np.abs(self.amps[:, 1]) ** 2
+        return self.p1.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,60 +127,42 @@ def bits_from_ranks(ranks: np.ndarray, n: int) -> np.ndarray:
 
 
 def prepare_state(n: int, angles: AngleVector) -> QuantumState:
-    """Run the depth-p circuit on |+>^n and return the exact product state.
-
-    Per layer k and qubit j: the phase gate maps (a0, a1) to
-    (a0, exp(-i*gamma_k*2**j)*a1), then the mixer applies
-    [[cos b, -i sin b], [-i sin b, cos b]] with b = beta_k.
-    """
-    amps = _amplitudes(n, np.array([angles.betas]), np.array([angles.gammas]))
-    return QuantumState(amps=amps[0])
+    """Run the depth-p circuit on |+>^n and return the exact product state."""
+    return QuantumState(p1=p_one_rows(n, np.array([angles.betas]), np.array([angles.gammas]))[0])
 
 
 def p_one_rows(n: int, betas: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     """(P, n) per-qubit probabilities of measuring 1 at P angle rows.
 
     ``betas`` and ``gammas`` are (P, depth) arrays, row i holding one angle
-    vector's layers. Row i equals ``prepare_state(n, AngleVector(betas[i],
-    gammas[i])).p_one()`` bit for bit.
+    vector's layers. See the module notes for the rotations.
     """
-    return np.abs(_amplitudes(n, betas, gammas)[:, :, 1]) ** 2
-
-
-def _amplitudes(n: int, betas: np.ndarray, gammas: np.ndarray) -> np.ndarray:
-    """(P, n, 2) amplitude pairs of the circuit at each of P (betas, gammas) rows."""
     if n < 1:
         raise ValueError(f"qubit count must be >= 1, got {n}")
     if betas.shape != gammas.shape:
         raise ValueError(f"betas {betas.shape} and gammas {gammas.shape} differ in shape")
-    amps = np.full((len(betas), n, 2), 1.0 / math.sqrt(2.0), dtype=np.complex128)
-    weights = 2.0 ** np.arange(n)
+    phase = np.exp(-1j * (gammas[:, :, None] * 2.0 ** np.arange(n)))  # cos - i*sin of theta
+    mixer = np.exp(2j * betas)[:, :, None]  # cos + i*sin of 2*beta
+    x, y, z = np.ones((len(betas), n)), np.zeros((len(betas), n)), np.zeros((len(betas), n))
     for k in range(betas.shape[1]):
-        # per-row scalars are the Python values prepare_state on one vector uses
-        phase = np.exp(np.array([[-1j * g] for g in gammas[:, k].tolist()]) * weights)
-        # numpy rounds a complex product differently by loop length: one row per call
-        for row, row_phase in zip(amps, phase):
-            row[:, 1] *= row_phase
-        # c and +-i*s have a zero part, so these products round alike in any loop
-        c = np.array([[complex(math.cos(b))] for b in betas[:, k].tolist()])
-        s = np.array([[math.sin(b)] for b in betas[:, k].tolist()])
-        a0 = c * amps[:, :, 0] - 1j * s * amps[:, :, 1]
-        a1 = -1j * s * amps[:, :, 0] + c * amps[:, :, 1]
-        amps = np.stack([a0, a1], axis=2)
-    return amps
+        c, s = phase[:, k].real, phase[:, k].imag
+        x, y = c * x - s * y, s * x + c * y
+        c, s = mixer[:, k].real, mixer[:, k].imag
+        y, z = c * y - s * z, s * y + c * z
+    return np.clip((1.0 - z) / 2.0, 0.0, 1.0)
 
 
 def sample(state: QuantumState, s: int, rng: np.random.Generator) -> ShotSet:
     """Draw s computational-basis shots.
 
     Because the state is a product state, measuring qubit j independently
-    with probability |a_j1|**2 of reading 1 is distributionally identical to
+    with probability p1[j] of reading 1 is distributionally identical to
     sampling the full 2**n vector. Deterministic for a given rng state; see fill_shots.
     """
     if s < 1:
         raise ValueError(f"shot count must be >= 1, got {s}")
     bits = np.empty((s, state.n), dtype=np.uint8)
-    fill_shots(bits, state.p_one(), rng)
+    fill_shots(bits, state.p1, rng)
     return ShotSet(bits=bits)
 
 
@@ -185,12 +175,13 @@ def fill_shots(out: np.ndarray, p1: np.ndarray, rng: np.random.Generator) -> Non
     Cells whose word equals t_j are settled after the last block, in flat order, by one
     ``rng.random(k) < 65536*p1[j] - t_j`` draw, so P(1) is ceil(p*2**69)/2**69: exactly p for
     p >= 2**-16, and 1 for p >= 1. Blocks of about SAMPLE_BLOCK_CELLS hold a multiple of 4 rows
-    (whole uint64 words), so the bits and the stream equal those of one (s, n) draw.
+    (whole uint64 words), so the bits and the stream equal those of one (s, n) draw. ``p1``
+    must be >= 0; ``prepare_state`` and ``p_one_rows`` clip to [0, 1] so that it is.
     """
     if not out.flags.c_contiguous:
         raise ValueError("shot output must be a C-contiguous (s, n) array")
     scaled = 65536.0 * np.atleast_2d(np.asarray(p1, dtype=np.float64))
-    t = np.minimum(scaled, 65535.0).astype(np.uint16)  # p >= 0, so the cast floors
+    t = np.minimum(scaled, 65535.0).astype(np.uint16)  # p1 >= 0, so the cast floors
     groups, n = t.shape
     s = len(out) // groups
     if out.shape != (groups * s, n):

@@ -1,8 +1,12 @@
 """Independent scalar and dense references for the scorer, simulator and oracle.
 
-``divergence``, ``g_cost``, ``rank_of``, ``amplitude`` and ``probability``
-each take one assignment at a time: the scalar references the batch scorer,
+``divergence``, ``g_cost``, ``rank_of`` and ``probability`` each take one
+assignment at a time: the scalar references the batch scorer,
 ``bits_from_ranks`` and the state tables are checked against.
+
+``product_state_loop`` is the simulator's earlier complex path: one (|0>, |1>)
+amplitude pair per qubit, phased and mixed layer by layer in complex128. The
+Bloch-vector simulator is checked against its squared |1> amplitudes.
 
 ``dense_state`` is deliberately coded against the integer rank: builds the
 full vector, applies the diagonal phase exp(-i*gamma*rank) on the flat index,
@@ -22,6 +26,8 @@ cells in flat order.
 float64 g table per rank from ``slice_unsat_table`` and one ``np.unique`` over
 it, with no table cache.
 """
+import math
+
 import numpy as np
 
 from ranksat.cnf import default_params, eval_clause, h_count
@@ -54,21 +60,24 @@ def rank_of(a) -> int:
     return rank
 
 
-def amplitude(state, a) -> complex:
-    """<x|state> for the basis state x given by the bitstring ``a``."""
-    if len(a) != state.n:
-        raise ValueError(f"assignment length {len(a)} != n={state.n}")
-    idx = np.asarray(a, dtype=np.intp)
-    return complex(np.prod(state.amps[np.arange(state.n), idx]))
-
-
 def probability(state, a) -> float:
     """|<x|state>|**2, computed as the product of per-qubit probabilities."""
     if len(a) != state.n:
         raise ValueError(f"assignment length {len(a)} != n={state.n}")
-    idx = np.asarray(a, dtype=np.intp)
-    probs = np.abs(state.amps[np.arange(state.n), idx]) ** 2
-    return float(np.prod(probs))
+    return float(np.prod(np.where(np.asarray(a) == 1, state.p1, 1.0 - state.p1)))
+
+
+def product_state_loop(n: int, angles) -> np.ndarray:
+    """(n, 2) complex128 amplitude pairs of the circuit, qubit by qubit."""
+    amps = np.full((n, 2), 1.0 / math.sqrt(2.0), dtype=np.complex128)
+    weights = 2.0 ** np.arange(n)
+    for beta, gamma in zip(angles.betas, angles.gammas):
+        amps[:, 1] *= np.exp(-1j * gamma * weights)
+        c, s = math.cos(beta), math.sin(beta)
+        a0 = c * amps[:, 0] - 1j * s * amps[:, 1]
+        a1 = -1j * s * amps[:, 0] + c * amps[:, 1]
+        amps = np.stack([a0, a1], axis=1)
+    return amps
 
 
 def _mixer_matrix(beta: float) -> np.ndarray:

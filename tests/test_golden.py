@@ -22,15 +22,15 @@ from conftest import DATA, random_formula
 
 SHORT = dict(generations=3, population=6, elites=1, shots_per_eval=60, seed=17)
 
-WIDGET_HASH = "sha256:76181efccd595efa5b73af6ed015d94161ca6775d357205c59c72dfd7a400c40"
-SYNTH20_HASH = "sha256:8e09957e9ec6fc60733e97fd3e63f3afda0e85a634f5de23efa04fc1188060f5"
+WIDGET_HASH = "sha256:c4599e491aec4808ed840662b3017781737d83f3824d364c9a4f503a0f385c8d"
+SYNTH20_HASH = "sha256:5e2d4b94278eb447e48bfef15288a7d8864d9ded4a188f320862844a367e2215"
 # GA corners the depth-2 runs above never reach: depth 1 draws no crossover
 # cut; depth 3 with no elites and k=1 widens the cut range and keeps no row
-WIDGET_D1_HASH = "sha256:37f6d4677ebd7545285a96cd636d2046727ef5546f13fb8df0143001b23e762b"
-SYNTH20_D3_HASH = "sha256:494486ce115cfcc57de741b5b5f0a53e1237a2741c30408a9ca23e84fb3ac3dd"
-SHAPED17 = 3190375.1977925296
+WIDGET_D1_HASH = "sha256:ee020012e249e0881130c4ca39e1497457f49571d99d20f7ae1166e9714a5cbe"
+SYNTH20_D3_HASH = "sha256:d261e3fe554edab5bc903cac1bedc8f44c4e9557f5ecc0867dd3b2ca99f54daa"
+SHAPED17 = 3190375.19779253
 # sha256 of values.tobytes() + mass.tobytes() of the same exact g-distribution
-G17_DIGEST = "9c0682974b4b2bfffb3e98bf1d0fc2417ed2b590303e6071a09306bfec18c036"
+G17_DIGEST = "036b9962708e07658a9614315b08498368e77caca95b24a47fa90b8728b750e0"
 
 
 def test_golden_widget_run(tmp_path, monkeypatch):

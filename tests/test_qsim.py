@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -15,7 +16,13 @@ from ranksat.qsim import (
     sample,
 )
 
-from dense_reference import amplitude, dense_state, probability, rank_of, raw_word_shots
+from dense_reference import (
+    dense_state,
+    probability,
+    product_state_loop,
+    rank_of,
+    raw_word_shots,
+)
 
 
 def test_rank_of_examples():
@@ -50,7 +57,7 @@ def test_angle_vector_validation():
 
 def test_zero_angles_uniform():
     state = prepare_state(20, AngleVector.zeros(2))
-    np.testing.assert_allclose(state.amps, 1 / math.sqrt(2), atol=1e-15)
+    assert np.all(state.p1 == 0.5)
     a = [1, 0] * 10
     assert probability(state, a) == pytest.approx(2.0**-20, rel=1e-12)
 
@@ -64,19 +71,18 @@ def test_depth1_closed_form_examples():
 
 
 def test_depth1_closed_form_per_qubit():
-    # P(qubit j reads 0) = (1 - sin(gamma * 2**j) * sin(2*beta)) / 2 at depth 1
+    # p1_j = (1 + sin(2*beta) * sin(gamma * 2**j)) / 2 at depth 1, documented in ranksat.qsim
     rng = np.random.default_rng(1)
-    for _ in range(20):
-        beta = rng.uniform(0, math.pi)
-        gamma = rng.uniform(0, 2 * math.pi)
-        state = prepare_state(3, AngleVector(betas=(beta,), gammas=(gamma,)))
-        p1 = state.p_one()
-        for j in range(3):
-            expected0 = (1 - math.sin(gamma * 2**j) * math.sin(2 * beta)) / 2
-            assert 1 - p1[j] == pytest.approx(expected0, abs=1e-12)
+    for n in (3, 40, 62):
+        for _ in range(20):
+            beta, gamma = rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
+            p1 = prepare_state(n, AngleVector(betas=(beta,), gammas=(gamma,))).p1
+            expected = [(1 + math.sin(2 * beta) * math.sin(gamma * 2**j)) / 2 for j in range(n)]
+            np.testing.assert_allclose(p1, expected, rtol=0, atol=1e-15)
 
 
 def test_per_qubit_normalization_every_layer():
+    # after every layer, each qubit's marginal of the normalized dense state is p1
     rng = np.random.default_rng(2)
     for _ in range(20):
         depth = int(rng.integers(1, 5))
@@ -88,8 +94,10 @@ def test_per_qubit_normalization_every_layer():
         for upto in range(1, depth + 1):
             prefix = AngleVector(angles.betas[:upto], angles.gammas[:upto])
             state = prepare_state(6, prefix)
-            norms = np.abs(state.amps[:, 0]) ** 2 + np.abs(state.amps[:, 1]) ** 2
-            np.testing.assert_allclose(norms, 1.0, atol=1e-12)
+            dense = np.abs(dense_state(6, prefix.betas, prefix.gammas)) ** 2
+            assert dense.sum() == pytest.approx(1.0, abs=1e-12)
+            marginals = bits_from_ranks(np.arange(1 << 6), 6).T @ dense
+            np.testing.assert_allclose(state.p1, marginals, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [8, 12])
@@ -100,9 +108,7 @@ def test_probabilities_sum_to_one(n):
         gammas=tuple(rng.uniform(0, 2 * math.pi, 2)),
     )
     state = prepare_state(n, angles)
-    bits = bits_from_ranks(np.arange(1 << n), n)
-    p1 = state.p_one()
-    probs = np.where(bits == 1, p1, 1 - p1).prod(axis=1)
+    probs = _all_probabilities(state, bits_from_ranks(np.arange(1 << n), n))
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -113,9 +119,10 @@ def test_probability_is_squared_amplitude():
         gammas=tuple(rng.uniform(0, 2 * math.pi, 3)),
     )
     state = prepare_state(5, angles)
+    dense = dense_state(5, angles.betas, angles.gammas)
     for _ in range(10):
         a = rng.integers(0, 2, size=5)
-        assert probability(state, a) == pytest.approx(abs(amplitude(state, a)) ** 2, rel=1e-12)
+        assert probability(state, a) == pytest.approx(abs(dense[rank_of(a)]) ** 2, rel=1e-12)
 
 
 def test_phase_eigenstructure():
@@ -124,10 +131,11 @@ def test_phase_eigenstructure():
     for n in (1, 4, 6):
         gamma = float(rng.uniform(0, 2 * math.pi))
         state = prepare_state(n, AngleVector(betas=(0.0,), gammas=(gamma,)))
+        assert np.all(state.p1 == 0.5)
         for r in range(1 << n):
             bits = [(r >> j) & 1 for j in range(n)]
             expected = 2 ** (-n / 2) * np.exp(-1j * gamma * r)
-            assert abs(amplitude(state, bits) - expected) < 1e-12
+            assert abs(probability(state, bits) - abs(expected) ** 2) < 1e-12
 
 
 def test_dense_equivalence_unit():
@@ -141,12 +149,11 @@ def test_dense_equivalence_unit():
         dense = dense_state(n, betas, gammas)
         for r in range(1 << n):
             bits = [(r >> j) & 1 for j in range(n)]
-            assert abs(amplitude(state, bits) - dense[r]) < 1e-12
+            assert abs(probability(state, bits) - abs(dense[r]) ** 2) < 1e-12
 
 
 def _all_probabilities(state, bits):
-    p1 = state.p_one()
-    return np.where(bits == 1, p1, 1 - p1).prod(axis=1)
+    return np.where(bits == 1, state.p1, 1 - state.p1).prod(axis=1)
 
 
 def test_gamma_2pi_and_beta_pi_periodicity():
@@ -180,7 +187,7 @@ def test_sample_deterministic():
 
 
 def test_sample_deterministic_state():
-    pinned = QuantumState(amps=np.array([[0.0, 1.0]] * 4, dtype=complex))
+    pinned = QuantumState(p1=np.ones(4))
     shots = sample(pinned, 100, np.random.default_rng(0))
     assert shots.count == 100 and shots.n == 4
     np.testing.assert_array_equal(shots.bits, 1)
@@ -194,9 +201,7 @@ def test_sample_chi_square_against_exact():
     shots = sample(state, 100_000, np.random.default_rng(11))
     ranks = shots.bits @ (1 << np.arange(n))
     observed = np.bincount(ranks, minlength=1 << n)
-    bits = bits_from_ranks(np.arange(1 << n), n)
-    p1 = state.p_one()
-    expected = np.where(bits == 1, p1, 1 - p1).prod(axis=1) * shots.count
+    expected = _all_probabilities(state, bits_from_ranks(np.arange(1 << n), n)) * shots.count
     keep = expected >= 5  # chi-square validity; lump tiny bins together
     obs = np.append(observed[keep], observed[~keep].sum())
     exp = np.append(expected[keep], expected[~keep].sum())
@@ -214,33 +219,40 @@ def test_sample_validates():
         probability(state, [0])
 
 
-def _product_state_loop(n, angles):
-    """The single-state preparation the batched code must reproduce bit for bit."""
-    amps = np.full((n, 2), 1.0 / math.sqrt(2.0), dtype=np.complex128)
-    weights = 2.0 ** np.arange(n)
-    for beta, gamma in zip(angles.betas, angles.gammas):
-        amps[:, 1] *= np.exp(-1j * gamma * weights)
-        c, s = math.cos(beta), math.sin(beta)
-        a0 = c * amps[:, 0] - 1j * s * amps[:, 1]
-        a1 = -1j * s * amps[:, 0] + c * amps[:, 1]
-        amps = np.stack([a0, a1], axis=1)
-    return amps
-
-
 def test_p_one_rows_bit_identical_to_single_states():
+    # every operation is elementwise, so a row's bytes cannot depend on P or n
     rng = np.random.default_rng(21)
-    for n in (1, 2, 3, 5, 20, 33, 62):
+    for n in (1, 2, 3, 5, 20, 33, 62, 200, 1000):
         for depth in (1, 2, 3):
-            size = int(rng.integers(2, 12))
-            betas = rng.uniform(0, math.pi, (size, depth))
-            gammas = rng.uniform(0, 2 * math.pi, (size, depth))
-            rows = p_one_rows(n, betas, gammas)
-            assert rows.shape == (size, n)
-            for b, g, row in zip(betas.tolist(), gammas.tolist(), rows):
-                a = AngleVector(betas=tuple(b), gammas=tuple(g))
-                single = prepare_state(n, a)
-                assert single.amps.tobytes() == _product_state_loop(n, a).tobytes()
-                assert row.tobytes() == single.p_one().tobytes()
+            for size in (1, 2, 7, 26, 30, 61):
+                betas = rng.uniform(0, math.pi, (size, depth))
+                gammas = rng.uniform(0, 2 * math.pi, (size, depth))
+                rows = p_one_rows(n, betas, gammas)
+                assert rows.shape == (size, n)
+                for b, g, row in zip(betas.tolist(), gammas.tolist(), rows):
+                    single = prepare_state(n, AngleVector(betas=tuple(b), gammas=tuple(g)))
+                    assert row.tobytes() == single.p1.tobytes()
+
+
+def test_p_one_rows_match_the_complex_reference():
+    rng = np.random.default_rng(22)
+    for n in (1, 5, 20, 40, 62, 200, 1000):
+        for depth in (1, 2, 3):
+            betas = rng.uniform(0, math.pi, (5, depth))
+            gammas = rng.uniform(0, 2 * math.pi, (5, depth))
+            for b, g, row in zip(betas.tolist(), gammas.tolist(), p_one_rows(n, betas, gammas)):
+                amps = product_state_loop(n, AngleVector(betas=tuple(b), gammas=tuple(g)))
+                np.testing.assert_allclose(row, np.abs(amps[:, 1]) ** 2, rtol=0, atol=2e-15)
+
+
+def test_p_one_rows_stay_in_the_unit_interval():
+    # unclipped, rounding puts 83 of these cells below 0, by up to 1.1e-16
+    grid = np.arange(16) * math.pi / 16
+    for depth in (1, 2, 3):
+        gammas = np.array(list(itertools.product(grid, repeat=depth)))
+        for beta in grid:
+            p1 = p_one_rows(64, np.full_like(gammas, beta), gammas)
+            assert p1.min() >= 0.0 and p1.max() <= 1.0
 
 
 def test_p_one_rows_validates():
@@ -256,7 +268,7 @@ def test_sample_blocks_draw_like_one_draw():
         state = prepare_state(n, angles)
         s = 3 * (SAMPLE_BLOCK_CELLS // n) + 17  # three full blocks and a remainder
         shots = sample(state, s, np.random.default_rng(5))
-        one_draw = raw_word_shots(state.p_one(), s, np.random.default_rng(5))
+        one_draw = raw_word_shots(state.p1, s, np.random.default_rng(5))
         assert shots.bits.dtype == np.uint8
         np.testing.assert_array_equal(shots.bits, one_draw)
     # grouped biases: n=999 gives blocks of 260 rows, so the first boundary falls inside
