@@ -16,6 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -325,23 +326,35 @@ def h_count(f: CnfFormula, a: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 # Batch scoring
 
-SCORE_BLOCK_CELLS = 2**18  # clause x row cells per g or d block: a 2 MB float64 temporary
-H_BLOCK_CELLS = 4 * SCORE_BLOCK_CELLS  # h keeps only 1-byte cells; 4x the rows measured fastest
+SCORE_BLOCK_CELLS = 2**18  # clause x row cells per d or g block: unpacked, a 2 MB float64 temporary
+H_BLOCK_CELLS = 8 * SCORE_BLOCK_CELLS  # h and h_counts blocks stay packed: 256 KB of unsat bytes
+H_BLOCK_MIN_ROWS = 1024  # 128-byte gathered planes; 488-row blocks made h 1.5x slower at m=4260
+H_CHUNK = 255  # clauses per uint8 sum in h, so no row's sum can overflow
+
+
+def _block_rows(cells: int, m: int, least: int = 8) -> int:
+    """Rows per scoring block of about ``cells`` clause x row cells and at least ``least``
+    rows: a multiple of 8, so every block but the last packs into whole bytes."""
+    return max(least, cells // max(m, 1) // 8 * 8)
 
 
 class ClauseArrays:
-    """Literal planes for scoring many assignments at once.
+    """Literal planes for scoring many assignments at once, eight rows per byte.
 
     ``bits`` arguments are (s, n) arrays of 0/1, and any other entry raises
-    ValueError; all outputs are per-row. A block of rows becomes ``2n``
-    planes: plane ``v`` is true where variable ``v`` (0-based) is 0, plane
+    ValueError; all outputs are per-row. A block of rows is packed along the
+    rows, bit ``r % 8`` of byte ``r // 8`` holding row ``r``, into ``2n``
+    planes: plane ``v`` is set where variable ``v`` (0-based) is 0, plane
     ``n + v`` where it is 1. ``_lits[j, i] = var + n*negated`` is the plane
     on which literal slot ``j`` of clause ``i`` fails, so a clause is
     unsatisfied on the AND of its gathered planes; a clause shorter than
     ``width`` repeats its first literal in the spare slots. ``h`` and
-    ``h_counts`` score blocks of about H_BLOCK_CELLS clause x row cells, ``d``
-    and ``g`` blocks of about SCORE_BLOCK_CELLS, one ``unsat_matrix`` call
-    each, so their peaks do not grow with the number of rows.
+    ``h_counts`` score packed blocks of about H_BLOCK_CELLS clause x row
+    cells and at least H_BLOCK_MIN_ROWS rows; ``d`` and ``g`` unpack blocks
+    of about SCORE_BLOCK_CELLS. Every block is a multiple of 8 rows and one
+    ``unsat_matrix`` call, and one block is alive at a time, so peaks do not
+    grow with the number of rows: tracemalloc reads 1.6 MB for ``h``, 1.5 MB
+    for ``h_counts`` and 2.4 MB for ``d`` and ``g`` at n=100, m=426, s=20,000.
     """
 
     def __init__(self, f: CnfFormula):
@@ -369,72 +382,102 @@ class ClauseArrays:
         return flags
 
     def unsat_matrix(self, bits: np.ndarray) -> np.ndarray:
-        """(s, m) boolean matrix: clause i unsatisfied by row r."""
-        bits = self._checked(bits)
-        s = len(bits)
+        """(m, ceil(s/8)) uint8: bit r % 8 of byte r // 8 in row i is set when clause i is
+        unsatisfied by row r (little bit order, as ``np.unpackbits(..., bitorder="little")``
+        reads it); the pad bits past row s - 1 are 0."""
+        flags = np.ascontiguousarray(self._checked(bits)).view(np.uint8)
+        s, n = flags.shape
         if s == 0:
-            return np.zeros((0, self.m), dtype=np.bool_)
-        planes = np.empty((2 * self.n, s), dtype=np.bool_)
-        planes[self.n:] = bits.T
-        np.logical_not(planes[self.n:], out=planes[:self.n])
-        # one s-byte void item per plane, so each gathered plane is a single copy
-        items = planes.view(np.dtype((np.void, s))).reshape(-1)
-        unsat = items[self._lits[0]].view(np.bool_).reshape(self.m, s)
+            return np.zeros((self.m, 0), dtype=np.uint8)
+        if s % 8:
+            flags = np.concatenate([flags, np.zeros((-s % 8, n), dtype=np.uint8)])
+        # words of whole rows: shifting row 8b + k by k and ORing the 8 rows leaves, in each
+        # byte lane, the packed byte of its column
+        lane = math.gcd(n, 8)
+        words = flags.view(f"<u{lane}").reshape(len(flags) // 8, 8, n // lane)
+        packed = words[:, 0].copy()
+        for k in range(1, 8):
+            packed |= words[:, k] << k
+        size = len(packed)
+        planes = np.empty((2 * n, size), dtype=np.uint8)
+        planes[n:] = packed.view(np.uint8).T
+        np.invert(planes[n:], out=planes[:n])
+        planes[:n, -1] &= 0xFF >> (-s % 8)  # keep the pad bits 0
+        # one size-byte void item per plane, so each gathered plane is a single copy
+        items = planes.view(np.dtype((np.void, size))).reshape(-1)
+        unsat = items[self._lits[0]].view(np.uint8).reshape(self.m, size)
         for lits in self._lits[1:]:
-            unsat &= items[lits].view(np.bool_).reshape(self.m, s)
-        return unsat.T
+            unsat &= items[lits].view(np.uint8).reshape(self.m, size)
+        return unsat
 
-    def _blocks(self, bits: np.ndarray, cells: int, group: int = 1):
-        """(start, (m, rows) uint8 unsat block) over blocks of about ``cells`` cells, cut at
-        whole groups of rows where one fits. Callers drop each block before the next."""
-        bits = self._checked(bits)
-        rows = max(1, cells // max(self.m, 1))
-        rows = rows // group * group or rows
-        for start in range(0, len(bits), rows):
-            yield start, self.unsat_matrix(bits[start:start + rows]).T.view(np.uint8)
+    def _blocks(self, bits: np.ndarray, cells: int, least: int = 8):
+        """(start, stop, packed unsat block of rows start..stop - 1) over blocks of
+        ``_block_rows(cells, m, least)`` rows. Callers drop each block before the next."""
+        flags = self._checked(bits)
+        rows = _block_rows(cells, self.m, least)
+        for start in range(0, len(flags), rows):
+            block = flags[start:start + rows]
+            yield start, start + len(block), self.unsat_matrix(block)
 
-    def _per_row(self, bits: np.ndarray, cells: int, reduce, dtype) -> np.ndarray:
-        out = np.empty(len(bits), dtype)
-        for start, u in self._blocks(bits, cells):
-            out[start:start + u.shape[1]] = reduce(u)
+    def _h_into(self, u: np.ndarray, out: np.ndarray) -> None:
+        """Each row's count of unsatisfied clauses in the packed block ``u``, written to ``out``:
+        chunks of H_CHUNK clauses unpacked and summed in uint8, then widened."""
+        out[...] = 0
+        for c in range(0, self.m, H_CHUNK):  # no name holds a chunk while the next is unpacked
+            out += np.add.reduce(
+                np.unpackbits(u[c:c + H_CHUNK], axis=1, count=len(out), bitorder="little"),
+                0, np.uint8)
+
+    def h(self, bits: np.ndarray) -> np.ndarray:
+        """Per-row count of unsatisfied clauses."""
+        out = np.empty(len(bits), np.int64)
+        for start, stop, u in self._blocks(bits, H_BLOCK_CELLS, H_BLOCK_MIN_ROWS):
+            self._h_into(u, out[start:stop])
             del u  # else it stays alive while the next block is built
         return out
 
-    def h(self, bits: np.ndarray) -> np.ndarray:
-        """Per-row count of unsatisfied clauses, summed in the narrowest type holding m."""
-        count = np.min_scalar_type(self.m)
-        return self._per_row(bits, H_BLOCK_CELLS, lambda u: np.add.reduce(u, 0, count), np.int64)
-
     def h_counts(self, bits: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row h, and the (rows // s, m) unsat count of each clause over each group of s
-        consecutive rows, from one pass over the h blocks reduced in the narrowest types
-        holding m and s. Blocks hold whole groups where one fits; a larger group spans
-        blocks and sums its part of each, so the peak does not grow with s."""
+        """Per-row h, in the narrowest type holding m, and the (rows // s, m) unsat count of
+        each clause over each group of s consecutive rows, in the narrowest type holding s,
+        from one pass over the h blocks. A group may span blocks, and its edges may cut a
+        byte; each block adds its part of every group it holds, so the peak does not grow
+        with s."""
         if s < 1 or len(bits) % s:
             raise ValueError(f"{len(bits)} rows do not split into groups of {s}")
         h = np.empty(len(bits), np.min_scalar_type(self.m))
         counts = np.zeros((len(bits) // s, self.m), np.min_scalar_type(s))
-        for start, u in self._blocks(bits, H_BLOCK_CELLS, s):
-            stop = start + u.shape[1]
-            np.add.reduce(u, 0, h.dtype, out=h[start:stop])
-            if start % s == 0 and stop % s == 0:  # whole groups
-                counts[start // s:stop // s] = np.add.reduce(
-                    u.reshape(self.m, -1, s), 2, counts.dtype).T
-            else:  # part of a group larger than a block, or of two
-                for g in range(start // s, (stop - 1) // s + 1):
-                    lo, hi = max(g * s, start) - start, min(g * s + s, stop) - start
-                    counts[g] += np.add.reduce(u[:, lo:hi], 1, counts.dtype)
+        for start, stop, u in self._blocks(bits, H_BLOCK_CELLS, H_BLOCK_MIN_ROWS):
+            self._h_into(u, h[start:stop])
+            first = start // s
+            edges = np.maximum(np.arange(first * s, stop, s) - start, 0)  # each part's first row
+            at = edges // 8
+            # whole bytes from each part's first byte on, then the bits of a cut byte below
+            # its edge move to the part before; the unsigned sums may wrap, which is exact
+            # because each result is a count of at most s
+            part = np.add.reduceat(np.bitwise_count(u), at, axis=1, dtype=counts.dtype)
+            part[:, np.flatnonzero(at[1:] == at[:-1])] = 0  # reduceat's empty range gives a byte
+            cut = np.bitwise_count(u[:, at] & ((1 << edges % 8) - 1).astype(np.uint8))
+            part -= cut
+            part[:, :-1] += cut[:, 1:]
+            counts[first:first + len(edges)] += part.T
             del u
         return h, counts
+
+    def _weighted(self, bits: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        out = np.empty(len(bits), np.float64)
+        for start, stop, u in self._blocks(bits, SCORE_BLOCK_CELLS):
+            out[start:stop] = weights @ np.unpackbits(
+                u, axis=1, count=stop - start, bitorder="little")
+            del u
+        return out
 
     def d(self, bits: np.ndarray) -> np.ndarray:
         """Per-row divergence, the sum of i**2 over the unsatisfied clauses i, in float64:
         every partial sum is an integer of at most d_max(m) < 2**53, so it is exact."""
-        return self._per_row(bits, SCORE_BLOCK_CELLS, lambda u: self._weights @ u, np.float64)
+        return self._weighted(bits, self._weights)
 
     def g(self, bits: np.ndarray) -> np.ndarray:
         """Per-row cost zeta*h + d in float64, exact up to MAX_EXACT_CLAUSES: every term and
         partial sum of ``(zeta + i**2) . unsat`` is an integer of at most 2**53. Only
         ``shaping.cost_histogram`` uses it; the GA scores ``h_counts`` and ``d`` instead."""
-        weights = _cost_base(self.m) + self._weights
-        return self._per_row(bits, SCORE_BLOCK_CELLS, lambda u: weights @ u, np.float64)
+        return self._weighted(bits, _cost_base(self.m) + self._weights)

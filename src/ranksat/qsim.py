@@ -135,13 +135,25 @@ def p_one_rows(n: int, betas: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     """(P, n) per-qubit probabilities of measuring 1 at P angle rows.
 
     ``betas`` and ``gammas`` are (P, depth) arrays, row i holding one angle
-    vector's layers. See the module notes for the rotations.
+    vector's layers. See the module notes for the rotations. Raises ValueError
+    naming the first layer and qubit whose theta = gamma*2**j is not finite:
+    2.0**j overflows from j = 1024, so every gamma (0 too, as 0*inf is NaN)
+    fails beyond 1024 qubits, and a larger |gamma| fails sooner.
     """
     if n < 1:
         raise ValueError(f"qubit count must be >= 1, got {n}")
     if betas.shape != gammas.shape:
         raise ValueError(f"betas {betas.shape} and gammas {gammas.shape} differ in shape")
-    phase = np.exp(-1j * (gammas[:, :, None] * 2.0 ** np.arange(n)))  # cos - i*sin of theta
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = gammas[:, :, None] * 2.0 ** np.arange(n)
+    bad = ~np.isfinite(theta).all(axis=0)
+    if bad.any():
+        k, j = np.argwhere(bad)[0]
+        raise ValueError(
+            f"gamma*2**j of layer {k} is not finite from qubit {j} on: "
+            f"float64 cannot hold the phases of {n} qubits"
+        )
+    phase = np.exp(-1j * theta)  # cos - i*sin of theta
     mixer = np.exp(2j * betas)[:, :, None]  # cos + i*sin of 2*beta
     x, y, z = np.ones((len(betas), n)), np.zeros((len(betas), n)), np.zeros((len(betas), n))
     for k in range(betas.shape[1]):
@@ -176,11 +188,14 @@ def fill_shots(out: np.ndarray, p1: np.ndarray, rng: np.random.Generator) -> Non
     ``rng.random(k) < 65536*p1[j] - t_j`` draw, so P(1) is ceil(p*2**69)/2**69: exactly p for
     p >= 2**-16, and 1 for p >= 1. Blocks of about SAMPLE_BLOCK_CELLS hold a multiple of 4 rows
     (whole uint64 words), so the bits and the stream equal those of one (s, n) draw. ``p1``
-    must be >= 0; ``prepare_state`` and ``p_one_rows`` clip to [0, 1] so that it is.
+    must be >= 0, and a NaN or negative entry raises ValueError; ``prepare_state`` and
+    ``p_one_rows`` clip to [0, 1] so that it is.
     """
     if not out.flags.c_contiguous:
         raise ValueError("shot output must be a C-contiguous (s, n) array")
     scaled = 65536.0 * np.atleast_2d(np.asarray(p1, dtype=np.float64))
+    if not (scaled >= 0).all():  # a NaN or negative bias would cast to an arbitrary threshold
+        raise ValueError("shot probabilities must be non-negative numbers, got NaN or < 0")
     t = np.minimum(scaled, 65535.0).astype(np.uint16)  # p1 >= 0, so the cast floors
     groups, n = t.shape
     s = len(out) // groups

@@ -1,3 +1,4 @@
+import itertools
 import json
 import tracemalloc
 
@@ -9,9 +10,11 @@ from ranksat import oracle
 from ranksat.cli import main
 from ranksat.cnf import (
     H_BLOCK_CELLS,
+    H_BLOCK_MIN_ROWS,
     MAX_EXACT_CLAUSES,
     SCORE_BLOCK_CELLS,
     ClauseArrays,
+    _block_rows,
     d_max,
     load_instance_file,
 )
@@ -289,9 +292,15 @@ def test_batch_matches_scalar():
     for _ in range(10):
         f = random_formula(rng)
         cases.append((f, rng.integers(0, 2, size=(16, f.n)).astype(np.uint8)))
+    # packed edge cases: rows short of a byte, one bit past it; rows of 1 and of 9 bytes
+    for n, rows in itertools.product((1, 9), (1, 7, 9)):
+        f = random_formula(rng, n=n, m=3 * n + 2)
+        cases.append((f, rng.integers(0, 2, size=(rows, n)).astype(np.uint8)))
     # at the ga-n200 size, rows spanning two full blocks and a remainder of each block size
     f = random_formula(rng, n=200, m=852)
-    blocks = [cells // f.m for cells in (SCORE_BLOCK_CELLS, H_BLOCK_CELLS)]
+    blocks = [
+        _block_rows(SCORE_BLOCK_CELLS, f.m), _block_rows(H_BLOCK_CELLS, f.m, H_BLOCK_MIN_ROWS)
+    ]
     rows = 2 * max(blocks) + 5
     assert all(rows // block >= 2 and rows % block for block in blocks)
     cases.append((f, rng.integers(0, 2, size=(rows, f.n)).astype(np.uint8)))
@@ -304,14 +313,20 @@ def test_batch_matches_scalar():
         assert arrays.g(bits).tolist() == [zeta * k + dk for k, dk in zip(h, d)]
 
 
-@pytest.mark.parametrize("s,groups", [(250, 7), (1500, 2)])
+@pytest.mark.parametrize("s,groups", [(250, 7), (250, 12), (1500, 2), (1, 13), (7, 401)])
 def test_h_counts_is_one_pass_of_unsat_matrix(s, groups):
-    # at m=852 an h block holds 4 whole groups of 250 rows; a group of 1500 spans two blocks
+    # at m=852 an h block holds 2456 rows: 7 groups of 250 fit in one, and a block edge cuts a
+    # group of 250 (of 12), 1500 or 7 rows; groups of 250 and 7 rows also end inside bytes,
+    # several groups of 7 or 1 share a byte, and 13 rows leave pad bits
     rng = np.random.default_rng(10)
     f = random_formula(rng, n=200, m=852)
     bits = rng.integers(0, 2, size=(groups * s, f.n)).astype(np.uint8)
     h, counts = f.arrays.h_counts(bits, s)
-    unsat = f.arrays.unsat_matrix(bits)
+    packed = f.arrays.unsat_matrix(bits)
+    assert packed.shape == (f.m, -(-len(bits) // 8)) and packed.dtype == np.uint8
+    assert _block_rows(H_BLOCK_CELLS, f.m, H_BLOCK_MIN_ROWS) == 2456
+    assert not np.unpackbits(packed, axis=1, bitorder="little")[:, len(bits):].any()  # pad bits
+    unsat = np.unpackbits(packed, axis=1, count=len(bits), bitorder="little").T
     assert h.dtype == np.uint16 and counts.dtype == np.min_scalar_type(s)
     assert h.tolist() == unsat.sum(axis=1).tolist()
     assert counts.tolist() == unsat.reshape(groups, s, f.m).sum(axis=1).tolist()
@@ -353,15 +368,16 @@ def test_scorers_refuse_non_binary_bits(bits):
 def test_scorers_accept_any_binary_dtype():
     f = rs.CnfFormula.from_signed(2, [[1, 2], [-1, -2]])
     rows = [[0, 0], [1, 0], [1, 1]]
-    for dtype in (np.uint8, np.int64, np.float64, np.bool_):
-        bits = np.array(rows, dtype=dtype)
+    for dtype, order in itertools.product((np.uint8, np.int64, np.float64, np.bool_), "CF"):
+        bits = np.array(rows, dtype=dtype, order=order)  # packing views rows as whole words
         assert f.arrays.h(bits).tolist() == [1, 0, 1]
         assert f.arrays.h(bits).tolist() == [rs.h_count(f, row) for row in bits.tolist()]
 
 
 @pytest.mark.parametrize("method", ["unsat_matrix", "h", "g"])
 def test_scoring_memory_bound(method):
-    # scoring keeps a few (s, m) bool matrices alive, never an (s, m, width) gather
+    # scoring never holds an (s, m, width) gather; unsat_matrix packs 8 rows per byte, so even
+    # one whole (s, m) bool matrix exceeds its bound
     s, rng = 2000, np.random.default_rng(4)
     f = random_formula(rng, n=100, m=426)
     arrays = ClauseArrays(f)
@@ -374,7 +390,7 @@ def test_scoring_memory_bound(method):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * s * f.m
+    assert peak < (1 if method == "unsat_matrix" else 4) * s * f.m
 
 
 @pytest.mark.parametrize("method", ["h", "d", "g", "h_counts"])

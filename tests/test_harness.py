@@ -493,6 +493,25 @@ def test_cli_sample_malformed_angles(widget_path, tmp_path, doc, message, capsys
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["sample", "optimize"])
+def test_cli_refuses_phases_past_float64(tmp_path, verb, capsys):
+    # 2.0**1024 overflows, so past 1024 qubits no gamma has finite phases; such qubits once
+    # sampled as all zeros with only a RuntimeWarning
+    instance = tmp_path / "wide.cnf"
+    instance.write_text("p cnf 1100 1\n1 -1100 0\n")
+    angles = tmp_path / "a.json"
+    angles.write_text(json.dumps([{"beta": 0.3, "gamma": 1.1}]))
+    out = tmp_path / "x.json"
+    argv = {
+        "sample": ["sample", str(instance), "--angles", str(angles), "--out", str(out)],
+        "optimize": ["optimize", str(instance), "--generations", "1", "--population", "4",
+                     "--elites", "1", "--shots", "8", "--out", str(out)],
+    }[verb]
+    assert main(argv) == 2
+    assert "is not finite from qubit" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_report_g_level_relative_instance(widget_path, tmp_path, monkeypatch, capsys):
     run_dir = tmp_path / "a"
     run_dir.mkdir()

@@ -262,6 +262,22 @@ def test_p_one_rows_validates():
         p_one_rows(3, np.zeros((2, 1)), np.zeros((2, 2)))
 
 
+def test_phase_overflow_is_refused():
+    # 1.1*2**j overflows from qubit 1024 and 0*2**1024 is NaN; both once left p1 NaN, and every
+    # such qubit silently read 0
+    for gamma, n in ((1.1, 1100), (0.0, 1025)):
+        with pytest.raises(ValueError, match="layer 0 is not finite from qubit 1024"):
+            prepare_state(n, AngleVector((0.3,), (gamma,)))
+    with pytest.raises(ValueError, match="layer 1 is not finite from qubit 1022"):
+        p_one_rows(1023, np.full((2, 2), 0.3), np.array([[1.0, 4.0], [1.0, 1.0]]))
+    # below 2*pi, the phases of 1000 qubits still fit float64
+    p1 = prepare_state(1000, AngleVector((0.3,), (2 * math.pi - 1e-9,))).p1
+    assert np.isfinite(p1).all() and p1.min() >= 0.0 and p1.max() <= 1.0
+    for bad in (np.nan, -1e-3):
+        with pytest.raises(ValueError, match="NaN or < 0"):
+            fill_shots(np.empty((4, 2), dtype=np.uint8), [0.5, bad], np.random.default_rng(0))
+
+
 def test_sample_blocks_draw_like_one_draw():
     angles = AngleVector(betas=(0.4, 1.1), gammas=(0.7, 2.3))
     for n in (1000, 999, 7):

@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 import ranksat as rs
-from ranksat.cnf import H_BLOCK_CELLS, SCORE_BLOCK_CELLS, ClauseArrays, CnfFormula
+from ranksat.cnf import (
+    H_BLOCK_CELLS,
+    H_BLOCK_MIN_ROWS,
+    SCORE_BLOCK_CELLS,
+    ClauseArrays,
+    CnfFormula,
+    _block_rows,
+)
 from ranksat.evolve import GaConfig
 
 MODULES = ("cnf", "qsim", "shaping", "evolve", "oracle", "harness")
@@ -62,9 +69,10 @@ def test_perfbench_call_shapes(widget, monkeypatch):
     assert rs.oracle.enumerate_h(widget).count_at(0) == 4
 
 
-@pytest.mark.parametrize("method", ["h", "d", "g"])
+@pytest.mark.parametrize("method", ["h", "h_counts", "d", "g"])
 def test_scorers_reach_unsat_matrix(method, monkeypatch):
-    # the cnf.score metrics count unsat_matrix calls: one per block, also through h, d and g
+    # the cnf.score metrics count unsat_matrix calls: one per block, also through h, h_counts
+    # (the GA's fitness path), d and g
     calls = []
     inner = ClauseArrays.unsat_matrix
 
@@ -73,9 +81,13 @@ def test_scorers_reach_unsat_matrix(method, monkeypatch):
         return inner(self, bits)
 
     monkeypatch.setattr(ClauseArrays, "unsat_matrix", counted)
-    f = CnfFormula.from_signed(3, [[1, -2], [3]] * 2048)
-    block = {"h": H_BLOCK_CELLS, "d": SCORE_BLOCK_CELLS, "g": SCORE_BLOCK_CELLS}[method] // f.m
-    getattr(f.arrays, method)(np.zeros((2 * block + 1, 3), dtype=np.uint8))
+    f = CnfFormula.from_signed(3, [[1, -2], [3]] * 2100)
+    if method in ("d", "g"):
+        block = _block_rows(SCORE_BLOCK_CELLS, f.m)
+    else:
+        block = _block_rows(H_BLOCK_CELLS, f.m, H_BLOCK_MIN_ROWS)
+    args = (1,) if method == "h_counts" else ()
+    getattr(f.arrays, method)(np.zeros((2 * block + 1, 3), dtype=np.uint8), *args)
     assert calls == [block, block, 1]
 
 
