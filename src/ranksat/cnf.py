@@ -479,5 +479,6 @@ class ClauseArrays:
     def g(self, bits: np.ndarray) -> np.ndarray:
         """Per-row cost zeta*h + d in float64, exact up to MAX_EXACT_CLAUSES: every term and
         partial sum of ``(zeta + i**2) . unsat`` is an integer of at most 2**53. Only
-        ``shaping.cost_histogram`` uses it; the GA scores ``h_counts`` and ``d`` instead."""
+        ``shaping.cost_histogram`` and the ``report --g-level`` sample of
+        ``harness.regenerate_g_histogram`` use it; the GA scores ``h_counts`` and ``d``."""
         return self._weighted(bits, _cost_base(self.m) + self._weights)

@@ -5,6 +5,10 @@ is a pure function of the instance and the config lives under the "run" key
 and is covered by a reproducibility hash; timestamps and tool metadata live
 under "meta", outside the hash, so two runs with the same seed produce
 byte-identical hashed sections.
+
+The report samples (``run_sample``, the final sample of ``run_optimize`` and
+``regenerate_g_histogram``) score their shots block by block as they are
+drawn, so they never hold an (s, n) matrix of bits.
 """
 from __future__ import annotations
 
@@ -17,12 +21,16 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from . import __version__
-from .cnf import default_params, load_instance_file
+from .cnf import (
+    H_BLOCK_CELLS, H_BLOCK_MIN_ROWS, CnfFormula, _block_rows, default_params, load_instance_file,
+)
 from .evolve import GaConfig, final_sample_stream, optimize
 from .oracle import GUARD_MAX_N, enumerate_h, exact_h_distribution
-from .qsim import AngleVector, prepare_state, sample
-from .shaping import CostHistogram, cost_histogram, h_histogram, nearest_rank_quantile
+from .qsim import AngleVector, QuantumState, prepare_state, shot_blocks
+from .shaping import CostHistogram, nearest_rank_quantile
 
 __all__ = [
     "RUN_SCHEMA",
@@ -110,6 +118,25 @@ def improvement_factor(final_p0: float, initial: CostHistogram) -> float | None:
     return final_p0 / baseline
 
 
+def _sampled_scores(
+    f: CnfFormula, state: QuantumState, shots: int, rng: np.random.Generator, cost: str = "h",
+) -> np.ndarray:
+    """``f.arrays.h`` (``cost`` "h") or ``f.arrays.g`` ("g") of ``sample(state, shots,
+    rng).bits``, without the (shots, n) matrix of bits: h in the narrowest type holding m,
+    g in float64.
+
+    ``shot_blocks`` draws the shots one h block at a time and each block is scored as it
+    comes, so only the per-shot values outlive a block; the rows that held a tie are scored
+    once more when the ties are settled.
+    """
+    score = getattr(f.arrays, cost)
+    values = np.empty(shots, np.min_scalar_type(f.m) if cost == "h" else np.float64)
+    rows = _block_rows(H_BLOCK_CELLS, f.m, H_BLOCK_MIN_ROWS)
+    for index, bits in shot_blocks(state.p1, shots, rng, rows):
+        values[index] = score(bits)
+    return values
+
+
 def run_optimize(
     instance_path: str,
     cfg: GaConfig,
@@ -124,8 +151,8 @@ def run_optimize(
     best_angles, history = optimize(f, cfg)
 
     state = prepare_state(f.n, best_angles)
-    shots = sample(state, final_shots, final_sample_stream(cfg.seed))
-    final_hist = h_histogram(f, shots)
+    final_hist = CostHistogram.from_samples(
+        _sampled_scores(f, state, final_shots, final_sample_stream(cfg.seed)))
     final_section = _sample_section(final_hist, final_shots)
 
     oracle_section = None
@@ -169,12 +196,13 @@ def run_sample(
     seed: int,
 ) -> dict:
     """Sample a fixed-angle state and wrap the histogram in an artifact."""
+    if shots < 1:
+        raise ValueError(f"shot count must be >= 1, got {shots}")
     f = load_instance_file(instance_path)
     if angles is None:
         raise ValueError("angles required")
-    state = prepare_state(f.n, angles)
-    drawn = sample(state, shots, final_sample_stream(seed))
-    hist = h_histogram(f, drawn)
+    hist = CostHistogram.from_samples(_sampled_scores(
+        f, prepare_state(f.n, angles), shots, final_sample_stream(seed)))
     run = {
         "instance": {**instance_fingerprint(instance_path), "n": f.n, "m": f.m},
         "angles": angles.to_json_obj(),
@@ -221,8 +249,12 @@ def artifact_angles(artifact: dict) -> AngleVector:
 
 
 def artifact_histogram(artifact: dict) -> CostHistogram:
-    """The stored final-sample h histogram; its counts must sum to the stored shots."""
+    """The stored final-sample h histogram; the stored shots must be a JSON integer >= 1,
+    and the counts must sum to it."""
     section = artifact["run"]["final_sample"]
+    if type(section["shots"]) is not int or section["shots"] < 1:
+        raise ValueError(f"final_sample.shots must be an integer >= 1, "
+                         f"got {section['shots']!r}")
     hist = CostHistogram.from_json_obj(section["h_histogram"])
     if hist.total != section["shots"]:
         raise ValueError(f"final_sample.h_histogram counts {hist.total} shots, "
@@ -252,16 +284,16 @@ def regenerate_g_histogram(artifact: dict) -> CostHistogram:
     f = load_instance_file(path)
     params = default_params(f)
     angles = artifact_angles(artifact)
-    shots_n = run["final_sample"]["shots"]
+    stored = artifact_histogram(artifact)
     if artifact["schema"] == RUN_SCHEMA:
         rng = final_sample_stream(run["config"]["seed"])
         if run["cost_params"] != asdict(params):
             raise ValueError(f"recorded cost_params differ from the fixed weights {params}")
     else:
         rng = final_sample_stream(run["seed"])
-    hist = cost_histogram(f, sample(prepare_state(f.n, angles), shots_n, rng), params)
+    hist = CostHistogram.from_samples(
+        _sampled_scores(f, prepare_state(f.n, angles), stored.total, rng, "g"))
     regenerated = CostHistogram.from_samples((hist.values // params.zeta).repeat(hist.counts))
-    stored = artifact_histogram(artifact)
     for h in sorted({*regenerated.values.tolist(), *stored.values.tolist()}):
         if regenerated.count_at(h) != stored.count_at(h):
             raise ValueError(f"regenerated shots do not match the stored h histogram: h={h:g} "

@@ -17,6 +17,10 @@ and is clipped to [0, 1], which rounding would otherwise leave by about
 1e-16. Every operation is elementwise, so a batch row equals its one-row
 preparation bit for bit.
 
+Sampling: ``shot_blocks`` is the one draw of shots. ``sample`` and
+``fill_shots`` collect its blocks into an (s, n) matrix; the report samples
+of ``ranksat.harness`` score each block as it comes and hold no matrix.
+
 Bit order: qubit j carries rank weight 2**j and DIMACS variable j+1, so a
 measured bitstring is simultaneously a rank's binary expansion and a truth
 assignment.
@@ -29,6 +33,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .cnf import _block_rows
+
 __all__ = [
     "AngleVector",
     "QuantumState",
@@ -38,9 +44,10 @@ __all__ = [
     "p_one_rows",
     "sample",
     "fill_shots",
+    "shot_blocks",
 ]
 
-SAMPLE_BLOCK_CELLS = 2**18  # shot-bits per sampling block: a 512 KB temporary of 16-bit words
+SAMPLE_BLOCK_CELLS = 2**18  # shot-bits per random_raw draw: a 512 KB temporary of 16-bit words
 
 BETA_PERIOD = math.pi       # beta is periodic modulo pi up to measurement stats
 GAMMA_PERIOD = 2 * math.pi
@@ -179,37 +186,79 @@ def sample(state: QuantumState, s: int, rng: np.random.Generator) -> ShotSet:
 
 
 def fill_shots(out: np.ndarray, p1: np.ndarray, rng: np.random.Generator) -> None:
-    """Fill the C-contiguous (s, n) uint8 ``out`` with shots that read 1 in column j w.p. p1[j].
+    """Fill the C-contiguous (s, n) uint8 ``out`` with the shots of ``shot_blocks(p1, s, rng)``.
 
-    ``p1`` is one (n,) bias row, or a (groups, n) array whose row k biases the consecutive shot
-    rows k*s/groups to (k+1)*s/groups - 1. Cell c (row-major) reads 1 when the little-endian
-    16-bit word c of ``random_raw`` is below t_j = min(floor(65536*p1[j]), 65535) of its group.
-    Cells whose word equals t_j are settled after the last block, in flat order, by one
-    ``rng.random(k) < 65536*p1[j] - t_j`` draw, so P(1) is ceil(p*2**69)/2**69: exactly p for
-    p >= 2**-16, and 1 for p >= 1. Blocks of about SAMPLE_BLOCK_CELLS hold a multiple of 4 rows
-    (whole uint64 words), so the bits and the stream equal those of one (s, n) draw. ``p1``
-    must be >= 0, and a NaN or negative entry raises ValueError; ``prepare_state`` and
-    ``p_one_rows`` clip to [0, 1] so that it is.
+    ``out`` is the generator's one block, so only the settled tie rows are copied into it.
+    ``sample`` and the GA's fitness pass draw through here.
     """
     if not out.flags.c_contiguous:
         raise ValueError("shot output must be a C-contiguous (s, n) array")
+    for index, bits in shot_blocks(p1, len(out), rng, len(out) + -len(out) % 8, out):
+        out[index] = bits  # a no-op for the block, which is out itself
+
+
+def shot_blocks(
+    p1: np.ndarray, count: int, rng: np.random.Generator, rows: int,
+    buffer: np.ndarray | None = None,
+):
+    """Draw ``count`` shots in blocks of ``rows`` rows, a multiple of 8; yield (index, bits).
+
+    ``p1`` is one (n,) bias row, or a (groups, n) array whose row k biases the consecutive
+    shots k*count/groups to (k+1)*count/groups - 1. Cell c (row-major) reads 1 when the
+    little-endian 16-bit word c of ``random_raw`` is below t_j = min(floor(65536*p1[j]),
+    65535) of its group; a cell whose word equals t_j (about 1 in 65,536) is a tie. After the
+    last block all ties are settled in flat order by one ``rng.random(k) < 65536*p1[j] - t_j``
+    draw, so P(1) is ceil(p*2**69)/2**69: exactly p for p >= 2**-16, and 1 for p >= 1. Every
+    block but the last takes whole uint64 words, so the bits and the stream equal those of
+    one (count, n) draw whatever ``rows`` is.
+
+    Each block comes as (slice of its rows, (rows, n) uint8 bits), its ties reading 0, in
+    ``buffer`` (a new (min(rows, count), n) uint8 array if None), which the next block
+    overwrites; its words are drawn about SAMPLE_BLOCK_CELLS at a time. The rows holding a
+    tie are kept aside, packed eight cells per byte; once settled they come again, at most
+    ``rows`` at a time, as (sorted row indices, bits) that replace those rows. ``p1`` must
+    be >= 0, and a NaN or negative entry raises ValueError; ``prepare_state`` and
+    ``p_one_rows`` clip to [0, 1] so that it is.
+    """
     scaled = 65536.0 * np.atleast_2d(np.asarray(p1, dtype=np.float64))
     if not (scaled >= 0).all():  # a NaN or negative bias would cast to an arbitrary threshold
         raise ValueError("shot probabilities must be non-negative numbers, got NaN or < 0")
     t = np.minimum(scaled, 65535.0).astype(np.uint16)  # p1 >= 0, so the cast floors
     groups, n = t.shape
-    s = len(out) // groups
-    if out.shape != (groups * s, n):
-        raise ValueError(f"shot output {out.shape} does not split into {groups} groups of n={n}")
-    rows, ties = max(4, SAMPLE_BLOCK_CELLS // n // 4 * 4), []
-    for start in range(0, len(out), rows):
-        block = out[start:start + rows]
-        raw = rng.bit_generator.random_raw(-(-block.size // 4)).astype("<u8", copy=False)
-        words = raw.view("<u2")[:block.size].reshape(block.shape)
-        limits = t[0] if groups == 1 else t[np.arange(start, start + len(block)) // s]
-        np.less(words, limits, out=block)
-        ties.append(np.flatnonzero(words == limits) + start * n)
-    tie = np.concatenate(ties)
-    if tie.size:
-        cell = (tie // n // s, tie % n)
-        out.reshape(-1)[tie] = rng.random(tie.size) < scaled[cell] - t[cell]
+    if count < 1:
+        raise ValueError(f"shot count must be >= 1, got {count}")
+    s = count // groups
+    if count != groups * s:
+        raise ValueError(f"{count} shots do not split into {groups} groups")
+    if rows < 8 or rows % 8:
+        raise ValueError(f"shot blocks must be a positive multiple of 8 rows, got {rows}")
+    step = min(rows, _block_rows(SAMPLE_BLOCK_CELLS, n))  # rows per random_raw draw
+    if buffer is None:
+        buffer = np.empty((min(rows, count), n), np.uint8)
+    cells, copies = [], []
+    for start in range(0, count, rows):
+        block, tied = buffer[:min(rows, count - start)], []
+        for lo in range(0, len(block), step):
+            part = block[lo:lo + step]
+            raw = rng.bit_generator.random_raw(-(-part.size // 4)).astype("<u8", copy=False)
+            words = raw.view("<u2")[:part.size].reshape(part.shape)
+            limits = t[0] if groups == 1 else t[np.arange(start + lo, start + lo + len(part)) // s]
+            np.less(words, limits, out=part)
+            tied.append(np.flatnonzero(words == limits) + (start + lo) * n)
+            del part, raw, words  # else they stay alive while the block is used
+        cells += tied
+        copies.append(np.packbits(
+            block[np.unique(np.concatenate(tied) // n) - start], axis=1, bitorder="little"))
+        yield slice(start, start + len(block)), block
+    del buffer, block  # the settled rows below take its place
+    cells = np.concatenate(cells)
+    if cells.size:
+        row, col = np.divmod(cells, n)
+        group, index, packed = row // s, np.unique(row), np.concatenate(copies)
+        del copies
+        one = rng.random(cells.size) < scaled[group, col] - t[group, col]
+        row, col = np.searchsorted(index, row[one]), col[one]
+        np.bitwise_or.at(packed, (row, col // 8), (1 << col % 8).astype(np.uint8))
+        for lo in range(0, len(index), rows):
+            yield index[lo:lo + rows], np.unpackbits(
+                packed[lo:lo + rows], axis=1, count=n, bitorder="little")

@@ -111,10 +111,11 @@ class CostHistogram:
 
     @classmethod
     def from_samples(cls, samples: np.ndarray) -> "CostHistogram":
-        samples = np.asarray(samples, dtype=np.float64)
+        samples = np.asarray(samples)
         if samples.size == 0:
             raise ValueError("cannot build a histogram from zero samples")
-        return cls._counted(*np.unique(samples, return_counts=True))
+        values, counts = np.unique(samples, return_counts=True)  # in the samples' own type
+        return cls._counted(values.astype(np.float64), counts)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, int]]) -> "CostHistogram":

@@ -2,16 +2,19 @@ import io
 import json
 import shutil
 import tarfile
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ranksat as rs
 from ranksat.cli import main
-from ranksat.cnf import ClauseArrays
+from ranksat.cnf import H_BLOCK_CELLS, H_BLOCK_MIN_ROWS, ClauseArrays, _block_rows
 from ranksat.evolve import GaConfig
 from ranksat.harness import (
     _download,
+    _sampled_scores,
     artifact_histogram,
     canonical_json,
     fetch_satlib,
@@ -23,7 +26,10 @@ from ranksat.harness import (
     run_sample,
     save_artifact,
 )
-from ranksat.qsim import AngleVector
+from ranksat.qsim import AngleVector, QuantumState, prepare_state, sample
+from ranksat.shaping import CostHistogram
+
+from conftest import random_formula
 
 TINY = dict(generations=3, population=6, elites=1, shots_per_eval=60, seed=17)
 
@@ -245,6 +251,48 @@ def test_run_sample_artifact_roundtrip(widget_path, tmp_path):
     assert hist.total == 2000
 
 
+@pytest.mark.parametrize("n, m", [(7, 21), (999, 2100), (1000, 4260)])
+def test_streamed_scores_equal_the_sample_matrix(n, m):
+    # even columns have p < 2**-16 (threshold 0), so each of their 1s is a settled tie; odd
+    # columns have thresholds at row 5's own words, so that row ties in every odd column
+    f = random_formula(np.random.default_rng(n), n=n, m=m)
+    rows = _block_rows(H_BLOCK_CELLS, m, H_BLOCK_MIN_ROWS)
+    s = 3 * rows + 17  # three whole h blocks and a remainder
+    raw = np.random.default_rng(8).bit_generator.random_raw(-(-s * n // 4))
+    words = raw.astype("<u8").view("<u2")[:s * n].reshape(s, n)
+    p1 = np.full(n, 0.9 * 2.0**-16)
+    p1[1::2] = (words[5, 1::2] + 0.5) / 65536
+    tied = words == np.minimum(65536 * p1, 65535).astype(np.uint16)
+    tie_rows = np.flatnonzero(tied.any(axis=1))
+    assert len(np.unique(tie_rows[tie_rows != 5] // rows)) >= 2
+    bits = sample(QuantumState(p1=p1), s, np.random.default_rng(8)).bits
+    assert bits[:, ::2].any() and not (bits[:, ::2] & ~tied[:, ::2]).any()
+    for cost in ("h", "g"):
+        streamed = _sampled_scores(f, QuantumState(p1=p1), s, np.random.default_rng(8), cost)
+        expected = getattr(f.arrays, cost)(bits)
+        np.testing.assert_array_equal(streamed, expected)
+        assert streamed.tobytes() == expected.astype(streamed.dtype).tobytes()
+
+
+def test_streamed_sample_memory_does_not_grow_with_shots():
+    # the run-sample path (sample, score, histogram) at n=1000, m=4260; the (s, n) bit matrix
+    # alone would take 1000 bytes per shot, 80 MB at 80k shots
+    f = random_formula(np.random.default_rng(1), n=1000, m=4260)
+    f.arrays
+    state = prepare_state(f.n, AngleVector((0.4,), (0.7,)))
+    CostHistogram.from_samples(_sampled_scores(f, state, 1000, np.random.default_rng(0)))
+    peaks = {}  # the call above keeps numpy's first-call allocations out of them
+    for s in (20_000, 80_000):
+        tracemalloc.start()
+        try:
+            CostHistogram.from_samples(_sampled_scores(f, state, s, np.random.default_rng(0)))
+            peaks[s] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[80_000] < 12 * 2**20
+    assert peaks[80_000] - peaks[20_000] < 16 * 60_000
+
+
 def test_cli_compare_self(widget_path, tmp_path, capsys):
     art = run_optimize(widget_path, _tiny_cfg(), final_shots=2000)
     a = tmp_path / "a.json"
@@ -284,6 +332,34 @@ def test_cli_refuses_bad_histogram_counts(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("shots, value", [(1000, 1000.0), (1, True), (1000, 0)],
+                         ids=["float", "bool", "zero"])
+@pytest.mark.parametrize("argv", [["report"], ["report", "--g-level"], ["compare"]],
+                         ids=["report", "g-level", "compare"])
+def test_cli_refuses_shots_that_are_not_a_positive_integer(
+    widget_path, tmp_path, argv, shots, value, capsys
+):
+    # 1000.0 == 1000 and True == 1, so only the JSON type tells these from a real count
+    good = run_sample(widget_path, AngleVector.zeros(2), shots=shots, seed=3)
+    bad = json.loads(json.dumps(good))
+    bad["run"]["final_sample"]["shots"] = value
+    bad["repro_hash"] = repro_hash(bad["run"])
+    save_artifact(good, str(tmp_path / "good.json"))
+    save_artifact(bad, str(tmp_path / "bad.json"))
+    paths = [str(tmp_path / "good.json"), str(tmp_path / "bad.json")]
+    if argv[0] == "compare":
+        assert main(["compare", paths[0], paths[0]]) == 0
+        capsys.readouterr()
+        assert main(["compare", *paths]) == main(["compare", *paths[::-1]]) == 2
+    else:
+        assert main([argv[0], paths[0], *argv[1:]]) == 0
+        capsys.readouterr()
+        assert main([argv[0], paths[1], *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"final_sample.shots must be an integer >= 1, got {value!r}" in captured.err
 
 
 def test_cli_report_initial_rederives_checked_rows(widget_path, tmp_path, capsys):

@@ -14,7 +14,9 @@ from ranksat.qsim import (
     p_one_rows,
     prepare_state,
     sample,
+    shot_blocks,
 )
+from ranksat.cnf import _block_rows
 
 from dense_reference import (
     dense_state,
@@ -282,18 +284,18 @@ def test_sample_blocks_draw_like_one_draw():
     angles = AngleVector(betas=(0.4, 1.1), gammas=(0.7, 2.3))
     for n in (1000, 999, 7):
         state = prepare_state(n, angles)
-        s = 3 * (SAMPLE_BLOCK_CELLS // n) + 17  # three full blocks and a remainder
+        s = 3 * (SAMPLE_BLOCK_CELLS // n) + 17  # three full draws and a remainder
         shots = sample(state, s, np.random.default_rng(5))
         one_draw = raw_word_shots(state.p1, s, np.random.default_rng(5))
         assert shots.bits.dtype == np.uint8
         np.testing.assert_array_equal(shots.bits, one_draw)
-    # grouped biases: n=999 gives blocks of 260 rows, so the first boundary falls inside
+    # grouped biases: n=999 gives draws of 256 rows, so the first boundary falls inside
     # group 2 of 100 rows. All groups share the threshold 30000, but a tie reads 0 in
     # group 0 (no fraction left) and almost surely 1 in the others (fraction 0.999).
     n, s = 999, 100
     p1 = np.full((5, n), 30000.999 / 65536)
     p1[0] = 30000 / 65536
-    assert (SAMPLE_BLOCK_CELLS // n // 4 * 4) % s
+    assert _block_rows(SAMPLE_BLOCK_CELLS, n) % s
     bits = np.empty((5 * s, n), dtype=np.uint8)
     fill_shots(bits, p1, np.random.default_rng(6))
     np.testing.assert_array_equal(bits, raw_word_shots(p1, s, np.random.default_rng(6)))
@@ -306,6 +308,29 @@ def test_sample_blocks_draw_like_one_draw():
     np.testing.assert_array_equal(one, raw_word_shots(p1[1], s, np.random.default_rng(6)))
     with pytest.raises(ValueError, match="groups"):
         fill_shots(np.empty((7, n), dtype=np.uint8), p1[:2], np.random.default_rng(0))
+
+
+def test_shot_blocks_settle_ties_in_bounded_chunks():
+    # thresholds at row 5's own words tie every cell of that row, eight to a packed byte; with
+    # about 15 rows holding a tie, 8-row blocks return the settled rows in two chunks
+    n, s = 999, 1000
+    raw = np.random.default_rng(3).bit_generator.random_raw(-(-s * n // 4))
+    words = raw.astype("<u8").view("<u2")[:s * n].reshape(s, n)
+    p1 = (words[5] + 0.5) / 65536
+    tie_rows = np.flatnonzero((words == words[5]).any(axis=1))
+    assert len(tie_rows) > 8
+    expected = raw_word_shots(p1, s, np.random.default_rng(3))
+    assert 0 < expected[5].sum() < n
+    for rows in (8, 64, 1000, 1008):
+        got, sizes = np.full((s, n), 2, dtype=np.uint8), []
+        for index, bits in shot_blocks(p1, s, np.random.default_rng(3), rows):
+            got[index] = bits
+            sizes.append(len(bits))
+        np.testing.assert_array_equal(got, expected)
+        assert max(sizes) <= rows and sum(sizes) == s + len(tie_rows)
+    for rows in (0, 12):
+        with pytest.raises(ValueError, match="multiple of 8"):
+            next(shot_blocks(p1, s, np.random.default_rng(3), rows))
 
 
 def test_fill_shots_threshold_multiples_are_the_word_compare():

@@ -112,8 +112,21 @@ def test_perfbench_tracer_installs_and_restores(widget_path, monkeypatch):
     with tracer.Tracer() as t:
         layers.install(t, rs)
         rs.harness.run_optimize(widget_path, cfg, final_shots=500)
-    names = {span.name for span in t.finished()}
-    assert {"evolve.optimize", "cnf.score"} <= names
+        rs.harness.run_sample(widget_path, rs.qsim.AngleVector.zeros(2), 500, 3)
+    spans = t.finished()
+    names = {span.name for span in spans}
+    assert {"evolve.optimize", "cnf.score", "harness.run_sample"} <= names
+    # the streamed sample scores its blocks inside run_sample, so cnf.score still sees them
+    sample_spans = {i for i, span in enumerate(spans) if span.name == "harness.run_sample"}
+
+    def under_sample(span):
+        while span.parent >= 0:
+            if span.parent in sample_spans:
+                return True
+            span = spans[span.parent]
+        return False
+
+    assert any(span.name == "cnf.score" and under_sample(span) for span in spans)
     assert bindings() == before
 
 
