@@ -32,6 +32,7 @@ from .shaping import CostHistogram, QuantileSet, rows_to_csv
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_INPUT = 2
+_HISTORY_FIELDS = ("generation", "best_fitness", "mean_fitness", "best_so_far_fitness")
 
 
 def _fail(message: str, code: int) -> int:
@@ -154,15 +155,14 @@ def cmd_report(args) -> int:
         rows = run.get("history")
         if rows is None:
             return _fail("artifact has no history section", EXIT_INPUT)
+        if not isinstance(rows, list) or not all(
+                isinstance(r, dict) and all(k in r for k in _HISTORY_FIELDS) for r in rows):
+            raise ValueError(f"history must be a list of objects with {', '.join(_HISTORY_FIELDS)}")
     if args.format == "json":
         _emit(json.dumps(rows, indent=2) + "\n", args.out)
     elif args.what == "history":
-        lines = ["generation,best_fitness,mean_fitness,best_so_far_fitness"]
-        lines += [
-            f"{r['generation']},{r['best_fitness']!r},{r['mean_fitness']!r},"
-            f"{r['best_so_far_fitness']!r}"
-            for r in rows
-        ]
+        lines = [",".join(_HISTORY_FIELDS)] + [",".join(repr(r[k]) for k in _HISTORY_FIELDS)
+                                              for r in rows]
         _emit("\n".join(lines) + "\n", args.out)
     else:
         _emit(rows_to_csv(rows, label), args.out)

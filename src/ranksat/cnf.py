@@ -326,7 +326,7 @@ def h_count(f: CnfFormula, a: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 # Batch scoring
 
-SCORE_BLOCK_CELLS = 2**18  # clause x row cells per d or g block: unpacked, a 2 MB float64 temporary
+SCORE_BLOCK_CELLS = 2**18  # clause x row cells per d block: unpacked, a 2 MB float64 temporary
 H_BLOCK_CELLS = 8 * SCORE_BLOCK_CELLS  # h and h_counts blocks stay packed: 256 KB of unsat bytes
 H_BLOCK_MIN_ROWS = 1024  # 128-byte gathered planes; 488-row blocks made h 1.5x slower at m=4260
 H_CHUNK = 255  # clauses per uint8 sum in h, so no row's sum can overflow
@@ -350,11 +350,11 @@ class ClauseArrays:
     unsatisfied on the AND of its gathered planes; a clause shorter than
     ``width`` repeats its first literal in the spare slots. ``h`` and
     ``h_counts`` score packed blocks of about H_BLOCK_CELLS clause x row
-    cells and at least H_BLOCK_MIN_ROWS rows; ``d`` and ``g`` unpack blocks
-    of about SCORE_BLOCK_CELLS. Every block is a multiple of 8 rows and one
-    ``unsat_matrix`` call, and one block is alive at a time, so peaks do not
-    grow with the number of rows: tracemalloc reads 1.6 MB for ``h``, 1.5 MB
-    for ``h_counts`` and 2.4 MB for ``d`` and ``g`` at n=100, m=426, s=20,000.
+    cells and at least H_BLOCK_MIN_ROWS rows; ``d`` unpacks blocks of about
+    SCORE_BLOCK_CELLS. Every block is a multiple of 8 rows and one ``unsat_matrix``
+    call, and one block is alive at a time, so peaks do not grow with the number of
+    rows: tracemalloc reads 1.6 MB for ``h``, 1.5 MB for ``h_counts`` and 2.4 MB for
+    ``d`` at n=100, m=426, s=20,000. Every cost g = zeta*h + d is built from h and d.
     """
 
     def __init__(self, f: CnfFormula):
@@ -463,22 +463,12 @@ class ClauseArrays:
             del u
         return h, counts
 
-    def _weighted(self, bits: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        out = np.empty(len(bits), np.float64)
-        for start, stop, u in self._blocks(bits, SCORE_BLOCK_CELLS):
-            out[start:stop] = weights @ np.unpackbits(
-                u, axis=1, count=stop - start, bitorder="little")
-            del u
-        return out
-
     def d(self, bits: np.ndarray) -> np.ndarray:
         """Per-row divergence, the sum of i**2 over the unsatisfied clauses i, in float64:
         every partial sum is an integer of at most d_max(m) < 2**53, so it is exact."""
-        return self._weighted(bits, self._weights)
-
-    def g(self, bits: np.ndarray) -> np.ndarray:
-        """Per-row cost zeta*h + d in float64, exact up to MAX_EXACT_CLAUSES: every term and
-        partial sum of ``(zeta + i**2) . unsat`` is an integer of at most 2**53. Only
-        ``shaping.cost_histogram`` and the ``report --g-level`` sample of
-        ``harness.regenerate_g_histogram`` use it; the GA scores ``h_counts`` and ``d``."""
-        return self._weighted(bits, _cost_base(self.m) + self._weights)
+        out = np.empty(len(bits), np.float64)
+        for start, stop, u in self._blocks(bits, SCORE_BLOCK_CELLS):
+            out[start:stop] = self._weights @ np.unpackbits(
+                u, axis=1, count=stop - start, bitorder="little")
+            del u
+        return out

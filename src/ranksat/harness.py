@@ -121,19 +121,18 @@ def improvement_factor(final_p0: float, initial: CostHistogram) -> float | None:
 def _sampled_scores(
     f: CnfFormula, state: QuantumState, shots: int, rng: np.random.Generator, cost: str = "h",
 ) -> np.ndarray:
-    """``f.arrays.h`` (``cost`` "h") or ``f.arrays.g`` ("g") of ``sample(state, shots,
-    rng).bits``, without the (shots, n) matrix of bits: h in the narrowest type holding m,
-    g in float64.
+    """Per-shot h (``cost`` "h"), in the narrowest type holding m, or g = zeta*h + d ("g"),
+    in float64, of ``sample(state, shots, rng).bits``, without the (shots, n) matrix of bits.
 
-    ``shot_blocks`` draws the shots one h block at a time and each block is scored as it
-    comes, so only the per-shot values outlive a block; the rows that held a tie are scored
-    once more when the ties are settled.
+    ``shot_blocks`` draws the shots one h block at a time and each is scored as it comes,
+    so only the per-shot values outlive a block; tie rows are scored again once settled.
     """
-    score = getattr(f.arrays, cost)
-    values = np.empty(shots, np.min_scalar_type(f.m) if cost == "h" else np.float64)
+    zeta = default_params(f).zeta if cost == "g" else None
+    values = np.empty(shots, np.min_scalar_type(f.m) if zeta is None else np.float64)
     rows = _block_rows(H_BLOCK_CELLS, f.m, H_BLOCK_MIN_ROWS)
     for index, bits in shot_blocks(state.p1, shots, rng, rows):
-        values[index] = score(bits)
+        h = f.arrays.h(bits)
+        values[index] = h if zeta is None else zeta * h + f.arrays.d(bits)
     return values
 
 

@@ -20,9 +20,9 @@ separately parsed formula builds its own. Cached arrays are read-only.
 The h-distributions are ``CostHistogram``s over the nonempty h-levels: the
 counts are assignments and the probabilities the state's mass at each level.
 
-The shaped cost takes the h-level of each quantile from the h-level masses
-and its d from the ranks at that level alone, so its quantile terms are exact
-costs g = zeta*h + d; its mean is a float sum within a few ulps of exact.
+The shaped cost's quantiles are ``shaping.level_quantiles`` of the h-level
+masses, the one function that also takes the GA's sampled quantiles, so they
+are exact costs g = zeta*h + d; its mean is a float sum within a few ulps.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ import numpy as np
 
 from .cnf import CnfFormula, CostParams, _cost_base, _require_default_params, d_max
 from .qsim import AngleVector, bits_from_ranks, prepare_state
-from .shaping import CostHistogram, QuantileSet, _nearest_rank_index, nearest_rank_quantile
+from .shaping import CostHistogram, QuantileSet, level_quantiles
 
 __all__ = [
     "GuardError",
@@ -175,26 +175,18 @@ def _block_bincount(
     return total
 
 
-def _h_distribution(
-    tables: tuple[np.ndarray, np.ndarray], probs: np.ndarray | None
-) -> CostHistogram:
-    """The nonempty h-levels of the h table, with their assignment counts and
-    mass; mass is count / 2**n without ``probs``."""
-    h, counts = tables
-    mass = counts / h.size if probs is None else _block_bincount(h, counts.size, probs)
+def _h_distribution(counts: np.ndarray, mass: np.ndarray) -> CostHistogram:
+    """The nonempty h-levels of the h table's ``counts``, with their mass."""
     support = np.nonzero(counts)[0]
     cum = np.cumsum(mass[support])
-    return CostHistogram(
-        values=support.astype(np.int64),
-        counts=counts[support],
-        probabilities=mass[support],
-        cumfreq=cum / cum[-1],
-    )
+    return CostHistogram(values=support.astype(np.int64), counts=counts[support],
+                         probabilities=mass[support], cumfreq=cum / cum[-1])
 
 
 def enumerate_h(f: CnfFormula, max_n: int = GUARD_MAX_N) -> CostHistogram:
     """Exact count of assignments per unsatisfied-clause value."""
-    return _h_distribution(_h_table(f, max_n), None)
+    h, counts = _h_table(f, max_n)
+    return _h_distribution(counts, counts / h.size)
 
 
 def list_solutions(f: CnfFormula, max_n: int = GUARD_MAX_N) -> list[list[int]]:
@@ -210,7 +202,8 @@ def exact_h_distribution(
 
     Accumulates |<x|state>|**2 into bucket h(x) for every assignment x.
     """
-    return _h_distribution(_h_table(f, max_n), _state_probabilities(f, angles))
+    h, counts = _h_table(f, max_n)
+    return _h_distribution(counts, _block_bincount(h, counts.size, _state_probabilities(f, angles)))
 
 
 def exact_g_distribution(
@@ -233,33 +226,24 @@ def exact_g_distribution(
 def _exact_cost_terms(f: CnfFormula, angles: AngleVector, levels: QuantileSet, max_n: int):
     """(mean, quantiles): the mean cost g of the state and its exact
     nearest-rank g at each level, from the h and d tables."""
-    base = _cost_base(f.m)
-    tables, d = _h_table(f, max_n), _d_table(f, max_n)
-    h, probs = tables[0], _state_probabilities(f, angles)
-    dist = _h_distribution(tables, probs)
+    base, (h, counts), d = _cost_base(f.m), _h_table(f, max_n), _d_table(f, max_n)
+    probs = _state_probabilities(f, angles)
+    mass = _block_bincount(h, counts.size, probs)
+    dist = _h_distribution(counts, mass)
     total = float(dist.probabilities.sum())
     blocks = [slice(start, start + _BLOCK) for start in range(0, d.size, _BLOCK)]
     d_sum = sum(d[b].astype(np.float64) @ probs[b] for b in blocks)
     mean = float(base * (dist.values @ dist.probabilities) + d_sum) / total
-    cum = np.cumsum(np.append(0.0, dist.probabilities))  # cum[i]: mass below level i
-    at = [_nearest_rank_index(cum[1:] / total, p) for p in levels]
-    picked = np.zeros(h.size, dtype=bool)
-    for i in set(at):
-        picked |= h == int(dist.values[i])
-    ranks = np.flatnonzero(picked)  # one gather, in ascending rank order
-    del picked
-    h_at, d_levels = h[ranks], {}
-    for i in sorted(set(at)):
-        level = ranks[h_at == int(dist.values[i])]
-        d_values, inverse = np.unique(d[level], return_inverse=True)
-        mass = np.bincount(inverse, probs[level])
-        del level, inverse  # freed before the next level's arrays
-        d_levels[i] = d_values, (cum[i] + np.cumsum(mass)) / total
-    quantiles = [
-        base * int(dist.values[i]) + nearest_rank_quantile(*d_levels[i], p)
-        for i, p in zip(at, levels)
-    ]
-    return mean, quantiles
+
+    def ranks_at(hit: np.ndarray):
+        low, high = np.flatnonzero(hit[0] >= 0)[[0, -1]].tolist()
+        ranks = np.flatnonzero(h - low <= high - low)  # unsigned h wraps below low
+        label = hit[0].take(h[ranks])
+        keep = np.flatnonzero(label >= 0)  # not at an unchosen level between low and high
+        ranks = ranks[keep]
+        return label[keep], d[ranks], probs[ranks]
+
+    return mean, level_quantiles(mass[None], base, levels, ranks_at)[0].astype(float).tolist()
 
 
 def exact_shaped_cost(

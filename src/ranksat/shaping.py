@@ -3,10 +3,10 @@
 ``CostHistogram`` is the one distribution type: a sampled cost or h
 histogram, and the oracle's exact h-distributions of a prepared state.
 
-The shaped objective is the empirical mean of the sampled cost plus the sum
-of nearest-rank quantiles at the levels in a QuantileSet. Cumulative
-frequencies accumulate from the smallest cost upward, and the quantile at
-level p is the smallest cost value whose cumulative frequency reaches p.
+The shaped objective is the mean cost plus the sum of nearest-rank quantiles
+at the levels in a QuantileSet: the smallest cost whose cumulative frequency,
+from the smallest cost upward, reaches p. ``level_quantiles`` takes them for
+both the GA's shots and the oracle's exact masses.
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ __all__ = [
     "h_histogram",
     "quantile",
     "shaped_cost",
+    "level_quantiles",
     "level_shaped_costs",
     "nearest_rank_quantile",
     "rows_to_csv",
@@ -177,19 +178,12 @@ class CostHistogram:
 def nearest_rank_quantile(
     values: np.ndarray, cumfreq: np.ndarray, p: float
 ) -> float:
-    """Smallest value whose cumulative relative frequency reaches p.
-
-    Shared by the sampled and the exact (probability-mass) estimators so both
-    use one definition; cf_0 (before the first entry) counts as 0.
-    """
-    return float(values[_nearest_rank_index(cumfreq, p)])
-
-
-def _nearest_rank_index(cumfreq: np.ndarray, p: float) -> int:
+    """Smallest value whose cumulative relative frequency reaches p; the reference
+    rule for ``level_quantiles``. cf_0 (before the first entry) counts as 0."""
     if not (0.0 < p < 1.0):
         raise ValueError(f"quantile level {p} outside (0, 1)")
     idx = int(np.searchsorted(cumfreq, p, side="left"))
-    return min(idx, len(cumfreq) - 1)  # float drift in a mass-based cumfreq tail
+    return float(values[min(idx, len(cumfreq) - 1)])  # float drift in a mass-based cumfreq tail
 
 
 def quantile(hist: CostHistogram, p: float) -> float:
@@ -201,6 +195,46 @@ def shaped_cost(hist: CostHistogram, levels: QuantileSet) -> float:
     return hist.mean + sum(quantile(hist, p) for p in levels)
 
 
+def level_quantiles(
+    weights: np.ndarray,
+    zeta: int,
+    levels: QuantileSet,
+    items: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray | None]],
+) -> np.ndarray:
+    """(R, Q) int64 nearest-rank g = zeta*h + d of R rows at Q levels, in two steps as d < zeta.
+
+    ``weights[r, h]`` weighs h-level h in row r: shot counts (then each fraction c / total is
+    the sample's own cumulative frequency) or state masses. A quantile's h-level is the first
+    whose cumulative weight reaches p of the row's total; ``items(hit)`` gets hit[r, h], the
+    label of each chosen (row, h-level) in row-major order or -1, and returns (label, d, w) of
+    each item there: integers, and float64 weights or None for 1s. The quantile's d is the
+    first whose cumulative weight from the row's bottom reaches p (else the level's largest).
+    """
+    rows, width = weights.shape
+    cum = np.cumsum(weights, axis=1, dtype=np.float64)
+    at = np.count_nonzero(np.greater.outer(levels.levels, cum / cum[:, -1:]), axis=2).T
+    chosen, label = np.unique(np.arange(rows)[:, None] * width + at, return_inverse=True)
+    hit = np.full(rows * width, -1, np.min_scalar_type(-len(chosen)))
+    hit[chosen] = np.arange(len(chosen))
+    lab, d, w = items(hit.reshape(rows, width))
+    key = lab.astype(np.min_scalar_type(-len(chosen) * zeta))  # narrow keys sort faster
+    key *= zeta
+    np.add(key, d, out=key, dtype=key.dtype, casting="unsafe")  # d may be exact float64
+    del lab, d  # freed before the sort
+    key, inverse = np.unique(key, return_inverse=True)  # the distinct (label, d), ascending
+    cw = np.cumsum(np.bincount(inverse, w), dtype=np.float64)  # ties added in the caller's order
+    seg = key // zeta
+    bounds = np.searchsorted(key, np.arange(len(chosen) + 1) * zeta)  # each chosen has items
+    first, last = bounds[:-1], bounds[1:] - 1
+    r, h = np.divmod(chosen, width)
+    offset = np.where(h > 0, cum.reshape(-1)[chosen - 1], 0.0) - np.append(0.0, cw)[first]
+    cumfreq = (cw + offset[seg]) / cum[r[seg], -1]  # from the bottom of the row
+    g = zeta * h[seg] + key % zeta
+    skip = np.add.reduceat(np.less.outer(cumfreq, levels.levels), first, dtype=np.intp)
+    pos = np.minimum(first[:, None] + skip, last[:, None])
+    return g[pos[label.reshape(rows, -1), np.arange(len(levels))]]
+
+
 def level_shaped_costs(
     h: np.ndarray,
     clause_counts: np.ndarray,
@@ -209,15 +243,11 @@ def level_shaped_costs(
 ) -> list[float]:
     """``shaped_cost`` of the cost g = zeta*h + d over each row of shots, scored in integers.
 
-    ``h`` is a (P, s) matrix of per-shot unsat counts, ``clause_counts`` the
-    (P, m) unsat count of each clause over each row's shots, and ``d_at(idx)``
-    the divergence d of the shots at flat indices ``idx`` of ``h``. The mean
-    is the exact total zeta*sum(h) + sum(i**2 * c_i) over s, correctly
-    rounded. d < zeta, so ordering by (h, d) is ordering by g: the quantile
-    of nearest rank k takes its h-level from the sorted h, then the
-    (k - #below)-th smallest d at that level, so only the shots at the
-    quantile h-levels need d. Bit-identical to ``shaped_cost`` of the
-    histogram of g while s * max(g) < 2**53.
+    ``h`` is a (P, s) matrix of per-shot unsat counts, ``clause_counts`` the (P, m) unsat
+    count of each clause per row, and ``d_at(idx)`` the d of the shots at flat indices ``idx``
+    of ``h``. The mean is the exact total zeta*sum(h) + sum(i**2 * c_i) over s, correctly
+    rounded; the quantiles are ``level_quantiles`` of the h-level shot counts, so only their
+    shots need d. Bit-identical to ``shaped_cost`` of the histogram of g while s*max(g) < 2**53.
     """
     rows, s = h.shape
     m = clause_counts.shape[1]
@@ -225,33 +255,30 @@ def level_shaped_costs(
     exact = np.int64 if s * d_max(m) < 2**63 else object  # object: Python ints
     d_sums = clause_counts.astype(exact) @ weights.astype(exact)
     means = [(zeta * hs + ds) / s for hs, ds in zip(h.sum(axis=1).tolist(), d_sums.tolist())]
+    low, high = int(h.min()), int(h.max())  # the weights span the h-levels of shots
+    flat = (np.arange(rows)[:, None] * (high - low + 1) + (h - low)).reshape(-1)
 
-    # key = row*(m+1) + h: sorted within rows, the flat keys are sorted as a whole
-    key = np.arange(rows)[:, None] * (m + 1) + h
-    ordered = np.sort(key, axis=1).reshape(-1)
-    key = key.reshape(-1)
-    cumfreq = np.arange(1, s + 1) / s
-    ranks = [_nearest_rank_index(cumfreq, p) for p in levels]
-    pos = np.arange(0, rows * s, s)[:, None] + ranks  # flat sorted position of each quantile
-    level_key = ordered[pos]
-    in_level = pos - np.searchsorted(ordered, level_key)  # rank among the level's shots
-    picked = np.flatnonzero(np.isin(key, level_key))
-    d = d_at(picked)
-    order = np.lexsort((d, key[picked]))
-    first = np.searchsorted(key[picked][order], level_key)
-    quantiles = zeta * (level_key % (m + 1)) + d[order][first + in_level]  # exact g values
-    return (np.array(means) + sum(quantiles.T)).tolist()
+    def shots_at(hit: np.ndarray):
+        label = hit.reshape(-1)[flat]
+        idx = np.flatnonzero(label >= 0)
+        return label[idx], d_at(idx), None
+
+    counts = np.bincount(flat, minlength=rows * (high - low + 1)).reshape(rows, -1)
+    quantiles = level_quantiles(counts, zeta, levels, shots_at) + zeta * low
+    return (np.array(means) + quantiles.sum(axis=1)).tolist()
 
 
 def cost_histogram(
     f: CnfFormula, shots: ShotSet, params: CostParams
 ) -> CostHistogram:
-    """Histogram of the hierarchical cost over all shots.
+    """Histogram of the hierarchical cost g = zeta*h + d over all shots.
 
-    ``params`` must be ``default_params(f)``.
+    ``params`` must be ``default_params(f)``. Every g is an integer below
+    2**53, so float64 holds it exactly.
     """
     _require_default_params(f, params)
-    return CostHistogram.from_samples(f.arrays.g(shots.bits))
+    bits = shots.bits
+    return CostHistogram.from_samples(params.zeta * f.arrays.h(bits) + f.arrays.d(bits))
 
 
 def h_histogram(f: CnfFormula, shots: ShotSet) -> CostHistogram:

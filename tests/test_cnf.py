@@ -18,8 +18,9 @@ from ranksat.cnf import (
     d_max,
     load_instance_file,
 )
-from ranksat.qsim import AngleVector, prepare_state, sample
-from ranksat.shaping import QuantileSet
+from ranksat.harness import _sampled_scores
+from ranksat.qsim import AngleVector, ShotSet, prepare_state, sample
+from ranksat.shaping import CostHistogram, QuantileSet, cost_histogram
 
 from conftest import all_assignments, random_formula
 from dense_reference import divergence, g_cost
@@ -223,11 +224,12 @@ def test_default_params_refuses_inexact_costs(tmp_path, capsys, monkeypatch):
     # the same limit on every g path; exact_shaped_cost refuses before building a table
     angles, levels = AngleVector.zeros(1), QuantileSet.default()
     params = rs.CostParams(zeta=float(d_max(refused.m) + 1), vartheta=1.0)
-    shots = sample(prepare_state(refused.n, angles), 4, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    shots = sample(prepare_state(refused.n, angles), 4, rng)
     builds = []
     monkeypatch.setattr(oracle, "_unsat_table", lambda *args: builds.append(args))
     for refuse in (
-        lambda: refused.arrays.g(shots.bits),
+        lambda: _sampled_scores(refused, prepare_state(refused.n, angles), 4, rng, "g"),
         lambda: rs.cost_histogram(refused, shots, params),
         lambda: rs.exact_shaped_cost(refused, angles, params, levels),
     ):
@@ -265,15 +267,14 @@ def test_property_g_hierarchy_exhaustive():
     rng = np.random.default_rng(7)
     for _ in range(10):
         f = random_formula(rng, n=int(rng.integers(3, 7)))
-        arrays = ClauseArrays(f)
+        params = rs.default_params(f)
         bits = all_assignments(f.n)
-        h = arrays.h(bits)
-        g = arrays.g(bits)
+        h = ClauseArrays(f).h(bits)
         for level in range(int(h.max())):
-            lower = g[h == level]
-            upper = g[h == level + 1]
+            lower, upper = bits[h == level], bits[h == level + 1]
             if lower.size and upper.size:
-                assert lower.max() < upper.min()
+                lower = cost_histogram(f, ShotSet(lower), params).values
+                assert lower.max() < cost_histogram(f, ShotSet(upper), params).values.min()
 
 
 MIXED_WIDTHS = [
@@ -305,12 +306,15 @@ def test_batch_matches_scalar():
     assert all(rows // block >= 2 and rows % block for block in blocks)
     cases.append((f, rng.integers(0, 2, size=(rows, f.n)).astype(np.uint8)))
     for f, bits in cases:
-        arrays, zeta = ClauseArrays(f), rs.default_params(f).zeta
+        arrays, params = ClauseArrays(f), rs.default_params(f)
         h = [rs.h_count(f, row) for row in bits.tolist()]
         assert arrays.h(bits).tolist() == h
         d = [divergence(f, row) for row in bits.tolist()]
         assert arrays.d(bits).tolist() == d
-        assert arrays.g(bits).tolist() == [zeta * k + dk for k, dk in zip(h, d)]
+        hist = cost_histogram(f, ShotSet(bits), params)
+        expected = CostHistogram.from_samples([params.zeta * k + dk for k, dk in zip(h, d)])
+        assert hist.values.tolist() == expected.values.tolist()
+        assert hist.counts.tolist() == expected.counts.tolist()
 
 
 @pytest.mark.parametrize("s,groups", [(250, 7), (250, 12), (1500, 2), (1, 13), (7, 401)])
@@ -339,8 +343,9 @@ def test_g_exact_at_clause_limit():
     accepted = rs.CnfFormula.from_signed(3, [[1, -2, 3]] * MAX_EXACT_CLAUSES)
     top = _g_max(MAX_EXACT_CLAUSES)
     assert top.bit_length() == 53
-    g = accepted.arrays.g(np.array([[0, 1, 0], [1, 0, 0]], dtype=np.uint8))
-    assert g.tolist() == [top, 0]
+    bits = np.array([[0, 1, 0], [1, 0, 0]], dtype=np.uint8)
+    hist = cost_histogram(accepted, ShotSet(bits), rs.default_params(accepted))
+    assert hist.values.tolist() == [0, top] and hist.counts.tolist() == [1, 1]
 
 
 NON_BINARY = [
@@ -358,9 +363,11 @@ def test_scorers_refuse_non_binary_bits(bits):
     f = rs.CnfFormula.from_signed(2, [[1, 2], [-1, -2]])
     with pytest.raises(ValueError, match="0 or 1"):
         rs.h_count(f, bits[0].tolist())
-    for method in ("h", "d", "g", "unsat_matrix"):
+    for method in ("h", "d", "unsat_matrix"):
         with pytest.raises(ValueError, match="0 or 1"):
             getattr(f.arrays, method)(bits)
+    with pytest.raises(ValueError, match="0 or 1"):
+        cost_histogram(f, ShotSet(bits), rs.default_params(f))
     with pytest.raises(ValueError, match="0 or 1"):
         f.arrays.h_counts(bits, 1)
 
@@ -374,15 +381,21 @@ def test_scorers_accept_any_binary_dtype():
         assert f.arrays.h(bits).tolist() == [rs.h_count(f, row) for row in bits.tolist()]
 
 
+def _scorer(f, method):
+    # "g" is the cost g = zeta*h + d, which cost_histogram builds from h and d
+    if method == "g":
+        return lambda bits: cost_histogram(f, ShotSet(bits), rs.default_params(f))
+    return getattr(f.arrays, method)
+
+
 @pytest.mark.parametrize("method", ["unsat_matrix", "h", "g"])
 def test_scoring_memory_bound(method):
     # scoring never holds an (s, m, width) gather; unsat_matrix packs 8 rows per byte, so even
     # one whole (s, m) bool matrix exceeds its bound
     s, rng = 2000, np.random.default_rng(4)
     f = random_formula(rng, n=100, m=426)
-    arrays = ClauseArrays(f)
     bits = rng.integers(0, 2, size=(s, f.n)).astype(np.uint8)
-    score = getattr(arrays, method)
+    score = _scorer(f, method)
     score(bits)
     tracemalloc.start()
     try:
@@ -400,12 +413,12 @@ def test_scoring_peak_does_not_grow_with_rows(method):
     # takes all s rows as one group, which spans many blocks
     s, rng = 20_000, np.random.default_rng(4)
     f = random_formula(rng, n=100, m=426)
-    arrays = ClauseArrays(f)
+    f.arrays
     bits = rng.integers(0, 2, size=(s, f.n)).astype(np.uint8)
     args = (s,) if method == "h_counts" else ()
     tracemalloc.start()
     try:
-        getattr(arrays, method)(bits, *args)
+        _scorer(f, method)(bits, *args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

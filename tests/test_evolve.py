@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import ranksat as rs
-from ranksat.cnf import ClauseArrays
 from ranksat.evolve import (
     _TAG_EVOLVE,
     _TAG_FITNESS,
@@ -124,12 +123,9 @@ def test_batched_fitness_equals_histogram_path(widget, case, size, shots, levels
 
 
 def test_optimize_hot_path_draws_one_stream_and_one_sample_per_generation(widget, monkeypatch):
-    # no float g product, no per-row streams: one fitness stream and one fill_shots call
-    # per generation, each for all of the generation's new rows
+    # no per-row streams: one fitness stream and one fill_shots call per generation, each
+    # for all of the generation's new rows
     streams, filled = [], []
-
-    def refuse_g(self, bits):
-        raise AssertionError("the GA must not score the float g product")
 
     def counted_stream(seed, *path):
         streams.append(path)
@@ -139,7 +135,6 @@ def test_optimize_hot_path_draws_one_stream_and_one_sample_per_generation(widget
         filled.append(len(p1))
         fill_shots(out, p1, rng)
 
-    monkeypatch.setattr(ClauseArrays, "g", refuse_g)
     monkeypatch.setattr(rs.evolve, "seed_stream", counted_stream)
     monkeypatch.setattr(rs.evolve, "fill_shots", counted_fill)
     cfg = GaConfig(generations=4, population=6, elites=2, shots_per_eval=50, seed=2)

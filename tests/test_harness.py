@@ -26,8 +26,8 @@ from ranksat.harness import (
     run_sample,
     save_artifact,
 )
-from ranksat.qsim import AngleVector, QuantumState, prepare_state, sample
-from ranksat.shaping import CostHistogram
+from ranksat.qsim import AngleVector, QuantumState, ShotSet, prepare_state, sample
+from ranksat.shaping import CostHistogram, cost_histogram
 
 from conftest import random_formula
 
@@ -267,11 +267,13 @@ def test_streamed_scores_equal_the_sample_matrix(n, m):
     assert len(np.unique(tie_rows[tie_rows != 5] // rows)) >= 2
     bits = sample(QuantumState(p1=p1), s, np.random.default_rng(8)).bits
     assert bits[:, ::2].any() and not (bits[:, ::2] & ~tied[:, ::2]).any()
-    for cost in ("h", "g"):
+    h = f.arrays.h(bits)
+    for cost, expected in (("h", h), ("g", rs.default_params(f).zeta * h + f.arrays.d(bits))):
         streamed = _sampled_scores(f, QuantumState(p1=p1), s, np.random.default_rng(8), cost)
-        expected = getattr(f.arrays, cost)(bits)
         np.testing.assert_array_equal(streamed, expected)
         assert streamed.tobytes() == expected.astype(streamed.dtype).tobytes()
+    hist = cost_histogram(f, ShotSet(bits), rs.default_params(f))
+    assert CostHistogram.from_samples(streamed).to_json_obj() == hist.to_json_obj()
 
 
 def test_streamed_sample_memory_does_not_grow_with_shots():
@@ -431,6 +433,22 @@ def test_cli_report_history_json(widget_path, tmp_path, capsys):
     save_artifact(art, str(path))
     assert main(["report", str(path), "--what", "history", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out) == art["run"]["history"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("history", [
+    5, [5], [{"generation": 0, "mean_fitness": -1.0, "best_so_far_fitness": -1.0}],
+], ids=["number", "list-of-number", "row-without-best-fitness"])
+def test_cli_report_refuses_malformed_history(widget_path, tmp_path, history, fmt, capsys):
+    # a hash-consistent artifact whose history is not a list of generation records
+    art = run_optimize(widget_path, _tiny_cfg(), final_shots=500)
+    art["run"]["history"] = history
+    art["repro_hash"] = repro_hash(art["run"])
+    path = tmp_path / "run.json"
+    save_artifact(art, str(path))
+    assert main(["report", str(path), "--what", "history", "--format", fmt]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "error: history must be a list of objects" in out.err
 
 
 @pytest.mark.parametrize("what", ["initial", "history"])

@@ -11,6 +11,7 @@ from ranksat.shaping import (
     QuantileSet,
     cost_histogram,
     h_histogram,
+    level_quantiles,
     level_shaped_costs,
     nearest_rank_quantile,
     quantile,
@@ -213,6 +214,66 @@ def test_nearest_rank_quantile_mass_path():
     assert nearest_rank_quantile(values, cum, 0.9999999) == 3.0
 
 
+def _level_quantiles(row, h, d, w, zeta, levels):
+    """level_quantiles of items given as flat (row, h, d, w) arrays; w None weighs each 1."""
+    weights = np.zeros((row.max() + 1, h.max() + 1))
+    np.add.at(weights, (row, h), 1.0 if w is None else w)
+
+    def items(hit):
+        label = hit[row, h]
+        at = label >= 0
+        return label[at], d[at], None if w is None else w[at]
+
+    return level_quantiles(weights, zeta, levels, items)
+
+
+# rows of (h, d) shots. Row 0: h-level 0 holds 5 of 100 shots, a cumulative frequency of
+# exactly p = 0.05, and h-levels 1-2 and 4-5 hold no shot between levels that do. Row 1:
+# 0.06 and 0.1 land on h-level 4, and h-level 1 reaches 0.05 exactly. Row 2 is one shot
+SHOT_ROWS = [
+    [(0, 9), (0, 2), (0, 7), (0, 2), (0, 5)] + [(3, k % 4) for k in range(60)]
+    + [(6, k % 7) for k in range(35)],
+    [(1, 3), (4, 8), (4, 1), (4, 6), (4, 1), (4, 0)] + [(5, 2)] * 14,
+    [(2, 4)],
+]
+
+
+def test_level_quantiles_of_shots_are_the_sampled_quantiles():
+    zeta, levels = 10, QuantileSet.of([0.01, 0.05, 0.06, 0.1, 0.5, 0.99])
+    row = np.concatenate([[r] * len(shots) for r, shots in enumerate(SHOT_ROWS)])
+    h, d = np.array([shot for shots in SHOT_ROWS for shot in shots]).T
+    got = _level_quantiles(row, h, d, None, zeta, levels)
+    for r, shots in enumerate(SHOT_ROWS):
+        hist = CostHistogram.from_samples([zeta * hs + ds for hs, ds in shots])
+        assert got[r].tolist() == [quantile(hist, p) for p in levels]
+    assert got[0, :3].tolist() == [2, 9, 30]  # 0.05 is reached at level 0's largest d
+    assert got[1, 1:4].tolist() == [13, 40, 40]
+    assert got[2].tolist() == [24] * len(levels)
+
+
+def test_level_quantiles_of_masses_match_a_dense_g_table():
+    # float masses, with zero-mass items and an h-level of zero mass between nonzero ones
+    rng = np.random.default_rng(11)
+    zeta, levels = 50, QuantileSet.of([0.01, 0.05, 0.1, 0.3, 0.5, 0.9])
+    row, h, d = rng.integers(0, 4, 3000), rng.integers(0, 9, 3000), rng.integers(0, 50, 3000)
+    w = rng.random(3000) ** 4 * (h != 3) * (rng.random(3000) > 0.1)
+    got = _level_quantiles(row, h, d, w, zeta, levels)
+    for r in range(4):
+        mass = np.bincount((zeta * h + d)[row == r], w[row == r], minlength=9 * zeta)
+        values = np.arange(mass.size, dtype=np.float64)
+        cum = np.cumsum(mass) / mass.sum()
+        assert got[r].tolist() == [nearest_rank_quantile(values, cum, p) for p in levels]
+
+
+def test_level_quantiles_clamp_to_the_levels_largest_d():
+    # the items of h-level 1 weigh 0.4 of its 0.5, as float drift may leave them a little
+    # short: p = 0.99 reaches the level but none of its items, so it takes the largest d
+    weights = np.array([[0.5, 0.5], [0.5, 0.5]])
+    items = (np.array([0, 0, 1]), np.array([3, 5, 4]), np.array([0.2, 0.2, 0.5]))
+    got = level_quantiles(weights, 10, QuantileSet.of([0.99]), lambda hit: items)
+    assert got.tolist() == [[15], [14]]
+
+
 def test_level_shaped_mean_is_correctly_rounded_above_2_53():
     # 4000 unit clauses: about half fail per shot, so the 250-shot total of g exceeds 2**53
     rng = np.random.default_rng(2)
@@ -223,23 +284,25 @@ def test_level_shaped_mean_is_correctly_rounded_above_2_53():
     levels = QuantileSet.default()
     h, counts = f.arrays.h_counts(bits, s)
     value = level_shaped_costs(h.reshape(1, s), counts, lambda i: f.arrays.d(bits[i]), levels)
-    g = f.arrays.g(bits)
-    total = sum(int(x) for x in g)
+    hist = cost_histogram(f, ShotSet(bits), rs.default_params(f))
+    total = sum(int(g) * int(c) for g, c in zip(hist.values, hist.counts))
     assert total > 2**53
     mean = float(Fraction(total, s))
-    hist = CostHistogram.from_samples(g)
     assert value == [mean + sum(quantile(hist, p) for p in levels)]
     # the former float path rounds the sum and then the quotient: one unit off here
-    assert math.fsum(g) / s != mean
+    assert math.fsum(hist.values.repeat(hist.counts)) / s != mean
 
 
 def test_level_shaped_total_cannot_overflow_at_the_clause_limit():
-    # synthetic counts: every one of 2**20 shots leaves all MAX_EXACT_CLAUSES clauses unsatisfied
-    m, s = MAX_EXACT_CLAUSES, 2**20
+    # synthetic counts: every shot leaves all MAX_EXACT_CLAUSES clauses unsatisfied
+    m = MAX_EXACT_CLAUSES
     g_max = (d_max(m) + 1) * m + d_max(m)
-    assert s * g_max > 2**63  # the integer total does not fit int64
-    h = np.full((1, s), m, dtype=np.int16)
-    counts = np.full((1, m), s, dtype=np.uint32)
-    value = level_shaped_costs(h, counts, lambda i: np.full(len(i), float(d_max(m))),
-                               QuantileSet.default())
-    assert value == [float(g_max) + (float(g_max) + g_max + g_max)]
+    # one row of 2**20 shots, whose integer total does not fit int64; then 1025 rows of one
+    # shot, the fewest at which a sort key (r*(m+1) + h)*zeta + d does not fit it
+    for rows, s in ((1, 2**20), (1025, 1)):
+        assert max(s * g_max, rows * (m + 1) * (d_max(m) + 1)) > 2**63
+        h = np.full((rows, s), m, dtype=np.int16)
+        counts = np.full((rows, m), s, dtype=np.min_scalar_type(s))
+        value = level_shaped_costs(h, counts, lambda i: np.full(len(i), float(d_max(m))),
+                                   QuantileSet.default())
+        assert value == [float(g_max) + (float(g_max) + g_max + g_max)] * rows

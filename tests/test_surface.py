@@ -72,7 +72,7 @@ def test_perfbench_call_shapes(widget, monkeypatch):
 @pytest.mark.parametrize("method", ["h", "h_counts", "d", "g"])
 def test_scorers_reach_unsat_matrix(method, monkeypatch):
     # the cnf.score metrics count unsat_matrix calls: one per block, also through h, h_counts
-    # (the GA's fitness path), d and g
+    # (the GA's fitness path), d and g (cost_histogram: one h pass, then one d pass)
     calls = []
     inner = ClauseArrays.unsat_matrix
 
@@ -86,8 +86,12 @@ def test_scorers_reach_unsat_matrix(method, monkeypatch):
         block = _block_rows(SCORE_BLOCK_CELLS, f.m)
     else:
         block = _block_rows(H_BLOCK_CELLS, f.m, H_BLOCK_MIN_ROWS)
-    args = (1,) if method == "h_counts" else ()
-    getattr(f.arrays, method)(np.zeros((2 * block + 1, 3), dtype=np.uint8), *args)
+    bits = np.zeros((2 * block + 1, 3), dtype=np.uint8)
+    if method == "g":
+        rs.shaping.cost_histogram(f, rs.qsim.ShotSet(bits), rs.default_params(f))
+        assert calls.pop(0) == len(bits)  # the h pass fits one h block
+    else:
+        getattr(f.arrays, method)(bits, *((1,) if method == "h_counts" else ()))
     assert calls == [block, block, 1]
 
 
