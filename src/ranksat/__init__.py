@@ -14,7 +14,6 @@ from .cnf import (
     DimacsError,
     Literal,
     default_params,
-    eval_clause,
     h_count,
     parse_dimacs,
     parse_dimacs_file,
@@ -24,7 +23,6 @@ from .cnf import (
 from .qsim import (
     AngleVector,
     QuantumState,
-    ShotSet,
     prepare_state,
     sample,
 )
@@ -33,7 +31,6 @@ from .shaping import (
     QuantileSet,
     cost_histogram,
     h_histogram,
-    quantile,
     shaped_cost,
 )
 from .evolve import GaConfig, RunHistory, evaluate_fitness, optimize
@@ -49,12 +46,12 @@ __all__ = [
     "__version__",
     "Literal", "Clause", "CnfFormula", "CostParams", "DimacsError",
     "parse_dimacs", "parse_dimacs_file", "parse_json_instance", "to_dimacs",
-    "eval_clause", "h_count",
+    "h_count",
     "default_params",
-    "AngleVector", "QuantumState", "ShotSet",
+    "AngleVector", "QuantumState",
     "prepare_state", "sample",
     "CostHistogram", "QuantileSet",
-    "cost_histogram", "h_histogram", "quantile", "shaped_cost",
+    "cost_histogram", "h_histogram", "shaped_cost",
     "GaConfig", "RunHistory", "evaluate_fitness", "optimize",
     "GuardError",
     "enumerate_h", "list_solutions", "exact_h_distribution", "exact_shaped_cost",

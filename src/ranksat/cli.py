@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Verbs: validate, enumerate, optimize, sample, report, compare, fetch-satlib.
-Exit codes: 0 success, 1 runtime error (resource guard, download failure),
+Verbs: validate, enumerate, optimize, sample, report, compare.
+Exit codes: 0 success, 1 runtime error (resource guard),
 2 input error (parse errors, bad config, mismatched artifacts).
 """
 from __future__ import annotations
@@ -14,10 +14,8 @@ from pathlib import Path
 from .cnf import DimacsError, load_instance_file
 from .evolve import GaConfig
 from .harness import (
-    SATLIB_UF20_URL,
     artifact_angles,
     artifact_histogram,
-    fetch_satlib,
     histogram_summary,
     load_artifact,
     regenerate_g_histogram,
@@ -190,12 +188,6 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def cmd_fetch_satlib(args) -> int:
-    count = fetch_satlib(args.dest, url=args.url, expected_count=args.expected_count)
-    print(f"fetched {count} instances into {args.dest}")
-    return EXIT_OK
-
-
 def _add_ga_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--generations", type=int, default=150)
     p.add_argument("--population", type=int, default=30)
@@ -263,12 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("artifact_b")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_compare)
-
-    p = sub.add_parser("fetch-satlib", help="download the SATLIB uf20-91 benchmark set")
-    p.add_argument("dest")
-    p.add_argument("--url", default=SATLIB_UF20_URL)
-    p.add_argument("--expected-count", type=int, default=1000)
-    p.set_defaults(fn=cmd_fetch_satlib)
 
     return parser
 

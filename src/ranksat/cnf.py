@@ -34,7 +34,6 @@ __all__ = [
     "parse_json_instance",
     "load_instance_file",
     "to_dimacs",
-    "eval_clause",
     "h_count",
     "default_params",
     "d_max",
@@ -305,22 +304,14 @@ def to_dimacs(f: CnfFormula) -> str:
 # ---------------------------------------------------------------------------
 # Scoring
 
-def eval_clause(clause: Clause, a: Sequence[int]) -> bool:
-    """True iff at least one literal of the clause is satisfied by ``a``."""
-    for lit in clause.literals:
-        bit = a[lit.variable - 1]
-        if (bit == 1) != lit.negated:
-            return True
-    return False
-
-
 def h_count(f: CnfFormula, a: Sequence[int]) -> int:
     """Number of unsatisfied clauses; every entry of ``a`` must be 0 or 1."""
     if len(a) != f.n:
         raise ValueError(f"assignment length {len(a)} != n={f.n}")
     if any(bit not in (0, 1) for bit in a):
         raise ValueError("assignment bits must be 0 or 1")
-    return sum(1 for clause in f.clauses if not eval_clause(clause, a))
+    # a clause is unsatisfied when every literal is false: its bit is 0 for v, 1 for -v
+    return sum(all(a[lit.variable - 1] == lit.negated for lit in c.literals) for c in f.clauses)
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,10 @@ drawn, so they never hold an (s, n) matrix of bits.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
-import tarfile
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -35,7 +32,6 @@ from .shaping import CostHistogram, nearest_rank_quantile
 __all__ = [
     "RUN_SCHEMA",
     "SAMPLE_SCHEMA",
-    "SATLIB_UF20_URL",
     "instance_fingerprint",
     "canonical_json",
     "repro_hash",
@@ -47,7 +43,6 @@ __all__ = [
     "artifact_histogram",
     "histogram_summary",
     "improvement_factor",
-    "fetch_satlib",
 ]
 
 RUN_SCHEMA = "ranksat-run/1"
@@ -64,9 +59,7 @@ _RUN_ENTRIES = {
         "final_sample.h_histogram", "final_sample.shots",
     ),
 }
-SATLIB_UF20_URL = (
-    "https://www.cs.ubc.ca/~hoos/SATLIB/Benchmarks/SAT/RND3SAT/uf20-91.tar.gz"
-)
+_INT_ENTRIES = {"instance.n", "config.seed", "seed"}  # must be JSON integers, not 3.0 or "3"
 FINAL_SHOTS_DEFAULT = 100_000
 
 
@@ -122,7 +115,7 @@ def _sampled_scores(
     f: CnfFormula, state: QuantumState, shots: int, rng: np.random.Generator, cost: str = "h",
 ) -> np.ndarray:
     """Per-shot h (``cost`` "h"), in the narrowest type holding m, or g = zeta*h + d ("g"),
-    in float64, of ``sample(state, shots, rng).bits``, without the (shots, n) matrix of bits.
+    in float64, of the shots of ``sample(state, shots, rng)``, without their (shots, n) matrix.
 
     ``shot_blocks`` draws the shots one h block at a time and each is scored as it comes,
     so only the per-shot values outlive a block; tie rows are scored again once settled.
@@ -236,6 +229,9 @@ def load_artifact(path: str) -> dict:
             raise ValueError(f"{path}: run has no '{section}' object")
         if key not in obj:
             raise ValueError(f"{path}: run has no '{entry}'")
+        if entry in _INT_ENTRIES and type(obj[key]) is not int:
+            raise ValueError(f"{path}: run entry '{entry}' must be a JSON integer, "
+                             f"got {obj[key]!r}")
     return artifact
 
 
@@ -300,44 +296,3 @@ def regenerate_g_histogram(artifact: dict) -> CostHistogram:
                              f"{stored.count_at(h)} (older sampler?)")
     return hist
 
-
-# ---------------------------------------------------------------------------
-# SATLIB ingestion
-
-def _download(url: str, timeout: float = 120.0) -> bytes:
-    import urllib.request  # pulls in http, email and ssl; only fetch-satlib needs it
-
-    with urllib.request.urlopen(url, timeout=timeout) as resp:
-        return resp.read()
-
-
-def fetch_satlib(
-    dest_dir: str,
-    url: str = SATLIB_UF20_URL,
-    expected_count: int = 1000,
-    download: Callable[[str], bytes] = _download,
-) -> int:
-    """Download the uf20-91 tarball and unpack its .cnf files into dest_dir.
-
-    Extraction is flat (member basenames only). Raises RuntimeError when the
-    archive does not contain the expected number of instances.
-    """
-    dest = Path(dest_dir)
-    dest.mkdir(parents=True, exist_ok=True)
-    payload = download(url)
-    count = 0
-    with tarfile.open(fileobj=io.BytesIO(payload), mode="r:*") as tar:
-        for member in tar:
-            name = Path(member.name).name
-            if not member.isfile() or not name.endswith(".cnf"):
-                continue
-            fh = tar.extractfile(member)
-            if fh is None:
-                continue
-            (dest / name).write_bytes(fh.read())
-            count += 1
-    if count != expected_count:
-        raise RuntimeError(
-            f"expected {expected_count} instances in {url}, extracted {count}"
-        )
-    return count

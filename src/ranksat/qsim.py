@@ -18,8 +18,9 @@ and is clipped to [0, 1], which rounding would otherwise leave by about
 preparation bit for bit.
 
 Sampling: ``shot_blocks`` is the one draw of shots. ``sample`` and
-``fill_shots`` collect its blocks into an (s, n) matrix; the report samples
-of ``ranksat.harness`` score each block as it comes and hold no matrix.
+``fill_shots`` collect its blocks into an (s, n) uint8 matrix of 0/1, one row
+per shot; the report samples of ``ranksat.harness`` score each block as it
+comes and hold no matrix.
 
 Bit order: qubit j carries rank weight 2**j and DIMACS variable j+1, so a
 measured bitstring is simultaneously a rank's binary expansion and a truth
@@ -38,7 +39,6 @@ from .cnf import _block_rows
 __all__ = [
     "AngleVector",
     "QuantumState",
-    "ShotSet",
     "bits_from_ranks",
     "prepare_state",
     "p_one_rows",
@@ -108,25 +108,6 @@ class QuantumState:
         return self.p1.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class ShotSet:
-    """Measured bitstrings as an (s, n) 0/1 matrix, one row per shot."""
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        if self.bits.ndim != 2:
-            raise ValueError("shots must form an (s, n) matrix")
-
-    @property
-    def count(self) -> int:
-        return self.bits.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.bits.shape[1]
-
-
 def bits_from_ranks(ranks: np.ndarray, n: int) -> np.ndarray:
     """Decode ranks into an (s, n) bit matrix: bit j of row i is bit j of ranks[i]."""
     ranks = np.asarray(ranks, dtype=np.int64)
@@ -171,8 +152,8 @@ def p_one_rows(n: int, betas: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     return np.clip((1.0 - z) / 2.0, 0.0, 1.0)
 
 
-def sample(state: QuantumState, s: int, rng: np.random.Generator) -> ShotSet:
-    """Draw s computational-basis shots.
+def sample(state: QuantumState, s: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw s computational-basis shots as an (s, n) uint8 matrix of 0/1, one row per shot.
 
     Because the state is a product state, measuring qubit j independently
     with probability p1[j] of reading 1 is distributionally identical to
@@ -182,7 +163,7 @@ def sample(state: QuantumState, s: int, rng: np.random.Generator) -> ShotSet:
         raise ValueError(f"shot count must be >= 1, got {s}")
     bits = np.empty((s, state.n), dtype=np.uint8)
     fill_shots(bits, state.p1, rng)
-    return ShotSet(bits=bits)
+    return bits
 
 
 def fill_shots(out: np.ndarray, p1: np.ndarray, rng: np.random.Generator) -> None:

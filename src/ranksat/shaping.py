@@ -16,7 +16,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .cnf import CnfFormula, CostParams, _cost_base, _require_default_params, d_max
-from .qsim import ShotSet
 
 __all__ = [
     "CostHistogram",
@@ -24,7 +23,6 @@ __all__ = [
     "DEFAULT_QUANTILE_LEVELS",
     "cost_histogram",
     "h_histogram",
-    "quantile",
     "shaped_cost",
     "level_quantiles",
     "level_shaped_costs",
@@ -186,13 +184,9 @@ def nearest_rank_quantile(
     return float(values[min(idx, len(cumfreq) - 1)])  # float drift in a mass-based cumfreq tail
 
 
-def quantile(hist: CostHistogram, p: float) -> float:
-    return nearest_rank_quantile(hist.values, hist.cumfreq, p)
-
-
 def shaped_cost(hist: CostHistogram, levels: QuantileSet) -> float:
     """Empirical mean plus the sum of the requested quantile values."""
-    return hist.mean + sum(quantile(hist, p) for p in levels)
+    return hist.mean + sum(nearest_rank_quantile(hist.values, hist.cumfreq, p) for p in levels)
 
 
 def level_quantiles(
@@ -268,22 +262,20 @@ def level_shaped_costs(
     return (np.array(means) + quantiles.sum(axis=1)).tolist()
 
 
-def cost_histogram(
-    f: CnfFormula, shots: ShotSet, params: CostParams
-) -> CostHistogram:
-    """Histogram of the hierarchical cost g = zeta*h + d over all shots.
+def cost_histogram(f: CnfFormula, bits: np.ndarray, params: CostParams) -> CostHistogram:
+    """Histogram of the hierarchical cost g = zeta*h + d over the shots, the rows of the
+    (s, n) 0/1 matrix ``bits`` (as ``qsim.sample`` returns).
 
     ``params`` must be ``default_params(f)``. Every g is an integer below
     2**53, so float64 holds it exactly.
     """
     _require_default_params(f, params)
-    bits = shots.bits
     return CostHistogram.from_samples(params.zeta * f.arrays.h(bits) + f.arrays.d(bits))
 
 
-def h_histogram(f: CnfFormula, shots: ShotSet) -> CostHistogram:
-    """Histogram of the unsatisfied-clause count; used for reporting."""
-    return CostHistogram.from_samples(f.arrays.h(shots.bits))
+def h_histogram(f: CnfFormula, bits: np.ndarray) -> CostHistogram:
+    """Histogram of the unsatisfied-clause count over the rows of ``bits``."""
+    return CostHistogram.from_samples(f.arrays.h(bits))
 
 
 def rows_to_csv(rows: Sequence[dict], value_label: str) -> str:

@@ -38,9 +38,8 @@ def satlib_instance(name: str) -> Path:
     directory = _satlib_dir()
     if directory is None:
         pytest.skip(
-            f"SATLIB instance {name} not available: run "
-            "'ranksat fetch-satlib data/uf20-91' (needs network) or set "
-            "RANKSAT_SATLIB_DIR"
+            f"SATLIB instance {name} not available: place the uf20-91 .cnf files "
+            "in data/uf20-91/, tests/data/uf20-91/ or $RANKSAT_SATLIB_DIR"
         )
     path = directory / name
     if not path.exists():

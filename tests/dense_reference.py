@@ -1,8 +1,10 @@
 """Independent scalar and dense references for the scorer, simulator and oracle.
 
-``divergence``, ``g_cost``, ``rank_of`` and ``probability`` each take one
-assignment at a time: the scalar references the batch scorer,
-``bits_from_ranks`` and the state tables are checked against.
+``eval_clause``, ``divergence``, ``g_cost``, ``rank_of`` and ``probability``
+each take one clause or assignment at a time: the scalar references the batch
+scorer, ``bits_from_ranks`` and the state tables are checked against.
+``quantile`` is the nearest-rank quantile of one histogram, the reference for
+the shaped objectives.
 
 ``product_state_loop`` is the simulator's earlier complex path: one (|0>, |1>)
 amplitude pair per qubit, phased and mixed layer by layer in complex128. The
@@ -30,10 +32,25 @@ import math
 
 import numpy as np
 
-from ranksat.cnf import default_params, eval_clause, h_count
+from ranksat.cnf import default_params, h_count
 from ranksat.oracle import _block_bincount, _state_probabilities
+from ranksat.shaping import nearest_rank_quantile
 
 RANK_BIT_LIMIT = 62  # rank_of returns an exact Python int; numpy paths use int64
+
+
+def eval_clause(clause, a) -> bool:
+    """True iff at least one literal of the clause is satisfied by ``a``."""
+    for lit in clause.literals:
+        bit = a[lit.variable - 1]
+        if (bit == 1) != lit.negated:
+            return True
+    return False
+
+
+def quantile(hist, p: float) -> float:
+    """Nearest-rank quantile of a ``CostHistogram`` at level p."""
+    return nearest_rank_quantile(hist.values, hist.cumfreq, p)
 
 
 def divergence(f, a) -> int:

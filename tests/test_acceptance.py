@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`. Criteria that need the
 SATLIB uf20-91 benchmark set skip with instructions when the instances are
-not on disk (fetch them with `ranksat fetch-satlib data/uf20-91`).
+not on disk (place the uf20-91 `.cnf` files in `data/uf20-91/`,
+`tests/data/uf20-91/` or `$RANKSAT_SATLIB_DIR`).
 """
 import statistics
 import time
@@ -20,12 +21,11 @@ from ranksat.shaping import (
     QuantileSet,
     cost_histogram,
     h_histogram,
-    quantile,
     shaped_cost,
 )
 
 from conftest import load_count_csv, load_percent_csv, satlib_instance
-from dense_reference import dense_state
+from dense_reference import dense_state, quantile
 
 UF20_DOMAIN = 2**20
 
@@ -143,7 +143,7 @@ def test_c06_sampler_fidelity_chi_square(widget):
     hist = h_histogram(widget, shots)
     observed = {int(v): int(c) for v, c in zip(hist.values, hist.counts)}
     obs = np.array([observed.get(h, 0) for h in (0, 1, 2)])
-    expected = np.array([0.125, 0.5, 0.375]) * shots.count
+    expected = np.array([0.125, 0.5, 0.375]) * len(shots)
     _, pvalue = stats.chisquare(obs, expected)
     elapsed = time.perf_counter() - start
     assert pvalue > 6.33e-5, f"chi-square p-value {pvalue:.2e} below the 4-sigma level"

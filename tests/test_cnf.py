@@ -19,11 +19,11 @@ from ranksat.cnf import (
     load_instance_file,
 )
 from ranksat.harness import _sampled_scores
-from ranksat.qsim import AngleVector, ShotSet, prepare_state, sample
+from ranksat.qsim import AngleVector, prepare_state, sample
 from ranksat.shaping import CostHistogram, QuantileSet, cost_histogram
 
 from conftest import all_assignments, random_formula
-from dense_reference import divergence, g_cost
+from dense_reference import divergence, eval_clause, g_cost
 
 ZEROS5 = [0, 0, 0, 0, 0]
 SOLUTION = [1, 1, 1, 0, 0]
@@ -155,10 +155,10 @@ def test_clause_invariants():
 # -- scoring ----------------------------------------------------------------
 
 def test_eval_clause_examples(widget):
-    assert rs.eval_clause(widget.clauses[0], SOLUTION) is True
-    assert rs.eval_clause(widget.clauses[0], ZEROS5) is False
+    assert eval_clause(widget.clauses[0], SOLUTION) is True
+    assert eval_clause(widget.clauses[0], ZEROS5) is False
     # clause 9 is (v1 | v5 | ~v4): the negated literal carries it on all zeros
-    assert rs.eval_clause(widget.clauses[8], ZEROS5) is True
+    assert eval_clause(widget.clauses[8], ZEROS5) is True
 
 
 def test_h_count_widget(widget):
@@ -251,7 +251,7 @@ def test_property_h_plus_satisfied_is_m():
     for _ in range(30):
         f = random_formula(rng)
         a = rng.integers(0, 2, size=f.n)
-        satisfied = sum(rs.eval_clause(c, a) for c in f.clauses)
+        satisfied = sum(eval_clause(c, a) for c in f.clauses)
         assert rs.h_count(f, a) + satisfied == f.m
 
 
@@ -273,8 +273,8 @@ def test_property_g_hierarchy_exhaustive():
         for level in range(int(h.max())):
             lower, upper = bits[h == level], bits[h == level + 1]
             if lower.size and upper.size:
-                lower = cost_histogram(f, ShotSet(lower), params).values
-                assert lower.max() < cost_histogram(f, ShotSet(upper), params).values.min()
+                lower = cost_histogram(f, lower, params).values
+                assert lower.max() < cost_histogram(f, upper, params).values.min()
 
 
 MIXED_WIDTHS = [
@@ -311,7 +311,7 @@ def test_batch_matches_scalar():
         assert arrays.h(bits).tolist() == h
         d = [divergence(f, row) for row in bits.tolist()]
         assert arrays.d(bits).tolist() == d
-        hist = cost_histogram(f, ShotSet(bits), params)
+        hist = cost_histogram(f, bits, params)
         expected = CostHistogram.from_samples([params.zeta * k + dk for k, dk in zip(h, d)])
         assert hist.values.tolist() == expected.values.tolist()
         assert hist.counts.tolist() == expected.counts.tolist()
@@ -344,7 +344,7 @@ def test_g_exact_at_clause_limit():
     top = _g_max(MAX_EXACT_CLAUSES)
     assert top.bit_length() == 53
     bits = np.array([[0, 1, 0], [1, 0, 0]], dtype=np.uint8)
-    hist = cost_histogram(accepted, ShotSet(bits), rs.default_params(accepted))
+    hist = cost_histogram(accepted, bits, rs.default_params(accepted))
     assert hist.values.tolist() == [0, top] and hist.counts.tolist() == [1, 1]
 
 
@@ -367,7 +367,7 @@ def test_scorers_refuse_non_binary_bits(bits):
         with pytest.raises(ValueError, match="0 or 1"):
             getattr(f.arrays, method)(bits)
     with pytest.raises(ValueError, match="0 or 1"):
-        cost_histogram(f, ShotSet(bits), rs.default_params(f))
+        cost_histogram(f, bits, rs.default_params(f))
     with pytest.raises(ValueError, match="0 or 1"):
         f.arrays.h_counts(bits, 1)
 
@@ -384,7 +384,7 @@ def test_scorers_accept_any_binary_dtype():
 def _scorer(f, method):
     # "g" is the cost g = zeta*h + d, which cost_histogram builds from h and d
     if method == "g":
-        return lambda bits: cost_histogram(f, ShotSet(bits), rs.default_params(f))
+        return lambda bits: cost_histogram(f, bits, rs.default_params(f))
     return getattr(f.arrays, method)
 
 

@@ -17,7 +17,7 @@ from ranksat.evolve import (
     seed_stream,
     tournament_select,
 )
-from ranksat.qsim import AngleVector, ShotSet, fill_shots, p_one_rows, prepare_state, sample
+from ranksat.qsim import AngleVector, fill_shots, p_one_rows, prepare_state, sample
 from ranksat.shaping import QuantileSet, cost_histogram, shaped_cost
 
 from conftest import random_formula
@@ -66,7 +66,7 @@ def test_evaluate_fitness_deterministic(widget):
 
 def _histogram_fitness(f, bits, cfg):
     """One evaluation of the given shots through the histogram path."""
-    hist = cost_histogram(f, ShotSet(bits=bits), rs.default_params(f))
+    hist = cost_histogram(f, bits, rs.default_params(f))
     return -shaped_cost(hist, cfg.quantile_levels)
 
 
@@ -119,7 +119,7 @@ def test_batched_fitness_equals_histogram_path(widget, case, size, shots, levels
     angles = AngleVector(betas=tuple(row[:cfg.depth]), gammas=tuple(row[cfg.depth:]))
     single = evaluate_fitness(f, angles, cfg, seed_stream(3, 1))
     shots_one = sample(prepare_state(f.n, angles), shots, seed_stream(3, 1))
-    assert single == _histogram_fitness(f, shots_one.bits, cfg)
+    assert single == _histogram_fitness(f, shots_one, cfg)
 
 
 def test_optimize_hot_path_draws_one_stream_and_one_sample_per_generation(widget, monkeypatch):

@@ -1,7 +1,5 @@
-import io
 import json
 import shutil
-import tarfile
 import tracemalloc
 from pathlib import Path
 
@@ -13,11 +11,9 @@ from ranksat.cli import main
 from ranksat.cnf import H_BLOCK_CELLS, H_BLOCK_MIN_ROWS, ClauseArrays, _block_rows
 from ranksat.evolve import GaConfig
 from ranksat.harness import (
-    _download,
     _sampled_scores,
     artifact_histogram,
     canonical_json,
-    fetch_satlib,
     improvement_factor,
     load_artifact,
     regenerate_g_histogram,
@@ -26,7 +22,7 @@ from ranksat.harness import (
     run_sample,
     save_artifact,
 )
-from ranksat.qsim import AngleVector, QuantumState, ShotSet, prepare_state, sample
+from ranksat.qsim import AngleVector, QuantumState, prepare_state, sample
 from ranksat.shaping import CostHistogram, cost_histogram
 
 from conftest import random_formula
@@ -265,14 +261,14 @@ def test_streamed_scores_equal_the_sample_matrix(n, m):
     tied = words == np.minimum(65536 * p1, 65535).astype(np.uint16)
     tie_rows = np.flatnonzero(tied.any(axis=1))
     assert len(np.unique(tie_rows[tie_rows != 5] // rows)) >= 2
-    bits = sample(QuantumState(p1=p1), s, np.random.default_rng(8)).bits
+    bits = sample(QuantumState(p1=p1), s, np.random.default_rng(8))
     assert bits[:, ::2].any() and not (bits[:, ::2] & ~tied[:, ::2]).any()
     h = f.arrays.h(bits)
     for cost, expected in (("h", h), ("g", rs.default_params(f).zeta * h + f.arrays.d(bits))):
         streamed = _sampled_scores(f, QuantumState(p1=p1), s, np.random.default_rng(8), cost)
         np.testing.assert_array_equal(streamed, expected)
         assert streamed.tobytes() == expected.astype(streamed.dtype).tobytes()
-    hist = cost_histogram(f, ShotSet(bits), rs.default_params(f))
+    hist = cost_histogram(f, bits, rs.default_params(f))
     assert CostHistogram.from_samples(streamed).to_json_obj() == hist.to_json_obj()
 
 
@@ -570,6 +566,35 @@ def test_cli_refuses_artifact_missing_a_section(
     assert message in err and str(path) in err
 
 
+@pytest.mark.parametrize("value", ["x", "3", 1.5, None, True],
+                         ids=["str", "numeric-str", "float", "null", "bool"])
+@pytest.mark.parametrize("schema, entry, argv", [
+    ("run", "config.seed", ["report", "{art}", "--g-level"]),
+    ("sample", "seed", ["report", "{art}", "--g-level"]),
+    ("run", "instance.n", ["sample", "{inst}", "--angles", "{art}", "--shots", "10"]),
+    ("sample", "instance.n", ["report", "{art}"]),
+], ids=["run-seed", "sample-seed", "run-n", "sample-n"])
+def test_cli_refuses_artifact_entries_that_are_not_integers(
+    widget_path, tmp_path, schema, entry, argv, value, capsys
+):
+    # rehashed, so only the type check can catch the entry; a float seed or a null one would
+    # reach seed_stream, and "3" != 3 would make sample report a mismatch of n=3 against n=3
+    if schema == "run":
+        art = run_optimize(widget_path, _tiny_cfg(), final_shots=500)
+    else:
+        art = run_sample(widget_path, AngleVector.zeros(1), shots=10, seed=1)
+    section, _, key = entry.rpartition(".")
+    (art["run"][section] if section else art["run"])[key] = value
+    art["repro_hash"] = repro_hash(art["run"])
+    path = tmp_path / "x.json"
+    save_artifact(art, str(path))
+    assert main([a.format(art=path, inst=widget_path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"run entry '{entry}' must be a JSON integer, got {value!r}" in captured.err
+    assert str(path) in captured.err
+
+
 @pytest.mark.parametrize("doc,message", [
     ([1, 2], "angle layer 0"),
     ([{"beta": 0.1, "gamma": 0.2}, {"beta": 0.1}], "angle layer 1"),
@@ -661,55 +686,3 @@ def test_improvement_factor_math(widget):
     unsat = rs.CnfFormula.from_signed(1, [[1], [-1]])
     assert improvement_factor(0.0, rs.enumerate_h(unsat)) is None
 
-
-# -- SATLIB fetch ---------------------------------------------------------------
-
-def _fake_tarball(names):
-    buf = io.BytesIO()
-    with tarfile.open(fileobj=buf, mode="w:gz") as tar:
-        for name in names:
-            payload = b"p cnf 2 1\n1 2 0\n"
-            info = tarfile.TarInfo(name=name)
-            info.size = len(payload)
-            tar.addfile(info, io.BytesIO(payload))
-    return buf.getvalue()
-
-
-def test_fetch_satlib_extracts_and_counts(tmp_path):
-    blob = _fake_tarball(["ai/sat/uf20/uf20-01.cnf", "ai/sat/uf20/uf20-02.cnf", "readme.txt"])
-    count = fetch_satlib(
-        str(tmp_path / "dest"),
-        url="http://unused.example/x.tgz",
-        expected_count=2,
-        download=lambda url: blob,
-    )
-    assert count == 2
-    assert (tmp_path / "dest" / "uf20-01.cnf").exists()
-    f = rs.parse_dimacs_file(str(tmp_path / "dest" / "uf20-01.cnf"))
-    assert (f.n, f.m) == (2, 1)
-
-
-def test_fetch_satlib_count_mismatch(tmp_path):
-    blob = _fake_tarball(["uf20-01.cnf"])
-    with pytest.raises(RuntimeError, match="expected 1000"):
-        fetch_satlib(
-            str(tmp_path / "dest"),
-            url="http://unused.example/x.tgz",
-            download=lambda url: blob,
-        )
-
-
-def test_download_reads_file_uri(tmp_path):
-    blob = _fake_tarball(["uf20-01.cnf"])
-    tarball = tmp_path / "set.tar.gz"
-    tarball.write_bytes(blob)
-    assert _download(tarball.as_uri()) == blob
-
-
-def test_cli_fetch_satlib_unreachable(tmp_path, capsys):
-    # no network in the test environment: the CLI must fail cleanly
-    code = main([
-        "fetch-satlib", str(tmp_path / "d"),
-        "--url", "http://127.0.0.1:1/nothing.tgz",
-    ])
-    assert code == 1

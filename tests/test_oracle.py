@@ -129,7 +129,7 @@ def test_sampler_agrees_with_exact_distribution(widget):
     lookup = {int(v): int(c) for v, c in zip(hist.values, hist.counts)}
     for i, h in enumerate(exact.values):
         observed[i] = lookup.get(int(h), 0)
-    expected = exact.probabilities * shots.count
+    expected = exact.probabilities * len(shots)
     keep = expected >= 5
     obs = np.append(observed[keep], observed[~keep].sum())
     exp = np.append(expected[keep], expected[~keep].sum())

@@ -184,15 +184,15 @@ def test_sample_deterministic():
     a = sample(state, 250, np.random.default_rng(42))
     b = sample(state, 250, np.random.default_rng(42))
     c = sample(state, 250, np.random.default_rng(43))
-    np.testing.assert_array_equal(a.bits, b.bits)
-    assert not np.array_equal(a.bits, c.bits)
+    np.testing.assert_array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_sample_deterministic_state():
     pinned = QuantumState(p1=np.ones(4))
     shots = sample(pinned, 100, np.random.default_rng(0))
-    assert shots.count == 100 and shots.n == 4
-    np.testing.assert_array_equal(shots.bits, 1)
+    assert shots.shape == (100, 4)
+    np.testing.assert_array_equal(shots, 1)
 
 
 def test_sample_chi_square_against_exact():
@@ -201,9 +201,9 @@ def test_sample_chi_square_against_exact():
     n = 5
     state = prepare_state(n, AngleVector(betas=(0.4, 1.1), gammas=(0.7, 2.3)))
     shots = sample(state, 100_000, np.random.default_rng(11))
-    ranks = shots.bits @ (1 << np.arange(n))
+    ranks = shots @ (1 << np.arange(n))
     observed = np.bincount(ranks, minlength=1 << n)
-    expected = _all_probabilities(state, bits_from_ranks(np.arange(1 << n), n)) * shots.count
+    expected = _all_probabilities(state, bits_from_ranks(np.arange(1 << n), n)) * len(shots)
     keep = expected >= 5  # chi-square validity; lump tiny bins together
     obs = np.append(observed[keep], observed[~keep].sum())
     exp = np.append(expected[keep], expected[~keep].sum())
@@ -287,8 +287,8 @@ def test_sample_blocks_draw_like_one_draw():
         s = 3 * (SAMPLE_BLOCK_CELLS // n) + 17  # three full draws and a remainder
         shots = sample(state, s, np.random.default_rng(5))
         one_draw = raw_word_shots(state.p1, s, np.random.default_rng(5))
-        assert shots.bits.dtype == np.uint8
-        np.testing.assert_array_equal(shots.bits, one_draw)
+        assert shots.dtype == np.uint8
+        np.testing.assert_array_equal(shots, one_draw)
     # grouped biases: n=999 gives draws of 256 rows, so the first boundary falls inside
     # group 2 of 100 rows. All groups share the threshold 30000, but a tie reads 0 in
     # group 0 (no fraction left) and almost surely 1 in the others (fraction 0.999).

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ranksat as rs
-from ranksat.qsim import AngleVector, ShotSet, prepare_state, sample
+from ranksat.qsim import AngleVector, prepare_state, sample
 from ranksat.shaping import (
     CostHistogram,
     QuantileSet,
@@ -14,13 +14,13 @@ from ranksat.shaping import (
     level_quantiles,
     level_shaped_costs,
     nearest_rank_quantile,
-    quantile,
     shaped_cost,
 )
 
 from ranksat.cnf import MAX_EXACT_CLAUSES, d_max
 
 from conftest import all_assignments
+from dense_reference import quantile
 
 
 def _random_hist(rng):
@@ -31,7 +31,7 @@ def _random_hist(rng):
 
 
 def test_all_satisfying_shots(widget):
-    shots = ShotSet(bits=np.tile([1, 1, 1, 0, 0], (4, 1)).astype(np.uint8))
+    shots = np.tile([1, 1, 1, 0, 0], (4, 1)).astype(np.uint8)
     hist = cost_histogram(widget, shots, rs.default_params(widget))
     assert list(hist.values) == [0.0]
     assert list(hist.counts) == [4]
@@ -40,7 +40,7 @@ def test_all_satisfying_shots(widget):
 
 
 def test_exhaustive_widget_h_projection(widget):
-    shots = ShotSet(bits=all_assignments(widget.n))
+    shots = all_assignments(widget.n)
     hist = h_histogram(widget, shots)
     assert list(hist.values) == [0, 1, 2]
     assert list(hist.counts) == [4, 16, 12]
@@ -88,7 +88,7 @@ def test_shaped_cost_degenerate_mass():
 
 
 def test_shaped_cost_widget_h_units(widget):
-    shots = ShotSet(bits=all_assignments(widget.n))
+    shots = all_assignments(widget.n)
     hist = h_histogram(widget, shots)
     assert hist.mean == pytest.approx(40 / 32)
     assert shaped_cost(hist, QuantileSet.of([0.5])) == pytest.approx(2.25)
@@ -163,14 +163,14 @@ def test_histogram_validation():
 
 
 def test_cost_histogram_checks_inputs(widget):
-    shots = ShotSet(bits=all_assignments(3))
+    shots = all_assignments(3)
     with pytest.raises(ValueError, match="bits"):
         cost_histogram(widget, shots, rs.default_params(widget))
 
 
 @pytest.mark.parametrize("zeta,vartheta", [(386.0, 2.0), (1e20, 1.0)])
 def test_cost_weights_are_fixed(widget, zeta, vartheta):
-    shots = ShotSet(bits=all_assignments(widget.n))
+    shots = all_assignments(widget.n)
     angles, levels = AngleVector.zeros(2), QuantileSet.default()
     other = rs.CostParams(zeta=zeta, vartheta=vartheta)
     with pytest.raises(ValueError, match="fixed weights"):
@@ -284,7 +284,7 @@ def test_level_shaped_mean_is_correctly_rounded_above_2_53():
     levels = QuantileSet.default()
     h, counts = f.arrays.h_counts(bits, s)
     value = level_shaped_costs(h.reshape(1, s), counts, lambda i: f.arrays.d(bits[i]), levels)
-    hist = cost_histogram(f, ShotSet(bits), rs.default_params(f))
+    hist = cost_histogram(f, bits, rs.default_params(f))
     total = sum(int(g) * int(c) for g, c in zip(hist.values, hist.counts))
     assert total > 2**53
     mean = float(Fraction(total, s))

@@ -6,12 +6,16 @@ tier-1 test.
 """
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ranksat as rs
+from ranksat.cli import main
 from ranksat.cnf import (
     H_BLOCK_CELLS,
     H_BLOCK_MIN_ROWS,
@@ -24,6 +28,20 @@ from ranksat.evolve import GaConfig
 
 MODULES = ("cnf", "qsim", "shaping", "evolve", "oracle", "harness")
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+# The package's public names, pinned so that adding one is a visible decision.
+PUBLIC = {
+    "__version__",
+    "Literal", "Clause", "CnfFormula", "CostParams", "DimacsError",
+    "parse_dimacs", "parse_dimacs_file", "parse_json_instance", "to_dimacs",
+    "default_params",
+    "AngleVector", "QuantumState", "prepare_state",
+    "CostHistogram", "QuantileSet",
+    "GaConfig", "RunHistory", "optimize",
+    "GuardError", "enumerate_h", "exact_h_distribution",
+    # kept only for perfbench, which wraps or calls them by name: no CLI path runs them
+    "h_count", "sample", "cost_histogram", "h_histogram", "shaped_cost",
+    "evaluate_fitness", "list_solutions", "exact_shaped_cost",
+}
 
 
 @pytest.mark.parametrize("module", ("",) + MODULES)
@@ -31,6 +49,30 @@ def test_all_names_resolve(module):
     mod = importlib.import_module(f"ranksat.{module}" if module else "ranksat")
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_public_names_are_pinned():
+    assert set(rs.__all__) == PUBLIC
+    assert len(rs.__all__) == len(PUBLIC)
+
+
+def test_cli_import_loads_no_network_modules():
+    # instances are read from disk; nothing on the CLI path needs a network stack
+    network = ("tarfile", "urllib.request", "http.client", "ssl")
+    code = f"import sys, ranksat.cli; print(*[m for m in {network!r} if m in sys.modules])"
+    paths = [str(Path(rs.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == []
+
+
+def test_fetch_satlib_is_an_unknown_verb(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fetch-satlib", "d"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "fetch-satlib" in err
 
 
 def test_perfbench_targets_exist(monkeypatch):
@@ -88,7 +130,7 @@ def test_scorers_reach_unsat_matrix(method, monkeypatch):
         block = _block_rows(H_BLOCK_CELLS, f.m, H_BLOCK_MIN_ROWS)
     bits = np.zeros((2 * block + 1, 3), dtype=np.uint8)
     if method == "g":
-        rs.shaping.cost_histogram(f, rs.qsim.ShotSet(bits), rs.default_params(f))
+        rs.shaping.cost_histogram(f, bits, rs.default_params(f))
         assert calls.pop(0) == len(bits)  # the h pass fits one h block
     else:
         getattr(f.arrays, method)(bits, *((1,) if method == "h_counts" else ()))
