@@ -118,7 +118,8 @@ class RunHistory:
 
 
 def seed_stream(seed: int, *path: int) -> np.random.Generator:
-    """Deterministic child stream addressed by (seed, path)."""
+    """Deterministic child stream addressed by (seed, path), on numpy's default PCG64 bit
+    generator, which ``qsim.shot_blocks`` needs."""
     entropy = [seed & 0xFFFFFFFFFFFFFFFF, *path]
     return np.random.default_rng(np.random.SeedSequence(entropy))
 

@@ -59,7 +59,8 @@ _RUN_ENTRIES = {
         "final_sample.h_histogram", "final_sample.shots",
     ),
 }
-_INT_ENTRIES = {"instance.n", "config.seed", "seed"}  # must be JSON integers, not 3.0 or "3"
+_ENTRY_TYPES = {"instance.n": int, "config.seed": int, "seed": int,  # JSON integers, not 3.0 or "3"
+                "instance.path": str, "instance.sha256": str}  # JSON strings, not 5 or null
 FINAL_SHOTS_DEFAULT = 100_000
 
 
@@ -117,8 +118,8 @@ def _sampled_scores(
     """Per-shot h (``cost`` "h"), in the narrowest type holding m, or g = zeta*h + d ("g"),
     in float64, of the shots of ``sample(state, shots, rng)``, without their (shots, n) matrix.
 
-    ``shot_blocks`` draws the shots one h block at a time and each is scored as it comes,
-    so only the per-shot values outlive a block; tie rows are scored again once settled.
+    ``shot_blocks`` draws the shots one h block at a time, each final, and each is scored
+    as it comes, so only the per-shot values outlive a block.
     """
     zeta = default_params(f).zeta if cost == "g" else None
     values = np.empty(shots, np.min_scalar_type(f.m) if zeta is None else np.float64)
@@ -229,9 +230,10 @@ def load_artifact(path: str) -> dict:
             raise ValueError(f"{path}: run has no '{section}' object")
         if key not in obj:
             raise ValueError(f"{path}: run has no '{entry}'")
-        if entry in _INT_ENTRIES and type(obj[key]) is not int:
-            raise ValueError(f"{path}: run entry '{entry}' must be a JSON integer, "
-                             f"got {obj[key]!r}")
+        kind = _ENTRY_TYPES.get(entry)
+        if kind is not None and type(obj[key]) is not kind:
+            raise ValueError(f"{path}: run entry '{entry}' must be a JSON "
+                             f"{'integer' if kind is int else 'string'}, got {obj[key]!r}")
     return artifact
 
 

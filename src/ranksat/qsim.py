@@ -17,10 +17,11 @@ and is clipped to [0, 1], which rounding would otherwise leave by about
 1e-16. Every operation is elementwise, so a batch row equals its one-row
 preparation bit for bit.
 
-Sampling: ``shot_blocks`` is the one draw of shots. ``sample`` and
-``fill_shots`` collect its blocks into an (s, n) uint8 matrix of 0/1, one row
-per shot; the report samples of ``ranksat.harness`` score each block as it
-comes and hold no matrix.
+Sampling: ``shot_blocks`` is the one draw of shots, and each block it yields
+is final. ``sample`` and ``fill_shots`` draw into one (s, n) uint8 matrix of
+0/1, one row per shot; the report samples of ``ranksat.harness`` score each
+block as it comes and hold no matrix. The draw needs numpy's default PCG64 bit
+generator, which can skip ahead past the shot words (see ``shot_blocks``).
 
 Bit order: qubit j carries rank weight 2**j and DIMACS variable j+1, so a
 measured bitstring is simultaneously a rank's binary expansion and a truth
@@ -28,6 +29,7 @@ assignment.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -167,15 +169,11 @@ def sample(state: QuantumState, s: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def fill_shots(out: np.ndarray, p1: np.ndarray, rng: np.random.Generator) -> None:
-    """Fill the C-contiguous (s, n) uint8 ``out`` with the shots of ``shot_blocks(p1, s, rng)``.
-
-    ``out`` is the generator's one block, so only the settled tie rows are copied into it.
-    ``sample`` and the GA's fitness pass draw through here.
-    """
+    """Fill the C-contiguous (s, n) uint8 ``out`` with the shots of ``shot_blocks(p1, s, rng)``,
+    drawn into ``out`` as its one block. ``sample`` and the GA's fitness pass draw through here."""
     if not out.flags.c_contiguous:
         raise ValueError("shot output must be a C-contiguous (s, n) array")
-    for index, bits in shot_blocks(p1, len(out), rng, len(out) + -len(out) % 8, out):
-        out[index] = bits  # a no-op for the block, which is out itself
+    next(shot_blocks(p1, len(out), rng, len(out) + -len(out) % 8, out))
 
 
 def shot_blocks(
@@ -187,19 +185,20 @@ def shot_blocks(
     ``p1`` is one (n,) bias row, or a (groups, n) array whose row k biases the consecutive
     shots k*count/groups to (k+1)*count/groups - 1. Cell c (row-major) reads 1 when the
     little-endian 16-bit word c of ``random_raw`` is below t_j = min(floor(65536*p1[j]),
-    65535) of its group; a cell whose word equals t_j (about 1 in 65,536) is a tie. After the
-    last block all ties are settled in flat order by one ``rng.random(k) < 65536*p1[j] - t_j``
-    draw, so P(1) is ceil(p*2**69)/2**69: exactly p for p >= 2**-16, and 1 for p >= 1. Every
-    block but the last takes whole uint64 words, so the bits and the stream equal those of
-    one (count, n) draw whatever ``rows`` is.
+    65535) of its group; a cell whose word equals t_j (about 1 in 65,536) is a tie, settled
+    by ``rng.random() < 65536*p1[j] - t_j``, so P(1) is ceil(p*2**69)/2**69: exactly p for
+    p >= 2**-16, and 1 for p >= 1. The bits and the final state of ``rng`` are those of one
+    (count, n) word draw followed by one ``rng.random(k)`` for the k ties in flat order,
+    whatever ``rows`` is: the words come from a copy of ``rng``'s bit generator, ``rng``
+    itself advances past them at the first block, and each block's ties take its next
+    uniforms as the block is drawn. So ``rng`` needs a bit generator whose ``advance(k)``
+    skips k ``random_raw`` words: numpy's default PCG64; any other raises ValueError.
 
-    Each block comes as (slice of its rows, (rows, n) uint8 bits), its ties reading 0, in
-    ``buffer`` (a new (min(rows, count), n) uint8 array if None), which the next block
-    overwrites; its words are drawn about SAMPLE_BLOCK_CELLS at a time. The rows holding a
-    tie are kept aside, packed eight cells per byte; once settled they come again, at most
-    ``rows`` at a time, as (sorted row indices, bits) that replace those rows. ``p1`` must
-    be >= 0, and a NaN or negative entry raises ValueError; ``prepare_state`` and
-    ``p_one_rows`` clip to [0, 1] so that it is.
+    Each block comes final as (slice of its rows, (rows, n) uint8 bits), in ``buffer`` (a
+    new (min(rows, count), n) uint8 array if None), which the next block overwrites; its
+    words are drawn about SAMPLE_BLOCK_CELLS at a time. ``p1`` must be >= 0, and a NaN or
+    negative entry raises ValueError; ``prepare_state`` and ``p_one_rows`` clip to [0, 1]
+    so that it is.
     """
     scaled = 65536.0 * np.atleast_2d(np.asarray(p1, dtype=np.float64))
     if not (scaled >= 0).all():  # a NaN or negative bias would cast to an arbitrary threshold
@@ -213,33 +212,26 @@ def shot_blocks(
         raise ValueError(f"{count} shots do not split into {groups} groups")
     if rows < 8 or rows % 8:
         raise ValueError(f"shot blocks must be a positive multiple of 8 rows, got {rows}")
+    ties = rng.bit_generator
+    if not isinstance(ties, np.random.PCG64):
+        raise ValueError(f"shot draws need a PCG64 bit generator, whose advance skips the "
+                         f"shot words, got {type(ties).__name__}")
+    words_from = copy.deepcopy(ties)
+    kept = {key: ties.state[key] for key in ("has_uint32", "uinteger")}  # advance drops them
+    ties.state = {**ties.advance(-(-count * n // 4)).state, **kept}
     step = min(rows, _block_rows(SAMPLE_BLOCK_CELLS, n))  # rows per random_raw draw
     if buffer is None:
         buffer = np.empty((min(rows, count), n), np.uint8)
-    cells, copies = [], []
     for start in range(0, count, rows):
-        block, tied = buffer[:min(rows, count - start)], []
-        for lo in range(0, len(block), step):
-            part = block[lo:lo + step]
-            raw = rng.bit_generator.random_raw(-(-part.size // 4)).astype("<u8", copy=False)
+        block = buffer[:min(rows, count - start)]
+        for lo in range(start, start + len(block), step):
+            part = block[lo - start:lo - start + step]
+            raw = words_from.random_raw(-(-part.size // 4)).astype("<u8", copy=False)
             words = raw.view("<u2")[:part.size].reshape(part.shape)
-            limits = t[0] if groups == 1 else t[np.arange(start + lo, start + lo + len(part)) // s]
+            limits = t[0] if groups == 1 else t[np.arange(lo, lo + len(part)) // s]
             np.less(words, limits, out=part)
-            tied.append(np.flatnonzero(words == limits) + (start + lo) * n)
+            row, col = np.divmod(np.flatnonzero(words == limits), n)  # 2-D nonzero: 4x slower
+            group = (lo + row) // s
+            part[row, col] = rng.random(row.size) < scaled[group, col] - t[group, col]
             del part, raw, words  # else they stay alive while the block is used
-        cells += tied
-        copies.append(np.packbits(
-            block[np.unique(np.concatenate(tied) // n) - start], axis=1, bitorder="little"))
         yield slice(start, start + len(block)), block
-    del buffer, block  # the settled rows below take its place
-    cells = np.concatenate(cells)
-    if cells.size:
-        row, col = np.divmod(cells, n)
-        group, index, packed = row // s, np.unique(row), np.concatenate(copies)
-        del copies
-        one = rng.random(cells.size) < scaled[group, col] - t[group, col]
-        row, col = np.searchsorted(index, row[one]), col[one]
-        np.bitwise_or.at(packed, (row, col // 8), (1 << col % 8).astype(np.uint8))
-        for lo in range(0, len(index), rows):
-            yield index[lo:lo + rows], np.unpackbits(
-                packed[lo:lo + rows], axis=1, count=n, bitorder="little")

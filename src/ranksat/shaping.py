@@ -15,7 +15,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .cnf import CnfFormula, CostParams, _cost_base, _require_default_params, d_max
+from .cnf import (
+    SCORE_BLOCK_CELLS, CnfFormula, CostParams, _cost_base, _require_default_params, d_max)
 
 __all__ = [
     "CostHistogram",
@@ -247,8 +248,10 @@ def level_shaped_costs(
     m = clause_counts.shape[1]
     zeta, weights = _cost_base(m), np.arange(1, m + 1, dtype=np.int64) ** 2
     exact = np.int64 if s * d_max(m) < 2**63 else object  # object: Python ints
-    d_sums = clause_counts.astype(exact) @ weights.astype(exact)
-    means = [(zeta * hs + ds) / s for hs, ds in zip(h.sum(axis=1).tolist(), d_sums.tolist())]
+    weights, step = weights.astype(exact), max(1, SCORE_BLOCK_CELLS // m)
+    d_sums = [ds for lo in range(0, rows, step)  # widen a block of rows of counts, not all P
+              for ds in (clause_counts[lo:lo + step].astype(exact) @ weights).tolist()]
+    means = [(zeta * hs + ds) / s for hs, ds in zip(h.sum(axis=1).tolist(), d_sums)]
     low, high = int(h.min()), int(h.max())  # the weights span the h-levels of shots
     flat = (np.arange(rows)[:, None] * (high - low + 1) + (h - low)).reshape(-1)
 

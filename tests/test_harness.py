@@ -288,7 +288,8 @@ def test_streamed_sample_memory_does_not_grow_with_shots():
         finally:
             tracemalloc.stop()
     assert peaks[80_000] < 12 * 2**20
-    assert peaks[80_000] - peaks[20_000] < 16 * 60_000
+    # the per-shot h (uint16 at m=4260) is the only term that grows: 2 bytes per shot
+    assert peaks[80_000] - peaks[20_000] < 3 * 60_000
 
 
 def test_cli_compare_self(widget_path, tmp_path, capsys):
@@ -592,6 +593,30 @@ def test_cli_refuses_artifact_entries_that_are_not_integers(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"run entry '{entry}' must be a JSON integer, got {value!r}" in captured.err
+    assert str(path) in captured.err
+
+
+@pytest.mark.parametrize("value", [5, None, []], ids=["number", "null", "list"])
+@pytest.mark.parametrize("entry", ["instance.path", "instance.sha256"])
+@pytest.mark.parametrize("schema", ["run", "sample"])
+def test_cli_refuses_instance_entries_that_are_not_strings(
+    widget_path, tmp_path, schema, entry, value, capsys
+):
+    # rehashed, so only the type check can catch the entry; a numeric path once reached
+    # Path(5) in regenerate_g_histogram and died there with a TypeError, exit 1
+    if schema == "run":
+        art = run_optimize(widget_path, _tiny_cfg(), final_shots=500)
+    else:
+        art = run_sample(widget_path, AngleVector.zeros(1), shots=10, seed=1)
+    section, _, key = entry.rpartition(".")
+    art["run"][section][key] = value
+    art["repro_hash"] = repro_hash(art["run"])
+    path = tmp_path / "x.json"
+    save_artifact(art, str(path))
+    assert main(["report", str(path), "--g-level"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"run entry '{entry}' must be a JSON string, got {value!r}" in captured.err
     assert str(path) in captured.err
 
 

@@ -311,8 +311,8 @@ def test_sample_blocks_draw_like_one_draw():
 
 
 def test_shot_blocks_settle_ties_in_bounded_chunks():
-    # thresholds at row 5's own words tie every cell of that row, eight to a packed byte; with
-    # about 15 rows holding a tie, 8-row blocks return the settled rows in two chunks
+    # thresholds at row 5's own words tie every cell of that row, and about 15 rows hold a
+    # tie; each block comes once, settled, and no block is longer than asked
     n, s = 999, 1000
     raw = np.random.default_rng(3).bit_generator.random_raw(-(-s * n // 4))
     words = raw.astype("<u8").view("<u2")[:s * n].reshape(s, n)
@@ -327,10 +327,57 @@ def test_shot_blocks_settle_ties_in_bounded_chunks():
             got[index] = bits
             sizes.append(len(bits))
         np.testing.assert_array_equal(got, expected)
-        assert max(sizes) <= rows and sum(sizes) == s + len(tie_rows)
+        assert max(sizes) <= rows and sum(sizes) == s
     for rows in (0, 12):
         with pytest.raises(ValueError, match="multiple of 8"):
             next(shot_blocks(p1, s, np.random.default_rng(3), rows))
+
+
+def _tie_in_every_8_rows(n, groups, seed):
+    """Grouped biases of 8 rows per group, each group biased at one of its own rows' words
+    plus a half: that row ties in every cell and settles to about half ones."""
+    raw = np.random.default_rng(seed).bit_generator.random_raw(-(-groups * 8 * n // 4))
+    words = raw.astype("<u8").view("<u2")[:groups * 8 * n].reshape(groups, 8, n)
+    return (words[np.arange(groups), np.arange(groups) % 8] + 0.5) / 65536
+
+
+def test_shot_blocks_are_final_when_yielded():
+    # every 8-row block holds a tied row, so a block read as it comes shows unsettled ties
+    n, groups = 999, 125
+    p1 = _tie_in_every_8_rows(n, groups, 7)
+    expected = raw_word_shots(p1, 8, np.random.default_rng(7))
+    for rows in (8, 64, 1000, 1008):
+        blocks = [(index, bits.copy()) for index, bits in
+                  shot_blocks(p1, groups * 8, np.random.default_rng(7), rows)]
+        for index, bits in blocks:
+            np.testing.assert_array_equal(bits, expected[index])
+        assert [index.start for index, _ in blocks] == list(range(0, groups * 8, rows))
+
+
+def test_shot_draws_leave_rng_where_one_draw_does():
+    # the words are skipped by advance, which alone would drop a buffered 32-bit half word
+    n, groups = 100, 25
+    p1 = _tie_in_every_8_rows(n, groups, 8)
+
+    def stream():
+        rng = np.random.default_rng(8)
+        rng.integers(10, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        return rng
+
+    reference = stream()
+    raw_word_shots(p1, 8, reference)
+    drawn = stream()
+    fill_shots(np.empty((groups * 8, n), np.uint8), p1, drawn)
+    assert drawn.bit_generator.state == reference.bit_generator.state
+    drawn = stream()
+    for _ in shot_blocks(p1, groups * 8, drawn, 16):
+        pass
+    assert drawn.bit_generator.state == reference.bit_generator.state
+    # MT19937 has no advance, and Philox's advances its counter, four words a step
+    for bit_generator in (np.random.MT19937(0), np.random.Philox(0)):
+        with pytest.raises(ValueError, match="PCG64"):
+            sample(QuantumState(np.full(3, 0.5)), 8, np.random.Generator(bit_generator))
 
 
 def test_fill_shots_threshold_multiples_are_the_word_compare():

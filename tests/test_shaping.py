@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -306,3 +307,22 @@ def test_level_shaped_total_cannot_overflow_at_the_clause_limit():
         value = level_shaped_costs(h, counts, lambda i: np.full(len(i), float(d_max(m))),
                                    QuantileSet.default())
         assert value == [float(g_max) + (float(g_max) + g_max + g_max)] * rows
+
+
+def test_level_shaped_costs_widen_the_clause_counts_a_block_at_a_time():
+    # one int64 copy of these (1025, 12820) uint8 counts would take 105 MB
+    m, rows = MAX_EXACT_CLAUSES, 1025
+    h = np.full((rows, 1), m, dtype=np.int16)
+    counts = np.ones((rows, m), dtype=np.uint8)
+
+    def d_at(idx):
+        return np.full(len(idx), float(d_max(m)))
+
+    level_shaped_costs(h[:2], counts[:2], d_at, QuantileSet.default())  # first-call allocations
+    tracemalloc.start()
+    try:
+        level_shaped_costs(h, counts, d_at, QuantileSet.default())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
