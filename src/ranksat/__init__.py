@@ -18,7 +18,6 @@ from .cnf import (
     parse_dimacs,
     parse_dimacs_file,
     parse_json_instance,
-    to_dimacs,
 )
 from .qsim import (
     AngleVector,
@@ -33,7 +32,7 @@ from .shaping import (
     h_histogram,
     shaped_cost,
 )
-from .evolve import GaConfig, RunHistory, evaluate_fitness, optimize
+from .evolve import GaConfig, evaluate_fitness, optimize
 from .oracle import (
     GuardError,
     enumerate_h,
@@ -45,14 +44,14 @@ from .oracle import (
 __all__ = [
     "__version__",
     "Literal", "Clause", "CnfFormula", "CostParams", "DimacsError",
-    "parse_dimacs", "parse_dimacs_file", "parse_json_instance", "to_dimacs",
+    "parse_dimacs", "parse_dimacs_file", "parse_json_instance",
     "h_count",
     "default_params",
     "AngleVector", "QuantumState",
     "prepare_state", "sample",
     "CostHistogram", "QuantileSet",
     "cost_histogram", "h_histogram", "shaped_cost",
-    "GaConfig", "RunHistory", "evaluate_fitness", "optimize",
+    "GaConfig", "evaluate_fitness", "optimize",
     "GuardError",
     "enumerate_h", "list_solutions", "exact_h_distribution", "exact_shaped_cost",
 ]

@@ -33,7 +33,6 @@ __all__ = [
     "parse_dimacs_file",
     "parse_json_instance",
     "load_instance_file",
-    "to_dimacs",
     "h_count",
     "default_params",
     "d_max",
@@ -291,14 +290,6 @@ def load_instance_file(path: str) -> CnfFormula:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_json_instance(fh.read())
     return parse_dimacs_file(path)
-
-
-def to_dimacs(f: CnfFormula) -> str:
-    """Serialize back to DIMACS; re-parsing yields an identical formula."""
-    lines = [f"p cnf {f.n} {f.m}"]
-    for clause in f.clauses:
-        lines.append(" ".join(str(lit.signed) for lit in clause.literals) + " 0")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

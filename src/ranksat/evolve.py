@@ -8,10 +8,11 @@ method minimizes. Reproducibility contract: a master seed derives one child
 stream per purpose — population init, one breeding stream and one fitness
 stream per generation, and the final report sample. A breeding stream draws
 whole arrays in a fixed order: tournament a, tournament b, cuts (none at
-depth 1), flips, fresh values. A fitness stream fills one (rows*s, n) shot
-matrix for the generation's new rows in one fill_shots call, row i reading
+depth 1), flips, fresh values. A fitness stream draws one (rows*s, n) shot
+matrix for the generation's new rows in one draw_shots call, row i reading
 shots i*s to (i+1)*s - 1; the best-first population fixes that row order,
-so results cannot depend on evaluation order.
+so results cannot depend on evaluation order. Each generation appends one
+history row, in the layout the run artifact stores.
 """
 from __future__ import annotations
 
@@ -20,13 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cnf import CnfFormula
-from .qsim import AngleVector, BETA_PERIOD, GAMMA_PERIOD, fill_shots, p_one_rows
+from .qsim import AngleVector, BETA_PERIOD, GAMMA_PERIOD, draw_shots, p_one_rows
 from .shaping import QuantileSet, level_shaped_costs
 
 __all__ = [
     "GaConfig",
-    "GenerationRecord",
-    "RunHistory",
     "seed_stream",
     "final_sample_stream",
     "evaluate_fitness",
@@ -78,43 +77,7 @@ class GaConfig:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
 
     def to_json_obj(self) -> dict:
-        return {
-            "generations": self.generations,
-            "population": self.population,
-            "mutation_prob": self.mutation_prob,
-            "tournament_size": self.tournament_size,
-            "elites": self.elites,
-            "shots_per_eval": self.shots_per_eval,
-            "depth": self.depth,
-            "quantile_levels": list(self.quantile_levels.levels),
-            "seed": self.seed,
-        }
-
-
-@dataclass(frozen=True)
-class GenerationRecord:
-    generation: int
-    best_fitness: float
-    mean_fitness: float
-    best_so_far_fitness: float
-    best_so_far_angles: AngleVector
-
-
-@dataclass
-class RunHistory:
-    records: list[GenerationRecord]
-
-    def to_json_obj(self) -> list[dict]:
-        return [
-            {
-                "generation": r.generation,
-                "best_fitness": r.best_fitness,
-                "mean_fitness": r.mean_fitness,
-                "best_so_far_fitness": r.best_so_far_fitness,
-                "best_so_far_angles": r.best_so_far_angles.to_json_obj(),
-            }
-            for r in self.records
-        ]
+        return {**vars(self), "quantile_levels": list(self.quantile_levels.levels)}
 
 
 def seed_stream(seed: int, *path: int) -> np.random.Generator:
@@ -140,11 +103,10 @@ def _fitness_values(
     f: CnfFormula, genes: np.ndarray, cfg: GaConfig, rng: np.random.Generator
 ) -> list[float]:
     """evaluate_fitness of each gene row in one pass: all states at once, one (P*s, n) shot
-    matrix drawn from ``rng`` by one fill_shots call, row i reading shots i*s to (i+1)*s - 1,
+    matrix drawn from ``rng`` by one draw_shots call, row i reading shots i*s to (i+1)*s - 1,
     h and clause counts in one scoring pass, and d only at the quantile h-levels."""
     s, depth = cfg.shots_per_eval, genes.shape[1] // 2
-    bits = np.empty((len(genes) * s, f.n), dtype=np.uint8)
-    fill_shots(bits, p_one_rows(f.n, genes[:, :depth], genes[:, depth:]), rng)
+    bits = draw_shots(p_one_rows(f.n, genes[:, :depth], genes[:, depth:]), len(genes) * s, rng)
     h, counts = f.arrays.h_counts(bits, s)
     costs = level_shaped_costs(
         h.reshape(-1, s), counts, lambda idx: f.arrays.d(bits[idx]), cfg.quantile_levels
@@ -178,19 +140,20 @@ def mutate(genes: np.ndarray, prob: float, rng: np.random.Generator) -> np.ndarr
     return np.where(flips, fresh, genes)
 
 
-def optimize(f: CnfFormula, cfg: GaConfig) -> tuple[AngleVector, RunHistory]:
-    """Run the GA and return the best-so-far angles plus the full history.
+def optimize(f: CnfFormula, cfg: GaConfig) -> tuple[AngleVector, list[dict]]:
+    """Run the GA and return the best-so-far angles plus one history row per generation.
 
     Generation 0 is the uniformly random initial population; each later
     generation keeps the elite rows (with cached fitness) and fills the
-    rest through tournament selection, crossover and mutation. Fully
-    deterministic for a given config.
+    rest through tournament selection, crossover and mutation. A row holds
+    the generation, its best and mean fitness, and the best-so-far fitness
+    and angles, the angles as JSON. Fully deterministic for a given config.
     """
     size, depth, elites = cfg.population, cfg.depth, cfg.elites
     lows, highs = _gene_bounds(depth)
     genes = seed_stream(cfg.seed, _TAG_INIT).uniform(lows, highs, size=(size, 2 * depth))
     fitness = np.empty(0)
-    records: list[GenerationRecord] = []
+    rows: list[dict] = []
     best: tuple[float, AngleVector] | None = None
 
     for t in range(cfg.generations + 1):
@@ -211,15 +174,15 @@ def optimize(f: CnfFormula, cfg: GaConfig) -> tuple[AngleVector, RunHistory]:
         if best is None or top > best[0]:
             row = genes[0].tolist()
             best = (top, AngleVector(betas=tuple(row[:depth]), gammas=tuple(row[depth:])))
-        records.append(GenerationRecord(
-            generation=t,
-            best_fitness=top,
-            mean_fitness=float(fitness.mean()),
-            best_so_far_fitness=best[0],
-            best_so_far_angles=best[1],
-        ))
+        rows.append({
+            "generation": t,
+            "best_fitness": top,
+            "mean_fitness": float(fitness.mean()),
+            "best_so_far_fitness": best[0],
+            "best_so_far_angles": best[1].to_json_obj(),
+        })
 
-    return best[1], RunHistory(records=records)
+    return best[1], rows
 
 
 def final_sample_stream(seed: int) -> np.random.Generator:

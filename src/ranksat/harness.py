@@ -77,14 +77,17 @@ def repro_hash(run_obj: dict) -> str:
     return "sha256:" + hashlib.sha256(canonical_json(run_obj).encode()).hexdigest()
 
 
-def _meta(command: str, instance_path: str) -> dict:
-    return {
+def _artifact(schema: str, command: str, instance_path: str, f: CnfFormula, run: dict) -> dict:
+    """Wrap a run section, led by its instance record, with ``meta`` and the hash."""
+    run = {"instance": {**instance_fingerprint(instance_path), "n": f.n, "m": f.m}, **run}
+    meta = {
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "tool_version": __version__,
         "command": command,
         # outside the hash, so report --g-level finds the file from any directory
         "instance_path": str(Path(instance_path).resolve()),
     }
+    return {"schema": schema, "meta": meta, "run": run, "repro_hash": repro_hash(run)}
 
 
 def histogram_summary(hist: CostHistogram) -> dict:
@@ -163,23 +166,16 @@ def run_optimize(
             "improvement_factor_exact": exact_factor,
         }
 
-    run = {
-        "instance": {**instance_fingerprint(instance_path), "n": f.n, "m": f.m},
+    return _artifact(RUN_SCHEMA, "optimize", instance_path, f, {
         "config": cfg.to_json_obj(),
         "cost_params": asdict(params),
         "best_angles": best_angles.to_json_obj(),
-        "best_fitness": history.records[-1].best_so_far_fitness,
-        "history": history.to_json_obj(),
+        "best_fitness": history[-1]["best_so_far_fitness"],
+        "history": history,
         "final_sample": final_section,
         "oracle": oracle_section,
         "improvement_factor": factor,
-    }
-    return {
-        "schema": RUN_SCHEMA,
-        "meta": _meta("optimize", instance_path),
-        "run": run,
-        "repro_hash": repro_hash(run),
-    }
+    })
 
 
 def run_sample(
@@ -196,18 +192,11 @@ def run_sample(
         raise ValueError("angles required")
     hist = CostHistogram.from_samples(_sampled_scores(
         f, prepare_state(f.n, angles), shots, final_sample_stream(seed)))
-    run = {
-        "instance": {**instance_fingerprint(instance_path), "n": f.n, "m": f.m},
+    return _artifact(SAMPLE_SCHEMA, "sample", instance_path, f, {
         "angles": angles.to_json_obj(),
         "seed": seed,
         "final_sample": _sample_section(hist, shots),
-    }
-    return {
-        "schema": SAMPLE_SCHEMA,
-        "meta": _meta("sample", instance_path),
-        "run": run,
-        "repro_hash": repro_hash(run),
-    }
+    })
 
 
 def save_artifact(artifact: dict, path: str) -> None:

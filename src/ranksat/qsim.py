@@ -18,10 +18,11 @@ and is clipped to [0, 1], which rounding would otherwise leave by about
 preparation bit for bit.
 
 Sampling: ``shot_blocks`` is the one draw of shots, and each block it yields
-is final. ``sample`` and ``fill_shots`` draw into one (s, n) uint8 matrix of
-0/1, one row per shot; the report samples of ``ranksat.harness`` score each
-block as it comes and hold no matrix. The draw needs numpy's default PCG64 bit
-generator, which can skip ahead past the shot words (see ``shot_blocks``).
+is final. ``draw_shots``, and through it ``sample``, returns all the shots as
+one block, an (s, n) uint8 matrix of 0/1, one row per shot; the report samples
+of ``ranksat.harness`` score each block as it comes and hold no matrix. The
+draw needs numpy's default PCG64 bit generator, which can skip ahead past the
+shot words (see ``shot_blocks``).
 
 Bit order: qubit j carries rank weight 2**j and DIMACS variable j+1, so a
 measured bitstring is simultaneously a rank's binary expansion and a truth
@@ -45,7 +46,7 @@ __all__ = [
     "prepare_state",
     "p_one_rows",
     "sample",
-    "fill_shots",
+    "draw_shots",
     "shot_blocks",
 ]
 
@@ -159,27 +160,18 @@ def sample(state: QuantumState, s: int, rng: np.random.Generator) -> np.ndarray:
 
     Because the state is a product state, measuring qubit j independently
     with probability p1[j] of reading 1 is distributionally identical to
-    sampling the full 2**n vector. Deterministic for a given rng state; see fill_shots.
+    sampling the full 2**n vector. Deterministic for a given rng state; see draw_shots.
     """
-    if s < 1:
-        raise ValueError(f"shot count must be >= 1, got {s}")
-    bits = np.empty((s, state.n), dtype=np.uint8)
-    fill_shots(bits, state.p1, rng)
-    return bits
+    return draw_shots(state.p1, s, rng)
 
 
-def fill_shots(out: np.ndarray, p1: np.ndarray, rng: np.random.Generator) -> None:
-    """Fill the C-contiguous (s, n) uint8 ``out`` with the shots of ``shot_blocks(p1, s, rng)``,
-    drawn into ``out`` as its one block. ``sample`` and the GA's fitness pass draw through here."""
-    if not out.flags.c_contiguous:
-        raise ValueError("shot output must be a C-contiguous (s, n) array")
-    next(shot_blocks(p1, len(out), rng, len(out) + -len(out) % 8, out))
+def draw_shots(p1: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+    """All ``count`` shots of ``shot_blocks`` as one (count, n) uint8 block, drawn into
+    ``shot_blocks``' own buffer. ``sample`` and the GA's fitness pass draw through here."""
+    return next(shot_blocks(p1, count, rng, count + -count % 8))[1]
 
 
-def shot_blocks(
-    p1: np.ndarray, count: int, rng: np.random.Generator, rows: int,
-    buffer: np.ndarray | None = None,
-):
+def shot_blocks(p1: np.ndarray, count: int, rng: np.random.Generator, rows: int):
     """Draw ``count`` shots in blocks of ``rows`` rows, a multiple of 8; yield (index, bits).
 
     ``p1`` is one (n,) bias row, or a (groups, n) array whose row k biases the consecutive
@@ -194,11 +186,10 @@ def shot_blocks(
     uniforms as the block is drawn. So ``rng`` needs a bit generator whose ``advance(k)``
     skips k ``random_raw`` words: numpy's default PCG64; any other raises ValueError.
 
-    Each block comes final as (slice of its rows, (rows, n) uint8 bits), in ``buffer`` (a
-    new (min(rows, count), n) uint8 array if None), which the next block overwrites; its
-    words are drawn about SAMPLE_BLOCK_CELLS at a time. ``p1`` must be >= 0, and a NaN or
-    negative entry raises ValueError; ``prepare_state`` and ``p_one_rows`` clip to [0, 1]
-    so that it is.
+    Each block comes final as (slice of its rows, (rows, n) uint8 bits), in one buffer of
+    min(rows, count) rows, which the next block overwrites; its words are drawn about
+    SAMPLE_BLOCK_CELLS at a time. ``p1`` must be >= 0, and a NaN or negative entry raises
+    ValueError; ``prepare_state`` and ``p_one_rows`` clip to [0, 1] so that it is.
     """
     scaled = 65536.0 * np.atleast_2d(np.asarray(p1, dtype=np.float64))
     if not (scaled >= 0).all():  # a NaN or negative bias would cast to an arbitrary threshold
@@ -220,8 +211,7 @@ def shot_blocks(
     kept = {key: ties.state[key] for key in ("has_uint32", "uinteger")}  # advance drops them
     ties.state = {**ties.advance(-(-count * n // 4)).state, **kept}
     step = min(rows, _block_rows(SAMPLE_BLOCK_CELLS, n))  # rows per random_raw draw
-    if buffer is None:
-        buffer = np.empty((min(rows, count), n), np.uint8)
+    buffer = np.empty((min(rows, count), n), np.uint8)
     for start in range(0, count, rows):
         block = buffer[:min(rows, count - start)]
         for lo in range(start, start + len(block), step):

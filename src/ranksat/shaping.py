@@ -248,7 +248,7 @@ def level_shaped_costs(
     m = clause_counts.shape[1]
     zeta, weights = _cost_base(m), np.arange(1, m + 1, dtype=np.int64) ** 2
     exact = np.int64 if s * d_max(m) < 2**63 else object  # object: Python ints
-    weights, step = weights.astype(exact), max(1, SCORE_BLOCK_CELLS // m)
+    weights, step = weights.astype(exact), max(1, SCORE_BLOCK_CELLS // max(m, 1))
     d_sums = [ds for lo in range(0, rows, step)  # widen a block of rows of counts, not all P
               for ds in (clause_counts[lo:lo + step].astype(exact) @ weights).tolist()]
     means = [(zeta * hs + ds) / s for hs, ds in zip(h.sum(axis=1).tolist(), d_sums)]

@@ -27,6 +27,9 @@ cells in flat order.
 ``float_g_distribution`` is the oracle's earlier exact g-distribution: a
 float64 g table per rank from ``slice_unsat_table`` and one ``np.unique`` over
 it, with no table cache.
+
+``to_dimacs`` writes a formula back as DIMACS text, for tests that need an
+instance file; re-parsing it yields an equal formula.
 """
 import math
 
@@ -158,3 +161,10 @@ def float_g_distribution(f, angles, params):
     values, inverse = np.unique(g, return_inverse=True)
     del g
     return values, _block_bincount(inverse, values.size, _state_probabilities(f, angles))
+
+
+def to_dimacs(f) -> str:
+    lines = [f"p cnf {f.n} {f.m}"]
+    for clause in f.clauses:
+        lines.append(" ".join(str(lit.signed) for lit in clause.literals) + " 0")
+    return "\n".join(lines) + "\n"

@@ -23,7 +23,7 @@ from ranksat.qsim import AngleVector, prepare_state, sample
 from ranksat.shaping import CostHistogram, QuantileSet, cost_histogram
 
 from conftest import all_assignments, random_formula
-from dense_reference import divergence, eval_clause, g_cost
+from dense_reference import divergence, eval_clause, g_cost, to_dimacs
 
 ZEROS5 = [0, 0, 0, 0, 0]
 SOLUTION = [1, 1, 1, 0, 0]
@@ -82,14 +82,14 @@ def test_parse_error_line_number_with_comments():
 
 
 def test_round_trip_widget(widget):
-    assert rs.parse_dimacs(rs.to_dimacs(widget)) == widget
+    assert rs.parse_dimacs(to_dimacs(widget)) == widget
 
 
 def test_round_trip_random_formulas():
     rng = np.random.default_rng(11)
     for _ in range(20):
         f = random_formula(rng)
-        assert rs.parse_dimacs(rs.to_dimacs(f)) == f
+        assert rs.parse_dimacs(to_dimacs(f)) == f
 
 
 def test_json_instance_rejects_weights(tmp_path, capsys):
@@ -129,7 +129,7 @@ def test_json_instance_rejects_non_integers(tmp_path, doc, capsys):
 
 def test_load_instance_file_dispatch(tmp_path, widget):
     cnf = tmp_path / "a.cnf"
-    cnf.write_text(rs.to_dimacs(widget))
+    cnf.write_text(to_dimacs(widget))
     assert load_instance_file(str(cnf)) == widget
     js = tmp_path / "a.json"
     js.write_text(json.dumps(
@@ -238,7 +238,7 @@ def test_default_params_refuses_inexact_costs(tmp_path, capsys, monkeypatch):
     assert builds == []
 
     path = tmp_path / "big.cnf"
-    path.write_text(rs.to_dimacs(refused))
+    path.write_text(to_dimacs(refused))
     argv = ["optimize", str(path), "--generations", "0", "--out", str(tmp_path / "r.json")]
     assert main(argv) == 2
     assert "limit of 12820" in capsys.readouterr().err

@@ -17,7 +17,7 @@ from ranksat.evolve import (
     seed_stream,
     tournament_select,
 )
-from ranksat.qsim import AngleVector, fill_shots, p_one_rows, prepare_state, sample
+from ranksat.qsim import AngleVector, draw_shots, p_one_rows, prepare_state, sample
 from ranksat.shaping import QuantileSet, cost_histogram, shaped_cost
 
 from conftest import random_formula
@@ -104,10 +104,9 @@ def test_batched_fitness_equals_histogram_path(widget, case, size, shots, levels
     # as in optimize: one pass over the rows after the elites
     genes = _random_genes(rng, size, cfg.depth)[size // 3:]
     fitness = _fitness_values(f, genes, cfg, seed_stream(cfg.seed, _TAG_FITNESS, 4))
-    # the same shots: one fill_shots draw from the same stream, row i reading its own s rows
-    bits = np.empty((len(genes) * shots, f.n), dtype=np.uint8)
+    # the same shots: one draw_shots draw from the same stream, row i reading its own s rows
     p_one = p_one_rows(f.n, genes[:, :cfg.depth], genes[:, cfg.depth:])
-    fill_shots(bits, p_one, seed_stream(cfg.seed, _TAG_FITNESS, 4))
+    bits = draw_shots(p_one, len(genes) * shots, seed_stream(cfg.seed, _TAG_FITNESS, 4))
     rows = bits.reshape(len(genes), shots, f.n)
     assert fitness == [_histogram_fitness(f, row, cfg) for row in rows]
     h = np.sort(f.arrays.h(bits).reshape(len(genes), shots), axis=1)
@@ -123,25 +122,25 @@ def test_batched_fitness_equals_histogram_path(widget, case, size, shots, levels
 
 
 def test_optimize_hot_path_draws_one_stream_and_one_sample_per_generation(widget, monkeypatch):
-    # no per-row streams: one fitness stream and one fill_shots call per generation, each
+    # no per-row streams: one fitness stream and one draw_shots call per generation, each
     # for all of the generation's new rows
-    streams, filled = [], []
+    streams, drawn = [], []
 
     def counted_stream(seed, *path):
         streams.append(path)
         return seed_stream(seed, *path)
 
-    def counted_fill(out, p1, rng):
-        filled.append(len(p1))
-        fill_shots(out, p1, rng)
+    def counted_draw(p1, count, rng):
+        drawn.append(len(p1))
+        return draw_shots(p1, count, rng)
 
     monkeypatch.setattr(rs.evolve, "seed_stream", counted_stream)
-    monkeypatch.setattr(rs.evolve, "fill_shots", counted_fill)
+    monkeypatch.setattr(rs.evolve, "draw_shots", counted_draw)
     cfg = GaConfig(generations=4, population=6, elites=2, shots_per_eval=50, seed=2)
     optimize(widget, cfg)
     breeding = [path for t in range(1, 5) for path in ((_TAG_EVOLVE, t), (_TAG_FITNESS, t))]
     assert streams == [(_TAG_INIT,), (_TAG_FITNESS, 0)] + breeding
-    assert filled == [6, 4, 4, 4, 4]
+    assert drawn == [6, 4, 4, 4, 4]
 
 
 def test_tournament_tie_break_lowest_index():
@@ -262,20 +261,20 @@ def test_config_validation():
 
 def test_optimize_zero_generations(widget):
     cfg = GaConfig(generations=0, population=6, shots_per_eval=50, seed=3)
-    best, history = optimize(widget, cfg)
-    assert len(history.records) == 1
-    rec = history.records[0]
-    assert rec.generation == 0
-    assert rec.best_so_far_angles == best
-    assert rec.best_fitness == rec.best_so_far_fitness
+    best, rows = optimize(widget, cfg)
+    assert len(rows) == 1
+    row = rows[0]
+    assert row["generation"] == 0
+    assert row["best_so_far_angles"] == best.to_json_obj()
+    assert row["best_fitness"] == row["best_so_far_fitness"]
 
 
 def test_optimize_deterministic(widget):
     cfg = GaConfig(generations=6, population=8, shots_per_eval=60, seed=21)
-    best_a, hist_a = optimize(widget, cfg)
-    best_b, hist_b = optimize(widget, cfg)
+    best_a, rows_a = optimize(widget, cfg)
+    best_b, rows_b = optimize(widget, cfg)
     assert best_a == best_b
-    assert hist_a.records == hist_b.records
+    assert rows_a == rows_b
 
 
 def test_optimize_seed_changes_run(widget):
@@ -286,20 +285,20 @@ def test_optimize_seed_changes_run(widget):
 
 def test_optimize_monotone_best_so_far(widget):
     cfg = GaConfig(generations=15, population=8, elites=2, shots_per_eval=60, seed=5)
-    _, history = optimize(widget, cfg)
-    assert [r.generation for r in history.records] == list(range(16))
-    fits = [r.best_so_far_fitness for r in history.records]
+    _, rows = optimize(widget, cfg)
+    assert [r["generation"] for r in rows] == list(range(16))
+    fits = [r["best_so_far_fitness"] for r in rows]
     assert all(b >= a for a, b in zip(fits, fits[1:]))
     # elites carry cached fitness, so the per-generation best never regresses
-    bests = [r.best_fitness for r in history.records]
+    bests = [r["best_fitness"] for r in rows]
     assert all(b >= a for a, b in zip(bests, bests[1:]))
 
 
 def test_optimize_records_match_angles(widget):
     cfg = GaConfig(generations=4, population=6, shots_per_eval=50, seed=8)
-    best, history = optimize(widget, cfg)
-    assert history.records[-1].best_so_far_angles == best
-    assert all(r.best_so_far_angles.depth == cfg.depth for r in history.records)
+    best, rows = optimize(widget, cfg)
+    assert rows[-1]["best_so_far_angles"] == best.to_json_obj()
+    assert all(len(r["best_so_far_angles"]) == cfg.depth for r in rows)
 
 
 def test_optimize_elite_stays_ahead_of_tied_children(widget, monkeypatch):
@@ -324,10 +323,10 @@ def test_optimize_elite_stays_ahead_of_tied_children(widget, monkeypatch):
     monkeypatch.setattr(rs.evolve, "tournament_select", first_row)
     monkeypatch.setattr(rs.evolve, "crossover", spy_crossover)
     cfg = GaConfig(generations=3, population=4, elites=1, mutation_prob=1.0, seed=4)
-    best, history = optimize(widget, cfg)
+    best, rows = optimize(widget, cfg)
     elite = scored[0][1]
     assert len(parents) == 3
     assert all(np.array_equal(p, np.tile(elite, (3, 1))) for p in parents)
     assert all(not np.any(np.all(rows == elite, axis=1)) for rows in scored[1:])
     assert best == AngleVector(betas=tuple(elite[:2]), gammas=tuple(elite[2:]))
-    assert [r.best_fitness for r in history.records] == [-1.0] * 4
+    assert [r["best_fitness"] for r in rows] == [-1.0] * 4

@@ -19,6 +19,7 @@ from ranksat.qsim import AngleVector
 from ranksat.shaping import QuantileSet
 
 from conftest import DATA, random_formula
+from dense_reference import to_dimacs
 
 SHORT = dict(generations=3, population=6, elites=1, shots_per_eval=60, seed=17)
 
@@ -42,7 +43,7 @@ def test_golden_widget_run(tmp_path, monkeypatch):
 
 def test_golden_synthetic_n20_run(tmp_path, monkeypatch):
     f = random_formula(np.random.default_rng(0), n=20, m=91)
-    (tmp_path / "synth20.cnf").write_text(rs.to_dimacs(f))
+    (tmp_path / "synth20.cnf").write_text(to_dimacs(f))
     monkeypatch.chdir(tmp_path)
     art = run_optimize("synth20.cnf", GaConfig(**SHORT), final_shots=5000)
     assert art["run"]["oracle"] is not None
@@ -59,7 +60,7 @@ def test_golden_widget_depth1_run(tmp_path, monkeypatch):
 
 def test_golden_synthetic_n20_depth3_no_elites_run(tmp_path, monkeypatch):
     f = random_formula(np.random.default_rng(0), n=20, m=91)
-    (tmp_path / "synth20.cnf").write_text(rs.to_dimacs(f))
+    (tmp_path / "synth20.cnf").write_text(to_dimacs(f))
     monkeypatch.chdir(tmp_path)
     cfg = GaConfig(**{**SHORT, "depth": 3, "elites": 0, "tournament_size": 1})
     art = run_optimize("synth20.cnf", cfg, final_shots=5000)

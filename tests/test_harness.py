@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import ranksat as rs
-from ranksat.cli import main
+from ranksat.cli import _HISTORY_FIELDS, main
 from ranksat.cnf import H_BLOCK_CELLS, H_BLOCK_MIN_ROWS, ClauseArrays, _block_rows
-from ranksat.evolve import GaConfig
+from ranksat.evolve import GaConfig, optimize
 from ranksat.harness import (
     _sampled_scores,
     artifact_histogram,
@@ -166,6 +166,16 @@ def test_cli_optimize_checks_final_shots_before_the_ga(
     assert not (tmp_path / "x.json").exists()
 
 
+def test_run_optimize_stores_the_ga_history_rows(widget, widget_path):
+    # optimize writes the artifact's history rows, in the layout report --what history reads
+    best, rows = optimize(widget, _tiny_cfg())
+    run = run_optimize(widget_path, _tiny_cfg(), final_shots=100)["run"]
+    assert run["history"] == rows
+    assert run["best_angles"] == rows[-1]["best_so_far_angles"] == best.to_json_obj()
+    assert run["best_fitness"] == rows[-1]["best_so_far_fitness"]
+    assert all(list(row) == [*_HISTORY_FIELDS, "best_so_far_angles"] for row in rows)
+
+
 def test_run_optimize_zero_angles_equivalent(widget_path):
     # generations=0 reduces to the best of the random initial population
     art = run_optimize(widget_path, _tiny_cfg(generations=0), final_shots=1000)
@@ -186,6 +196,19 @@ def test_cli_enumerate_empty_formula(tmp_path, capsys):
     assert main(["enumerate", str(empty)]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[1] == "0,8,1,1"
+
+
+def test_cli_optimize_empty_formula(tmp_path, capsys):
+    # zero clauses once divided by m in the fitness pass: ZeroDivisionError, exit 1
+    empty = tmp_path / "empty.cnf"
+    empty.write_text("p cnf 3 0\n")
+    out = tmp_path / "run.json"
+    argv = ["optimize", str(empty), "--generations", "2", "--population", "4", "--elites", "1",
+            "--shots", "16", "--final-shots", "100", "--out", str(out)]
+    assert main(argv) == 0
+    assert "best shaped cost: 0" in capsys.readouterr().out
+    assert load_artifact(str(out))["run"]["final_sample"]["h_histogram"] == [
+        {"h": 0, "count": 100, "probability": 1.0, "cumfreq": 1.0}]
 
 
 # -- sample / compare / report -------------------------------------------------

@@ -27,6 +27,7 @@ from dense_reference import (
     probability,
     rank_of,
     slice_unsat_table,
+    to_dimacs,
 )
 
 
@@ -391,7 +392,7 @@ def test_tables_built_once_per_formula(monkeypatch):
         with pytest.raises(ValueError):
             table[0] = 0
 
-    reparsed = rs.parse_dimacs(rs.to_dimacs(f))
+    reparsed = rs.parse_dimacs(to_dimacs(f))
     assert reparsed == f and reparsed is not f
     enumerate_h(reparsed)
     assert sorted(builds) == ["counts", "counts", "d", "h", "h"]

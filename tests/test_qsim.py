@@ -10,7 +10,7 @@ from ranksat.qsim import (
     QuantumState,
     SAMPLE_BLOCK_CELLS,
     bits_from_ranks,
-    fill_shots,
+    draw_shots,
     p_one_rows,
     prepare_state,
     sample,
@@ -215,8 +215,9 @@ def test_sample_chi_square_against_exact():
 
 def test_sample_validates():
     state = prepare_state(2, AngleVector.zeros(1))
-    with pytest.raises(ValueError):
-        sample(state, 0, np.random.default_rng(0))
+    for s in (0, -3):  # shot_blocks' check, which sample leaves to it
+        with pytest.raises(ValueError, match="shot count must be >= 1, got"):
+            sample(state, s, np.random.default_rng(0))
     with pytest.raises(ValueError):
         probability(state, [0])
 
@@ -277,7 +278,7 @@ def test_phase_overflow_is_refused():
     assert np.isfinite(p1).all() and p1.min() >= 0.0 and p1.max() <= 1.0
     for bad in (np.nan, -1e-3):
         with pytest.raises(ValueError, match="NaN or < 0"):
-            fill_shots(np.empty((4, 2), dtype=np.uint8), [0.5, bad], np.random.default_rng(0))
+            draw_shots([0.5, bad], 4, np.random.default_rng(0))
 
 
 def test_sample_blocks_draw_like_one_draw():
@@ -296,18 +297,16 @@ def test_sample_blocks_draw_like_one_draw():
     p1 = np.full((5, n), 30000.999 / 65536)
     p1[0] = 30000 / 65536
     assert _block_rows(SAMPLE_BLOCK_CELLS, n) % s
-    bits = np.empty((5 * s, n), dtype=np.uint8)
-    fill_shots(bits, p1, np.random.default_rng(6))
+    bits = draw_shots(p1, 5 * s, np.random.default_rng(6))
     np.testing.assert_array_equal(bits, raw_word_shots(p1, s, np.random.default_rng(6)))
     words = np.random.default_rng(6).bit_generator.random_raw(-(-bits.size // 4))
     tied = np.flatnonzero(words.astype("<u8").view("<u2")[:bits.size] == 30000)
     assert np.any(bits.reshape(-1)[tied[tied >= s * n]] == 1)
     # one bias row is the (n,) path, and rows that split unevenly are refused
-    one = np.empty((s, n), dtype=np.uint8)
-    fill_shots(one, p1[1:2], np.random.default_rng(6))
+    one = draw_shots(p1[1:2], s, np.random.default_rng(6))
     np.testing.assert_array_equal(one, raw_word_shots(p1[1], s, np.random.default_rng(6)))
     with pytest.raises(ValueError, match="groups"):
-        fill_shots(np.empty((7, n), dtype=np.uint8), p1[:2], np.random.default_rng(0))
+        draw_shots(p1[:2], 7, np.random.default_rng(0))
 
 
 def test_shot_blocks_settle_ties_in_bounded_chunks():
@@ -368,7 +367,7 @@ def test_shot_draws_leave_rng_where_one_draw_does():
     reference = stream()
     raw_word_shots(p1, 8, reference)
     drawn = stream()
-    fill_shots(np.empty((groups * 8, n), np.uint8), p1, drawn)
+    draw_shots(p1, groups * 8, drawn)
     assert drawn.bit_generator.state == reference.bit_generator.state
     drawn = stream()
     for _ in shot_blocks(p1, groups * 8, drawn, 16):
@@ -384,8 +383,7 @@ def test_fill_shots_threshold_multiples_are_the_word_compare():
     # p = k/65536 leaves no fraction, so a tied word reads 0 like any word >= k
     k = np.array([0, 1, 2, 255, 32768, 40000, 65535])
     s = 20_000
-    bits = np.empty((s, k.size), dtype=np.uint8)
-    fill_shots(bits, k / 65536, np.random.default_rng(9))
+    bits = draw_shots(k / 65536, s, np.random.default_rng(9))
     raw = np.random.default_rng(9).bit_generator.random_raw(-(-s * k.size // 4))
     words = raw.astype("<u8").view("<u2")[:s * k.size].reshape(s, k.size)
     np.testing.assert_array_equal(bits, words < k)
@@ -394,8 +392,7 @@ def test_fill_shots_threshold_multiples_are_the_word_compare():
 def test_fill_shots_edges_are_certain():
     # 300k cells per column: about 4.6 ties each, which the refinement must settle
     p1 = np.array([0.0, 1.0, 1.0 + 2.0**-52])
-    bits = np.empty((300_000, 3), dtype=np.uint8)
-    fill_shots(bits, p1, np.random.default_rng(2))
+    bits = draw_shots(p1, 300_000, np.random.default_rng(2))
     assert not bits[:, 0].any()
     assert bits[:, 1:].all()
 
@@ -403,16 +400,9 @@ def test_fill_shots_edges_are_certain():
 def test_fill_shots_below_a_word_step_uses_the_tie_path():
     # p < 2**-16 gives threshold 0, so every 1 is a tied word refined by a uniform
     p, shape = 3 * 2.0**-19, (4096, 4096)
-    bits = np.empty(shape, dtype=np.uint8)
-    fill_shots(bits, np.full(shape[1], p), np.random.default_rng(4))
+    bits = draw_shots(np.full(shape[1], p), shape[0], np.random.default_rng(4))
     cells = shape[0] * shape[1]
     assert abs(int(bits.sum()) - cells * p) < 4 * math.sqrt(cells * p * (1 - p))
-
-
-def test_fill_shots_refuses_a_strided_out():
-    out = np.empty((8, 2 * 5), dtype=np.uint8)[:, ::2]
-    with pytest.raises(ValueError, match="C-contiguous"):
-        fill_shots(out, np.full(5, 0.5), np.random.default_rng(0))
 
 
 def test_sample_memory_is_the_bits_plus_a_block():
