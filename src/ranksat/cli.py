@@ -116,14 +116,9 @@ def _load_angles(path: str) -> tuple[AngleVector, dict | None]:
 
 def cmd_sample(args) -> int:
     angles, source = _load_angles(args.angles)
-    f = load_instance_file(args.instance)
-    if source is not None:
-        recorded_n = source["run"]["instance"]["n"]
-        if recorded_n != f.n:
-            raise ValueError(
-                f"artifact was made for n={recorded_n} but instance has n={f.n}"
-            )
-    artifact = run_sample(args.instance, angles, shots=args.shots, seed=args.seed)
+    recorded_n = None if source is None else source["run"]["instance"]["n"]
+    artifact = run_sample(args.instance, angles, shots=args.shots, seed=args.seed,
+                          angles_n=recorded_n)
     hist = artifact_histogram(artifact)
     _emit(hist.to_csv(), args.out_hist)
     if args.out:

@@ -32,6 +32,7 @@ __all__ = [
     "parse_dimacs",
     "parse_dimacs_file",
     "parse_json_instance",
+    "parse_instance",
     "load_instance_file",
     "h_count",
     "default_params",
@@ -284,12 +285,15 @@ def parse_json_instance(text: str | dict) -> CnfFormula:
         raise DimacsError(str(exc))
 
 
+def parse_instance(path: str, text: str) -> CnfFormula:
+    """Parse the text of the instance file ``path``: JSON for a .json path, else DIMACS CNF."""
+    return parse_json_instance(text) if str(path).endswith(".json") else parse_dimacs(text)
+
+
 def load_instance_file(path: str) -> CnfFormula:
     """Load a DIMACS CNF or JSON instance, dispatching on extension."""
-    if str(path).endswith(".json"):
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_json_instance(fh.read())
-    return parse_dimacs_file(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_instance(path, fh.read())
 
 
 # ---------------------------------------------------------------------------
@@ -309,15 +313,15 @@ def h_count(f: CnfFormula, a: Sequence[int]) -> int:
 # Batch scoring
 
 SCORE_BLOCK_CELLS = 2**18  # clause x row cells per d block: unpacked, a 2 MB float64 temporary
-H_BLOCK_CELLS = 8 * SCORE_BLOCK_CELLS  # h and h_counts blocks stay packed: 256 KB of unsat bytes
+H_BLOCK_CELLS = 8 * SCORE_BLOCK_CELLS  # h and h_d_sums blocks stay packed: 256 KB of unsat bytes
 H_BLOCK_MIN_ROWS = 1024  # 128-byte gathered planes; 488-row blocks made h 1.5x slower at m=4260
 H_CHUNK = 255  # clauses per uint8 sum in h, so no row's sum can overflow
 
 
-def _block_rows(cells: int, m: int, least: int = 8) -> int:
-    """Rows per scoring block of about ``cells`` clause x row cells and at least ``least``
-    rows: a multiple of 8, so every block but the last packs into whole bytes."""
-    return max(least, cells // max(m, 1) // 8 * 8)
+def _block_rows(cells: int, m: int) -> int:
+    """Rows per scoring block of about ``cells`` clause x row cells and at least 8 rows: a
+    multiple of 8, so every block but the last packs into whole bytes."""
+    return max(8, cells // max(m, 1) // 8 * 8)
 
 
 class ClauseArrays:
@@ -330,13 +334,14 @@ class ClauseArrays:
     ``n + v`` where it is 1. ``_lits[j, i] = var + n*negated`` is the plane
     on which literal slot ``j`` of clause ``i`` fails, so a clause is
     unsatisfied on the AND of its gathered planes; a clause shorter than
-    ``width`` repeats its first literal in the spare slots. ``h`` and
-    ``h_counts`` score packed blocks of about H_BLOCK_CELLS clause x row
-    cells and at least H_BLOCK_MIN_ROWS rows; ``d`` unpacks blocks of about
-    SCORE_BLOCK_CELLS. Every block is a multiple of 8 rows and one ``unsat_matrix``
-    call, and one block is alive at a time, so peaks do not grow with the number of
-    rows: tracemalloc reads 1.6 MB for ``h``, 1.5 MB for ``h_counts`` and 2.4 MB for
-    ``d`` at n=100, m=426, s=20,000. Every cost g = zeta*h + d is built from h and d.
+    ``width`` repeats its first literal in the spare slots. ``h`` and ``h_d_sums``
+    score packed blocks of ``rows`` rows (the report samples draw shots in such
+    blocks), about H_BLOCK_CELLS clause x row cells and at least H_BLOCK_MIN_ROWS;
+    ``d`` unpacks blocks of about SCORE_BLOCK_CELLS. Every block is a multiple of 8
+    rows and one ``unsat_matrix`` call, and one block is alive at a time, so peaks do
+    not grow with the number of rows: tracemalloc reads 1.6 MB for ``h``, 1.5 MB for
+    ``h_d_sums`` and 2.4 MB for ``d`` at n=100, m=426, s=20,000. Every cost
+    g = zeta*h + d is built from h and d.
     """
 
     def __init__(self, f: CnfFormula):
@@ -347,7 +352,9 @@ class ClauseArrays:
             [[lit.signed for lit in column] for column in zip(*slots)], dtype=np.int64
         ).reshape(width, self.m)
         self._lits = np.abs(signed) - 1 + self.n * (signed < 0)
-        self._weights = np.arange(1, self.m + 1, dtype=np.float64) ** 2  # d's i**2 row
+        self._squares = np.arange(1, self.m + 1, dtype=np.int64) ** 2  # clause i weighs i**2
+        self._weights = self._squares.astype(np.float64)  # d's row, for a float64 product
+        self.rows = max(H_BLOCK_MIN_ROWS, _block_rows(H_BLOCK_CELLS, self.m))  # per h block
 
     def _checked(self, bits: np.ndarray) -> np.ndarray:
         """``bits`` as an (s, n) bool array; uint8 bits are checked and viewed without a copy."""
@@ -392,11 +399,10 @@ class ClauseArrays:
             unsat &= items[lits].view(np.uint8).reshape(self.m, size)
         return unsat
 
-    def _blocks(self, bits: np.ndarray, cells: int, least: int = 8):
-        """(start, stop, packed unsat block of rows start..stop - 1) over blocks of
-        ``_block_rows(cells, m, least)`` rows. Callers drop each block before the next."""
+    def _blocks(self, bits: np.ndarray, rows: int):
+        """(start, stop, packed unsat block of rows start..stop - 1) over blocks of ``rows``
+        rows. Callers drop each block before the next."""
         flags = self._checked(bits)
-        rows = _block_rows(cells, self.m, least)
         for start in range(0, len(flags), rows):
             block = flags[start:start + rows]
             yield start, start + len(block), self.unsat_matrix(block)
@@ -413,43 +419,45 @@ class ClauseArrays:
     def h(self, bits: np.ndarray) -> np.ndarray:
         """Per-row count of unsatisfied clauses."""
         out = np.empty(len(bits), np.int64)
-        for start, stop, u in self._blocks(bits, H_BLOCK_CELLS, H_BLOCK_MIN_ROWS):
+        for start, stop, u in self._blocks(bits, self.rows):
             self._h_into(u, out[start:stop])
             del u  # else it stays alive while the next block is built
         return out
 
-    def h_counts(self, bits: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row h, in the narrowest type holding m, and the (rows // s, m) unsat count of
-        each clause over each group of s consecutive rows, in the narrowest type holding s,
+    def h_d_sums(self, bits: np.ndarray, s: int) -> tuple[np.ndarray, list[int]]:
+        """Per-row h, in the narrowest type holding m, and the exact d-sum, sum(i**2 * c_i)
+        over each group of s consecutive rows where clause i fails c_i times, as Python ints,
         from one pass over the h blocks. A group may span blocks, and its edges may cut a
-        byte; each block adds its part of every group it holds, so the peak does not grow
-        with s."""
+        byte; each block adds its share of every group it holds, at most d_max(m) times
+        its rows (7.2e14 at MAX_EXACT_CLAUSES), so the int64 shares are exact."""
         if s < 1 or len(bits) % s:
             raise ValueError(f"{len(bits)} rows do not split into groups of {s}")
         h = np.empty(len(bits), np.min_scalar_type(self.m))
-        counts = np.zeros((len(bits) // s, self.m), np.min_scalar_type(s))
-        for start, stop, u in self._blocks(bits, H_BLOCK_CELLS, H_BLOCK_MIN_ROWS):
+        d_sums = [0] * (len(bits) // s)
+        for start, stop, u in self._blocks(bits, self.rows):
             self._h_into(u, h[start:stop])
             first = start // s
             edges = np.maximum(np.arange(first * s, stop, s) - start, 0)  # each part's first row
             at = edges // 8
             # whole bytes from each part's first byte on, then the bits of a cut byte below
             # its edge move to the part before; the unsigned sums may wrap, which is exact
-            # because each result is a count of at most s
-            part = np.add.reduceat(np.bitwise_count(u), at, axis=1, dtype=counts.dtype)
+            # because each result is a count of at most the block's rows
+            part = np.add.reduceat(
+                np.bitwise_count(u), at, axis=1, dtype=np.min_scalar_type(stop - start))
             part[:, np.flatnonzero(at[1:] == at[:-1])] = 0  # reduceat's empty range gives a byte
             cut = np.bitwise_count(u[:, at] & ((1 << edges % 8) - 1).astype(np.uint8))
             part -= cut
             part[:, :-1] += cut[:, 1:]
-            counts[first:first + len(edges)] += part.T
+            for k, share in enumerate((self._squares @ part).tolist(), start=first):
+                d_sums[k] += share
             del u
-        return h, counts
+        return h, d_sums
 
     def d(self, bits: np.ndarray) -> np.ndarray:
         """Per-row divergence, the sum of i**2 over the unsatisfied clauses i, in float64:
         every partial sum is an integer of at most d_max(m) < 2**53, so it is exact."""
         out = np.empty(len(bits), np.float64)
-        for start, stop, u in self._blocks(bits, SCORE_BLOCK_CELLS):
+        for start, stop, u in self._blocks(bits, _block_rows(SCORE_BLOCK_CELLS, self.m)):
             out[start:stop] = self._weights @ np.unpackbits(
                 u, axis=1, count=stop - start, bitorder="little")
             del u

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cnf import CnfFormula
+from .cnf import CnfFormula, _cost_base
 from .qsim import AngleVector, BETA_PERIOD, GAMMA_PERIOD, draw_shots, p_one_rows
 from .shaping import QuantileSet, level_shaped_costs
 
@@ -104,13 +104,12 @@ def _fitness_values(
 ) -> list[float]:
     """evaluate_fitness of each gene row in one pass: all states at once, one (P*s, n) shot
     matrix drawn from ``rng`` by one draw_shots call, row i reading shots i*s to (i+1)*s - 1,
-    h and clause counts in one scoring pass, and d only at the quantile h-levels."""
+    h and each row's exact d-sum in one scoring pass, and d only at the quantile h-levels."""
     s, depth = cfg.shots_per_eval, genes.shape[1] // 2
     bits = draw_shots(p_one_rows(f.n, genes[:, :depth], genes[:, depth:]), len(genes) * s, rng)
-    h, counts = f.arrays.h_counts(bits, s)
-    costs = level_shaped_costs(
-        h.reshape(-1, s), counts, lambda idx: f.arrays.d(bits[idx]), cfg.quantile_levels
-    )
+    h, d_sums = f.arrays.h_d_sums(bits, s)
+    costs = level_shaped_costs(h.reshape(-1, s), d_sums, _cost_base(f.m),
+                               lambda idx: f.arrays.d(bits[idx]), cfg.quantile_levels)
     return [-cost for cost in costs]
 
 

@@ -21,9 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cnf import (
-    H_BLOCK_CELLS, H_BLOCK_MIN_ROWS, CnfFormula, _block_rows, default_params, load_instance_file,
-)
+from .cnf import CnfFormula, default_params, parse_instance
 from .evolve import GaConfig, final_sample_stream, optimize
 from .oracle import GUARD_MAX_N, enumerate_h, exact_h_distribution
 from .qsim import AngleVector, QuantumState, prepare_state, shot_blocks
@@ -32,7 +30,6 @@ from .shaping import CostHistogram, nearest_rank_quantile
 __all__ = [
     "RUN_SCHEMA",
     "SAMPLE_SCHEMA",
-    "instance_fingerprint",
     "canonical_json",
     "repro_hash",
     "run_optimize",
@@ -64,9 +61,12 @@ _ENTRY_TYPES = {"instance.n": int, "config.seed": int, "seed": int,  # JSON inte
 FINAL_SHOTS_DEFAULT = 100_000
 
 
-def instance_fingerprint(path: str) -> dict:
+def _read_instance(path: str) -> tuple[CnfFormula, dict]:
+    """The formula of ``path`` and its artifact record (path, sha256, n, m) from one read, so
+    a file edited during the run cannot pair one version's hash with another's formula."""
     data = Path(path).read_bytes()
-    return {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
+    f = parse_instance(path, data.decode("utf-8"))
+    return f, {"path": str(path), "sha256": hashlib.sha256(data).hexdigest(), "n": f.n, "m": f.m}
 
 
 def canonical_json(obj) -> str:
@@ -77,15 +77,15 @@ def repro_hash(run_obj: dict) -> str:
     return "sha256:" + hashlib.sha256(canonical_json(run_obj).encode()).hexdigest()
 
 
-def _artifact(schema: str, command: str, instance_path: str, f: CnfFormula, run: dict) -> dict:
+def _artifact(schema: str, command: str, instance: dict, run: dict) -> dict:
     """Wrap a run section, led by its instance record, with ``meta`` and the hash."""
-    run = {"instance": {**instance_fingerprint(instance_path), "n": f.n, "m": f.m}, **run}
+    run = {"instance": instance, **run}
     meta = {
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "tool_version": __version__,
         "command": command,
         # outside the hash, so report --g-level finds the file from any directory
-        "instance_path": str(Path(instance_path).resolve()),
+        "instance_path": str(Path(instance["path"]).resolve()),
     }
     return {"schema": schema, "meta": meta, "run": run, "repro_hash": repro_hash(run)}
 
@@ -126,8 +126,7 @@ def _sampled_scores(
     """
     zeta = default_params(f).zeta if cost == "g" else None
     values = np.empty(shots, np.min_scalar_type(f.m) if zeta is None else np.float64)
-    rows = _block_rows(H_BLOCK_CELLS, f.m, H_BLOCK_MIN_ROWS)
-    for index, bits in shot_blocks(state.p1, shots, rng, rows):
+    for index, bits in shot_blocks(state.p1, shots, rng, f.arrays.rows):
         h = f.arrays.h(bits)
         values[index] = h if zeta is None else zeta * h + f.arrays.d(bits)
     return values
@@ -142,7 +141,7 @@ def run_optimize(
     """Optimize angles, draw the final report sample, assemble the artifact."""
     if final_shots < 1:
         raise ValueError(f"shot count must be >= 1, got {final_shots}")
-    f = load_instance_file(instance_path)
+    f, instance = _read_instance(instance_path)
     params = default_params(f)
     best_angles, history = optimize(f, cfg)
 
@@ -166,7 +165,7 @@ def run_optimize(
             "improvement_factor_exact": exact_factor,
         }
 
-    return _artifact(RUN_SCHEMA, "optimize", instance_path, f, {
+    return _artifact(RUN_SCHEMA, "optimize", instance, {
         "config": cfg.to_json_obj(),
         "cost_params": asdict(params),
         "best_angles": best_angles.to_json_obj(),
@@ -183,16 +182,20 @@ def run_sample(
     angles: AngleVector,
     shots: int,
     seed: int,
+    angles_n: int | None = None,
 ) -> dict:
-    """Sample a fixed-angle state and wrap the histogram in an artifact."""
+    """Sample a fixed-angle state and wrap the histogram in an artifact. ``angles_n``, the n
+    recorded with the angles, must be the instance's n if given."""
     if shots < 1:
         raise ValueError(f"shot count must be >= 1, got {shots}")
-    f = load_instance_file(instance_path)
+    f, instance = _read_instance(instance_path)
+    if angles_n is not None and angles_n != f.n:
+        raise ValueError(f"artifact was made for n={angles_n} but instance has n={f.n}")
     if angles is None:
         raise ValueError("angles required")
     hist = CostHistogram.from_samples(_sampled_scores(
         f, prepare_state(f.n, angles), shots, final_sample_stream(seed)))
-    return _artifact(SAMPLE_SCHEMA, "sample", instance_path, f, {
+    return _artifact(SAMPLE_SCHEMA, "sample", instance, {
         "angles": angles.to_json_obj(),
         "seed": seed,
         "final_sample": _sample_section(hist, shots),
@@ -265,9 +268,9 @@ def regenerate_g_histogram(artifact: dict) -> CostHistogram:
         path = meta.get("instance_path") if isinstance(meta, dict) else None
         if not isinstance(path, str):
             raise ValueError(f"{run['instance']['path']} not found, and no meta.instance_path")
-    if instance_fingerprint(path)["sha256"] != run["instance"]["sha256"]:
+    f, instance = _read_instance(path)
+    if instance["sha256"] != run["instance"]["sha256"]:
         raise ValueError(f"{path} has changed since the run: its sha256 no longer matches")
-    f = load_instance_file(path)
     params = default_params(f)
     angles = artifact_angles(artifact)
     stored = artifact_histogram(artifact)

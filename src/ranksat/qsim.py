@@ -37,8 +37,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .cnf import _block_rows
-
 __all__ = [
     "AngleVector",
     "QuantumState",
@@ -210,7 +208,7 @@ def shot_blocks(p1: np.ndarray, count: int, rng: np.random.Generator, rows: int)
     words_from = copy.deepcopy(ties)
     kept = {key: ties.state[key] for key in ("has_uint32", "uinteger")}  # advance drops them
     ties.state = {**ties.advance(-(-count * n // 4)).state, **kept}
-    step = min(rows, _block_rows(SAMPLE_BLOCK_CELLS, n))  # rows per random_raw draw
+    step = min(rows, max(8, SAMPLE_BLOCK_CELLS // max(n, 1) // 8 * 8))  # 8k rows: whole words
     buffer = np.empty((min(rows, count), n), np.uint8)
     for start in range(0, count, rows):
         block = buffer[:min(rows, count - start)]

@@ -15,8 +15,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .cnf import (
-    SCORE_BLOCK_CELLS, CnfFormula, CostParams, _cost_base, _require_default_params, d_max)
+from .cnf import CnfFormula, CostParams, _require_default_params
 
 __all__ = [
     "CostHistogram",
@@ -232,25 +231,21 @@ def level_quantiles(
 
 def level_shaped_costs(
     h: np.ndarray,
-    clause_counts: np.ndarray,
+    d_sums: Sequence[int],
+    zeta: int,
     d_at: Callable[[np.ndarray], np.ndarray],
     levels: QuantileSet,
 ) -> list[float]:
     """``shaped_cost`` of the cost g = zeta*h + d over each row of shots, scored in integers.
 
-    ``h`` is a (P, s) matrix of per-shot unsat counts, ``clause_counts`` the (P, m) unsat
-    count of each clause per row, and ``d_at(idx)`` the d of the shots at flat indices ``idx``
-    of ``h``. The mean is the exact total zeta*sum(h) + sum(i**2 * c_i) over s, correctly
-    rounded; the quantiles are ``level_quantiles`` of the h-level shot counts, so only their
-    shots need d. Bit-identical to ``shaped_cost`` of the histogram of g while s*max(g) < 2**53.
+    ``h`` is a (P, s) matrix of per-shot unsat counts, ``d_sums`` each row's exact total of
+    d as an int (``ClauseArrays.h_d_sums``), ``zeta`` the integer weight d_max(m) + 1, and
+    ``d_at(idx)`` the d of the shots at flat indices ``idx`` of ``h``. The mean is the exact
+    total zeta*sum(h) + d_sum over s, correctly rounded; the quantiles are
+    ``level_quantiles`` of the h-level shot counts, so only their shots need d.
+    Bit-identical to ``shaped_cost`` of the histogram of g while s*max(g) < 2**53.
     """
     rows, s = h.shape
-    m = clause_counts.shape[1]
-    zeta, weights = _cost_base(m), np.arange(1, m + 1, dtype=np.int64) ** 2
-    exact = np.int64 if s * d_max(m) < 2**63 else object  # object: Python ints
-    weights, step = weights.astype(exact), max(1, SCORE_BLOCK_CELLS // max(m, 1))
-    d_sums = [ds for lo in range(0, rows, step)  # widen a block of rows of counts, not all P
-              for ds in (clause_counts[lo:lo + step].astype(exact) @ weights).tolist()]
     means = [(zeta * hs + ds) / s for hs, ds in zip(h.sum(axis=1).tolist(), d_sums)]
     low, high = int(h.min()), int(h.max())  # the weights span the h-levels of shots
     flat = (np.arange(rows)[:, None] * (high - low + 1) + (h - low)).reshape(-1)

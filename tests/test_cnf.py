@@ -9,8 +9,6 @@ import ranksat as rs
 from ranksat import oracle
 from ranksat.cli import main
 from ranksat.cnf import (
-    H_BLOCK_CELLS,
-    H_BLOCK_MIN_ROWS,
     MAX_EXACT_CLAUSES,
     SCORE_BLOCK_CELLS,
     ClauseArrays,
@@ -299,9 +297,7 @@ def test_batch_matches_scalar():
         cases.append((f, rng.integers(0, 2, size=(rows, n)).astype(np.uint8)))
     # at the ga-n200 size, rows spanning two full blocks and a remainder of each block size
     f = random_formula(rng, n=200, m=852)
-    blocks = [
-        _block_rows(SCORE_BLOCK_CELLS, f.m), _block_rows(H_BLOCK_CELLS, f.m, H_BLOCK_MIN_ROWS)
-    ]
+    blocks = [_block_rows(SCORE_BLOCK_CELLS, f.m), f.arrays.rows]
     rows = 2 * max(blocks) + 5
     assert all(rows // block >= 2 and rows % block for block in blocks)
     cases.append((f, rng.integers(0, 2, size=(rows, f.n)).astype(np.uint8)))
@@ -319,23 +315,35 @@ def test_batch_matches_scalar():
 
 @pytest.mark.parametrize("s,groups", [(250, 7), (250, 12), (1500, 2), (1, 13), (7, 401)])
 def test_h_counts_is_one_pass_of_unsat_matrix(s, groups):
-    # at m=852 an h block holds 2456 rows: 7 groups of 250 fit in one, and a block edge cuts a
-    # group of 250 (of 12), 1500 or 7 rows; groups of 250 and 7 rows also end inside bytes,
-    # several groups of 7 or 1 share a byte, and 13 rows leave pad bits
+    # h_d_sums gives the h counts and each group's d-sum. At m=852 an h block holds 2456
+    # rows: 7 groups of 250 fit in one, and a block edge cuts a group of 250 (of 12), 1500 or
+    # 7 rows; groups of 250 and 7 rows also end inside bytes, several groups of 7 or 1 share a
+    # byte, and 13 rows leave pad bits
     rng = np.random.default_rng(10)
     f = random_formula(rng, n=200, m=852)
     bits = rng.integers(0, 2, size=(groups * s, f.n)).astype(np.uint8)
-    h, counts = f.arrays.h_counts(bits, s)
+    h, d_sums = f.arrays.h_d_sums(bits, s)
     packed = f.arrays.unsat_matrix(bits)
     assert packed.shape == (f.m, -(-len(bits) // 8)) and packed.dtype == np.uint8
-    assert _block_rows(H_BLOCK_CELLS, f.m, H_BLOCK_MIN_ROWS) == 2456
+    assert f.arrays.rows == 2456
     assert not np.unpackbits(packed, axis=1, bitorder="little")[:, len(bits):].any()  # pad bits
     unsat = np.unpackbits(packed, axis=1, count=len(bits), bitorder="little").T
-    assert h.dtype == np.uint16 and counts.dtype == np.min_scalar_type(s)
-    assert h.tolist() == unsat.sum(axis=1).tolist()
-    assert counts.tolist() == unsat.reshape(groups, s, f.m).sum(axis=1).tolist()
+    assert h.dtype == np.uint16 and h.tolist() == unsat.sum(axis=1).tolist()
+    d = unsat.astype(np.int64) @ np.arange(1, f.m + 1, dtype=np.int64) ** 2
+    assert all(type(x) is int for x in d_sums)
+    assert d_sums == d.reshape(groups, s).sum(axis=1).tolist()
     with pytest.raises(ValueError, match="groups of"):
-        f.arrays.h_counts(bits, s + 1)
+        f.arrays.h_d_sums(bits, s + 1)
+
+
+def test_h_d_sums_exact_over_two_blocks_at_the_clause_limit():
+    # every clause fails on every row, and one group of rows + 1 rows spans two h blocks
+    f = rs.CnfFormula.from_signed(1, [[1]] * MAX_EXACT_CLAUSES)
+    rows = f.arrays.rows
+    h, d_sums = f.arrays.h_d_sums(np.zeros((rows + 1, 1), np.uint8), rows + 1)
+    assert h.tolist() == [MAX_EXACT_CLAUSES] * (rows + 1)
+    assert d_sums == [(rows + 1) * d_max(MAX_EXACT_CLAUSES)]
+    assert type(d_sums[0]) is int
 
 
 def test_g_exact_at_clause_limit():
@@ -369,7 +377,7 @@ def test_scorers_refuse_non_binary_bits(bits):
     with pytest.raises(ValueError, match="0 or 1"):
         cost_histogram(f, bits, rs.default_params(f))
     with pytest.raises(ValueError, match="0 or 1"):
-        f.arrays.h_counts(bits, 1)
+        f.arrays.h_d_sums(bits, 1)
 
 
 def test_scorers_accept_any_binary_dtype():
@@ -406,16 +414,16 @@ def test_scoring_memory_bound(method):
     assert peak < (1 if method == "unsat_matrix" else 4) * s * f.m
 
 
-@pytest.mark.parametrize("method", ["h", "d", "g", "h_counts"])
+@pytest.mark.parametrize("method", ["h", "d", "g", "h_d_sums"])
 def test_scoring_peak_does_not_grow_with_rows(method):
     # a whole (s, m) bool matrix plus its reductions needed about 3.25*s*m bytes (28 MB here);
-    # one block alive at a time stays under 3 MB (a second one put h at 3.6 MB). h_counts
+    # one block alive at a time stays under 3 MB (a second one put h at 3.6 MB). h_d_sums
     # takes all s rows as one group, which spans many blocks
     s, rng = 20_000, np.random.default_rng(4)
     f = random_formula(rng, n=100, m=426)
     f.arrays
     bits = rng.integers(0, 2, size=(s, f.n)).astype(np.uint8)
-    args = (s,) if method == "h_counts" else ()
+    args = (s,) if method == "h_d_sums" else ()
     tracemalloc.start()
     try:
         _scorer(f, method)(bits, *args)

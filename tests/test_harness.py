@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 import tracemalloc
@@ -8,7 +9,7 @@ import pytest
 
 import ranksat as rs
 from ranksat.cli import _HISTORY_FIELDS, main
-from ranksat.cnf import H_BLOCK_CELLS, H_BLOCK_MIN_ROWS, ClauseArrays, _block_rows
+from ranksat.cnf import ClauseArrays
 from ranksat.evolve import GaConfig, optimize
 from ranksat.harness import (
     _sampled_scores,
@@ -261,6 +262,35 @@ def test_cli_sample_n_mismatch(widget_path, tmp_path, capsys):
     assert "n=5" in capsys.readouterr().err
 
 
+def test_artifact_records_the_instance_the_run_parsed(widget_path, tmp_path, monkeypatch):
+    # the file is read once: rewritten after the GA, it leaves the artifact with the hash of
+    # the bytes the run parsed, and their n and m
+    path, original = tmp_path / "w.cnf", Path(widget_path).read_bytes()
+    path.write_bytes(original)
+    inner = rs.harness.optimize
+
+    def rewrite_after(f, cfg):
+        result = inner(f, cfg)
+        path.write_text("p cnf 3 1\n1 2 3 0\n")
+        return result
+
+    monkeypatch.setattr(rs.harness, "optimize", rewrite_after)
+    art = run_optimize(str(path), _tiny_cfg(), final_shots=100)
+    assert art["run"]["instance"] == {
+        "path": str(path), "sha256": hashlib.sha256(original).hexdigest(), "n": 5, "m": 10}
+
+
+def test_crlf_instance_is_hashed_as_read(widget, widget_path, tmp_path):
+    # the artifact parses the decoded bytes it hashes; a text-mode read translates CRLF
+    data = Path(widget_path).read_bytes().replace(b"\n", b"\r\n")
+    path = tmp_path / "crlf.cnf"
+    path.write_bytes(data)
+    assert rs.cnf.load_instance_file(str(path)) == widget
+    instance = run_sample(str(path), AngleVector.zeros(2), 10, 1)["run"]["instance"]
+    assert instance["sha256"] == hashlib.sha256(data).hexdigest()
+    assert (instance["n"], instance["m"]) == (widget.n, widget.m)
+
+
 def test_run_sample_artifact_roundtrip(widget_path, tmp_path):
     art = run_sample(widget_path, AngleVector.zeros(2), shots=2000, seed=11)
     assert art["schema"] == "ranksat-sample/1"
@@ -275,7 +305,7 @@ def test_streamed_scores_equal_the_sample_matrix(n, m):
     # even columns have p < 2**-16 (threshold 0), so each of their 1s is a settled tie; odd
     # columns have thresholds at row 5's own words, so that row ties in every odd column
     f = random_formula(np.random.default_rng(n), n=n, m=m)
-    rows = _block_rows(H_BLOCK_CELLS, m, H_BLOCK_MIN_ROWS)
+    rows = f.arrays.rows
     s = 3 * rows + 17  # three whole h blocks and a remainder
     raw = np.random.default_rng(8).bit_generator.random_raw(-(-s * n // 4))
     words = raw.astype("<u8").view("<u2")[:s * n].reshape(s, n)

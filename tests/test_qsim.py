@@ -16,7 +16,6 @@ from ranksat.qsim import (
     sample,
     shot_blocks,
 )
-from ranksat.cnf import _block_rows
 
 from dense_reference import (
     dense_state,
@@ -296,7 +295,7 @@ def test_sample_blocks_draw_like_one_draw():
     n, s = 999, 100
     p1 = np.full((5, n), 30000.999 / 65536)
     p1[0] = 30000 / 65536
-    assert _block_rows(SAMPLE_BLOCK_CELLS, n) % s
+    assert SAMPLE_BLOCK_CELLS // n // 8 * 8 % s
     bits = draw_shots(p1, 5 * s, np.random.default_rng(6))
     np.testing.assert_array_equal(bits, raw_word_shots(p1, s, np.random.default_rng(6)))
     words = np.random.default_rng(6).bit_generator.random_raw(-(-bits.size // 4))

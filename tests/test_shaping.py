@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -283,8 +282,10 @@ def test_level_shaped_mean_is_correctly_rounded_above_2_53():
     f = rs.CnfFormula.from_signed(n, [[lit] for lit in lits])
     bits = rng.integers(0, 2, (s, n)).astype(np.uint8)
     levels = QuantileSet.default()
-    h, counts = f.arrays.h_counts(bits, s)
-    value = level_shaped_costs(h.reshape(1, s), counts, lambda i: f.arrays.d(bits[i]), levels)
+    h, d_sums = f.arrays.h_d_sums(bits, s)
+    zeta = int(rs.default_params(f).zeta)
+    value = level_shaped_costs(h.reshape(1, s), d_sums, zeta, lambda i: f.arrays.d(bits[i]),
+                               levels)
     hist = cost_histogram(f, bits, rs.default_params(f))
     total = sum(int(g) * int(c) for g, c in zip(hist.values, hist.counts))
     assert total > 2**53
@@ -295,34 +296,22 @@ def test_level_shaped_mean_is_correctly_rounded_above_2_53():
 
 
 def test_level_shaped_total_cannot_overflow_at_the_clause_limit():
-    # synthetic counts: every shot leaves all MAX_EXACT_CLAUSES clauses unsatisfied
+    # synthetic d-sums: every shot leaves all MAX_EXACT_CLAUSES clauses unsatisfied
     m = MAX_EXACT_CLAUSES
-    g_max = (d_max(m) + 1) * m + d_max(m)
-    # one row of 2**20 shots, whose integer total does not fit int64; then 1025 rows of one
-    # shot, the fewest at which a sort key (r*(m+1) + h)*zeta + d does not fit it
-    for rows, s in ((1, 2**20), (1025, 1)):
-        assert max(s * g_max, rows * (m + 1) * (d_max(m) + 1)) > 2**63
-        h = np.full((rows, s), m, dtype=np.int16)
-        counts = np.full((rows, m), s, dtype=np.min_scalar_type(s))
-        value = level_shaped_costs(h, counts, lambda i: np.full(len(i), float(d_max(m))),
-                                   QuantileSet.default())
-        assert value == [float(g_max) + (float(g_max) + g_max + g_max)] * rows
-
-
-def test_level_shaped_costs_widen_the_clause_counts_a_block_at_a_time():
-    # one int64 copy of these (1025, 12820) uint8 counts would take 105 MB
-    m, rows = MAX_EXACT_CLAUSES, 1025
-    h = np.full((rows, 1), m, dtype=np.int16)
-    counts = np.ones((rows, m), dtype=np.uint8)
+    zeta = d_max(m) + 1
+    g_max = zeta * m + d_max(m)
 
     def d_at(idx):
         return np.full(len(idx), float(d_max(m)))
 
-    level_shaped_costs(h[:2], counts[:2], d_at, QuantileSet.default())  # first-call allocations
-    tracemalloc.start()
-    try:
-        level_shaped_costs(h, counts, d_at, QuantileSet.default())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
+    # one row of 2**20 shots, whose integer total does not fit int64; then 1025 rows of one
+    # shot, the fewest at which a sort key (r*(m+1) + h)*zeta + d does not fit it
+    for rows, s in ((1, 2**20), (1025, 1)):
+        assert max(s * g_max, rows * (m + 1) * zeta) > 2**63
+        h = np.full((rows, s), m, dtype=np.int16)
+        value = level_shaped_costs(h, [s * d_max(m)] * rows, zeta, d_at, QuantileSet.default())
+        assert value == [float(g_max) + (float(g_max) + g_max + g_max)] * rows
+    # a d-sum above 2**63, more than any real one, still enters the mean as an exact int
+    h, d_sum = np.full((1, 8), m, dtype=np.int16), 2**64 + 5
+    value = level_shaped_costs(h, [d_sum], zeta, d_at, QuantileSet.default())
+    assert value == [float(Fraction(8 * zeta * m + d_sum, 8)) + float(3 * g_max)]

@@ -4,9 +4,11 @@ perfbench wraps ranksat functions by module and attribute name, so deleting
 or renaming one of them would break the benchmark without failing any other
 tier-1 test.
 """
+import ast
 import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,14 +18,7 @@ import pytest
 
 import ranksat as rs
 from ranksat.cli import main
-from ranksat.cnf import (
-    H_BLOCK_CELLS,
-    H_BLOCK_MIN_ROWS,
-    SCORE_BLOCK_CELLS,
-    ClauseArrays,
-    CnfFormula,
-    _block_rows,
-)
+from ranksat.cnf import SCORE_BLOCK_CELLS, ClauseArrays, CnfFormula, _block_rows
 from ranksat.evolve import GaConfig
 
 MODULES = ("cnf", "qsim", "shaping", "evolve", "oracle", "harness")
@@ -119,9 +114,9 @@ def test_perfbench_call_shapes(widget, monkeypatch):
     assert rs.oracle.enumerate_h(widget).count_at(0) == 4
 
 
-@pytest.mark.parametrize("method", ["h", "h_counts", "d", "g"])
+@pytest.mark.parametrize("method", ["h", "h_d_sums", "d", "g"])
 def test_scorers_reach_unsat_matrix(method, monkeypatch):
-    # the cnf.score metrics count unsat_matrix calls: one per block, also through h, h_counts
+    # the cnf.score metrics count unsat_matrix calls: one per block, also through h, h_d_sums
     # (the GA's fitness path), d and g (cost_histogram: one h pass, then one d pass)
     calls = []
     inner = ClauseArrays.unsat_matrix
@@ -135,13 +130,13 @@ def test_scorers_reach_unsat_matrix(method, monkeypatch):
     if method in ("d", "g"):
         block = _block_rows(SCORE_BLOCK_CELLS, f.m)
     else:
-        block = _block_rows(H_BLOCK_CELLS, f.m, H_BLOCK_MIN_ROWS)
+        block = f.arrays.rows
     bits = np.zeros((2 * block + 1, 3), dtype=np.uint8)
     if method == "g":
         rs.shaping.cost_histogram(f, bits, rs.default_params(f))
         assert calls.pop(0) == len(bits)  # the h pass fits one h block
     else:
-        getattr(f.arrays, method)(bits, *((1,) if method == "h_counts" else ()))
+        getattr(f.arrays, method)(bits, *((1,) if method == "h_d_sums" else ()))
     assert calls == [block, block, 1]
 
 
@@ -149,6 +144,20 @@ def test_oracle_is_independent_of_batch_scorer():
     # the oracle is the reference the batch scorer is checked against
     oracle = importlib.import_module("ranksat.oracle")
     assert "ClauseArrays" not in inspect.getsource(oracle)
+
+
+def test_block_sizes_stay_in_cnf():
+    # cnf alone sizes the scoring blocks, and the simulator does not depend on the CNF module
+    sizes = re.compile(r"\b(_block_rows|SCORE_BLOCK_CELLS|H_BLOCK_CELLS|H_BLOCK_MIN_ROWS)\b")
+    for module in ("",) + MODULES + ("cli",):
+        if module != "cnf":
+            source = inspect.getsource(importlib.import_module(f"ranksat.{module}".rstrip(".")))
+            assert sizes.findall(source) == [], module
+    tree = ast.parse(inspect.getsource(importlib.import_module("ranksat.qsim")))
+    imported = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    imported += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names]
+    assert [name for name in imported if name and name.endswith("cnf")] == []
 
 
 def test_perfbench_tracer_installs_and_restores(widget_path, monkeypatch):
