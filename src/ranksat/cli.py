@@ -92,7 +92,7 @@ def cmd_optimize(args) -> int:
     )
     save_artifact(artifact, args.out)
     run = artifact["run"]
-    print(f"best shaped cost: {-run['best_fitness']:.6g}")
+    print(f"best shaped cost: {0.0 - run['best_fitness']:.6g}")  # not -0 for a cost of 0
     print("final distribution:")
     for row in run["final_sample"]["h_histogram"]:
         print(f"  h={row['h']:>3}  count={row['count']:>7}  p={100 * row['probability']:.3f}%")

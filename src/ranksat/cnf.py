@@ -16,7 +16,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -312,8 +311,8 @@ def h_count(f: CnfFormula, a: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 # Batch scoring
 
-SCORE_BLOCK_CELLS = 2**18  # clause x row cells per d block: unpacked, a 2 MB float64 temporary
-H_BLOCK_CELLS = 8 * SCORE_BLOCK_CELLS  # h and h_d_sums blocks stay packed: 256 KB of unsat bytes
+SCORE_BLOCK_CELLS = 2**17  # clause x row cells per d slice: unpacked, a 1 MB float64 temporary
+H_BLOCK_CELLS = 2**21  # h blocks stay packed: 256 KB of unsat bytes
 H_BLOCK_MIN_ROWS = 1024  # 128-byte gathered planes; 488-row blocks made h 1.5x slower at m=4260
 H_CHUNK = 255  # clauses per uint8 sum in h, so no row's sum can overflow
 
@@ -327,21 +326,20 @@ def _block_rows(cells: int, m: int) -> int:
 class ClauseArrays:
     """Literal planes for scoring many assignments at once, eight rows per byte.
 
-    ``bits`` arguments are (s, n) arrays of 0/1, and any other entry raises
-    ValueError; all outputs are per-row. A block of rows is packed along the
-    rows, bit ``r % 8`` of byte ``r // 8`` holding row ``r``, into ``2n``
-    planes: plane ``v`` is set where variable ``v`` (0-based) is 0, plane
-    ``n + v`` where it is 1. ``_lits[j, i] = var + n*negated`` is the plane
-    on which literal slot ``j`` of clause ``i`` fails, so a clause is
-    unsatisfied on the AND of its gathered planes; a clause shorter than
-    ``width`` repeats its first literal in the spare slots. ``h`` and ``h_d_sums``
-    score packed blocks of ``rows`` rows (the report samples draw shots in such
-    blocks), about H_BLOCK_CELLS clause x row cells and at least H_BLOCK_MIN_ROWS;
-    ``d`` unpacks blocks of about SCORE_BLOCK_CELLS. Every block is a multiple of 8
-    rows and one ``unsat_matrix`` call, and one block is alive at a time, so peaks do
-    not grow with the number of rows: tracemalloc reads 1.6 MB for ``h``, 1.5 MB for
-    ``h_d_sums`` and 2.4 MB for ``d`` at n=100, m=426, s=20,000. Every cost
-    g = zeta*h + d is built from h and d.
+    The scorer reads shots as the sampler draws them (``qsim.draw_planes``): ``planes`` is an
+    (n, ceil(rows/8)) uint8 array whose row ``v`` has bit ``r % 8`` of byte ``r // 8`` set
+    when variable ``v`` (0-based) is 1 in row ``r``. ``unsat_matrix`` adds the complement
+    planes, so plane ``v`` is set where variable ``v`` is 0 and plane ``n + v`` where it is
+    1. ``_lits[j, i] = var + n*negated`` is the plane on which literal slot ``j`` of clause
+    ``i`` fails, so a clause is unsatisfied on the AND of its gathered planes; a clause
+    shorter than ``width`` repeats its first literal in the spare slots. ``h``, ``h_d_sums``
+    and ``d`` read a packed unsat block ``u`` of ``unsat_matrix``; ``scores`` scores the
+    planes of many rows one block of ``rows`` rows at a time (the report samples draw shots
+    in such blocks), about H_BLOCK_CELLS clause x row cells and at least H_BLOCK_MIN_ROWS.
+    Each reader slices ``u`` so that its temporaries do not grow with the number of rows:
+    at n=100, m=426, s=20,000 tracemalloc reads 1.5 MB for ``scores``, 1.2 MB for
+    ``h_d_sums`` with one group of all rows (0.9 MB with a group per row) and 1.3 MB for
+    ``d`` of every row. Every cost g = zeta*h + d is built from h and d of one block.
     """
 
     def __init__(self, f: CnfFormula):
@@ -356,56 +354,58 @@ class ClauseArrays:
         self._weights = self._squares.astype(np.float64)  # d's row, for a float64 product
         self.rows = max(H_BLOCK_MIN_ROWS, _block_rows(H_BLOCK_CELLS, self.m))  # per h block
 
-    def _checked(self, bits: np.ndarray) -> np.ndarray:
-        """``bits`` as an (s, n) bool array; uint8 bits are checked and viewed without a copy."""
+    def planes_of(self, bits: np.ndarray) -> np.ndarray:
+        """The planes of an (s, n) matrix of 0/1 bits, one row per shot (as ``qsim.sample``
+        returns them); any other entry raises ValueError."""
         bits = np.asarray(bits)
         if bits.ndim != 2 or bits.shape[1] != self.n:
             raise ValueError(f"expected an (s, {self.n}) matrix of bits, got shape {bits.shape}")
         if bits.dtype == np.uint8:
-            binary, flags = bits.max(initial=0) <= 1, bits.view(np.bool_)
+            binary = bits.max(initial=0) <= 1
         else:
             flags = bits.astype(np.bool_, copy=False)
             binary = flags is bits or np.array_equal(flags, bits)
+            bits = flags
         if not binary:
             raise ValueError("assignment bits must be 0 or 1")
-        return flags
+        return np.packbits(bits, axis=0, bitorder="little").T
 
-    def unsat_matrix(self, bits: np.ndarray) -> np.ndarray:
-        """(m, ceil(s/8)) uint8: bit r % 8 of byte r // 8 in row i is set when clause i is
-        unsatisfied by row r (little bit order, as ``np.unpackbits(..., bitorder="little")``
-        reads it); the pad bits past row s - 1 are 0."""
-        flags = np.ascontiguousarray(self._checked(bits)).view(np.uint8)
-        s, n = flags.shape
-        if s == 0:
-            return np.zeros((self.m, 0), dtype=np.uint8)
-        if s % 8:
-            flags = np.concatenate([flags, np.zeros((-s % 8, n), dtype=np.uint8)])
-        # words of whole rows: shifting row 8b + k by k and ORing the 8 rows leaves, in each
-        # byte lane, the packed byte of its column
-        lane = math.gcd(n, 8)
-        words = flags.view(f"<u{lane}").reshape(len(flags) // 8, 8, n // lane)
-        packed = words[:, 0].copy()
-        for k in range(1, 8):
-            packed |= words[:, k] << k
-        size = len(packed)
-        planes = np.empty((2 * n, size), dtype=np.uint8)
-        planes[n:] = packed.view(np.uint8).T
-        np.invert(planes[n:], out=planes[:n])
-        planes[:n, -1] &= 0xFF >> (-s % 8)  # keep the pad bits 0
+    def unsat_matrix(self, planes: np.ndarray, rows: int) -> np.ndarray:
+        """(m, ceil(rows/8)) uint8: bit r % 8 of byte r // 8 in row i is set when clause i is
+        unsatisfied by row r of ``planes`` (little bit order, as ``np.unpackbits(...,
+        bitorder="little")`` reads it); the pad bits past row rows - 1 are 0."""
+        size = -(-rows // 8)
+        both = np.empty((2 * self.n, size), dtype=np.uint8)
+        both[self.n:] = planes[:, :size]
+        np.invert(both[self.n:], out=both[:self.n])
         # one size-byte void item per plane, so each gathered plane is a single copy
-        items = planes.view(np.dtype((np.void, size))).reshape(-1)
+        items = both.view(np.dtype((np.void, size))).reshape(-1)
         unsat = items[self._lits[0]].view(np.uint8).reshape(self.m, size)
         for lits in self._lits[1:]:
             unsat &= items[lits].view(np.uint8).reshape(self.m, size)
+        unsat[:, size - 1:] &= 0xFF >> (-rows % 8)  # keep the pad bits 0
         return unsat
 
-    def _blocks(self, bits: np.ndarray, rows: int):
-        """(start, stop, packed unsat block of rows start..stop - 1) over blocks of ``rows``
-        rows. Callers drop each block before the next."""
-        flags = self._checked(bits)
-        for start in range(0, len(flags), rows):
-            block = flags[start:start + rows]
-            yield start, start + len(block), self.unsat_matrix(block)
+    def scores(self, planes: np.ndarray, rows: int, zeta: float | None = None) -> np.ndarray:
+        """Per-row h of the ``rows`` rows of ``planes``, in the narrowest type holding m, or
+        with ``zeta`` the cost g = zeta*h + d in float64: one ``unsat_matrix`` call per block
+        of ``self.rows`` rows, whose h and d both read that block."""
+        out = np.empty(rows, np.min_scalar_type(self.m) if zeta is None else np.float64)
+        for start in range(0, rows, self.rows):
+            count = min(self.rows, rows - start)
+            u = self.unsat_matrix(planes[:, start // 8:], count)
+            h = self.h(u, count)
+            out[start:start + count] = h if zeta is None else zeta * h + self.d(
+                u, np.arange(count))
+            del u, h  # else they stay alive while the next block is built
+        return out
+
+    def _slices(self, u: np.ndarray, rows: int, step: int):
+        """(start, stop, the columns of ``u`` holding rows start..stop - 1) over slices of
+        ``step`` rows, a multiple of 8, so that every slice starts on a whole byte."""
+        for start in range(0, rows, step):
+            stop = min(rows, start + step)
+            yield start, stop, u[:, start // 8:-(-stop // 8)]
 
     def _h_into(self, u: np.ndarray, out: np.ndarray) -> None:
         """Each row's count of unsatisfied clauses in the packed block ``u``, written to ``out``:
@@ -416,49 +416,58 @@ class ClauseArrays:
                 np.unpackbits(u[c:c + H_CHUNK], axis=1, count=len(out), bitorder="little"),
                 0, np.uint8)
 
-    def h(self, bits: np.ndarray) -> np.ndarray:
-        """Per-row count of unsatisfied clauses."""
-        out = np.empty(len(bits), np.int64)
-        for start, stop, u in self._blocks(bits, self.rows):
-            self._h_into(u, out[start:stop])
-            del u  # else it stays alive while the next block is built
+    def h(self, u: np.ndarray, rows: int) -> np.ndarray:
+        """Per-row count of unsatisfied clauses of the unsat block ``u`` of ``rows`` rows, in
+        the narrowest type holding m, in slices of ``self.rows`` rows."""
+        out = np.empty(rows, np.min_scalar_type(self.m))
+        for start, stop, part in self._slices(u, rows, self.rows):
+            self._h_into(part, out[start:stop])
         return out
 
-    def h_d_sums(self, bits: np.ndarray, s: int) -> tuple[np.ndarray, list[int]]:
-        """Per-row h, in the narrowest type holding m, and the exact d-sum, sum(i**2 * c_i)
-        over each group of s consecutive rows where clause i fails c_i times, as Python ints,
-        from one pass over the h blocks. A group may span blocks, and its edges may cut a
-        byte; each block adds its share of every group it holds, at most d_max(m) times
-        its rows (7.2e14 at MAX_EXACT_CLAUSES), so the int64 shares are exact."""
-        if s < 1 or len(bits) % s:
-            raise ValueError(f"{len(bits)} rows do not split into groups of {s}")
-        h = np.empty(len(bits), np.min_scalar_type(self.m))
-        d_sums = [0] * (len(bits) // s)
-        for start, stop, u in self._blocks(bits, self.rows):
-            self._h_into(u, h[start:stop])
+    def h_d_sums(self, u: np.ndarray, rows: int, s: int) -> tuple[np.ndarray, list[int]]:
+        """``h(u, rows)`` and the exact d-sum, sum(i**2 * c_i) over each group of s
+        consecutive rows where clause i fails c_i times, as Python ints, from one pass over
+        slices of ``u``. A slice holds about SCORE_BLOCK_CELLS / 8 clause x group cells or
+        fewer, so its int64 product stays near a 128 KB temporary whatever s is. A group may
+        span slices, and its edges may cut a byte; each slice adds its share of every group
+        it holds, at most d_max(m) times its rows (7.2e14 at MAX_EXACT_CLAUSES), so the
+        int64 shares are exact."""
+        if s < 1 or rows % s:
+            raise ValueError(f"{rows} rows do not split into groups of {s}")
+        h = np.empty(rows, np.min_scalar_type(self.m))
+        d_sums = [0] * (rows // s)
+        step = min(self.rows, _block_rows(SCORE_BLOCK_CELLS // 8, self.m) * s)
+        for start, stop, block in self._slices(u, rows, step):
+            self._h_into(block, h[start:stop])
             first = start // s
             edges = np.maximum(np.arange(first * s, stop, s) - start, 0)  # each part's first row
             at = edges // 8
             # whole bytes from each part's first byte on, then the bits of a cut byte below
             # its edge move to the part before; the unsigned sums may wrap, which is exact
-            # because each result is a count of at most the block's rows
+            # because each result is a count of at most the slice's rows
             part = np.add.reduceat(
-                np.bitwise_count(u), at, axis=1, dtype=np.min_scalar_type(stop - start))
+                np.bitwise_count(block), at, axis=1, dtype=np.min_scalar_type(stop - start))
             part[:, np.flatnonzero(at[1:] == at[:-1])] = 0  # reduceat's empty range gives a byte
-            cut = np.bitwise_count(u[:, at] & ((1 << edges % 8) - 1).astype(np.uint8))
+            cut = np.bitwise_count(block[:, at] & ((1 << edges % 8) - 1).astype(np.uint8))
             part -= cut
             part[:, :-1] += cut[:, 1:]
             for k, share in enumerate((self._squares @ part).tolist(), start=first):
                 d_sums[k] += share
-            del u
         return h, d_sums
 
-    def d(self, bits: np.ndarray) -> np.ndarray:
-        """Per-row divergence, the sum of i**2 over the unsatisfied clauses i, in float64:
-        every partial sum is an integer of at most d_max(m) < 2**53, so it is exact."""
-        out = np.empty(len(bits), np.float64)
-        for start, stop, u in self._blocks(bits, _block_rows(SCORE_BLOCK_CELLS, self.m)):
-            out[start:stop] = self._weights @ np.unpackbits(
-                u, axis=1, count=stop - start, bitorder="little")
-            del u
+    def d(self, u: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """Divergence, the sum of i**2 over the unsatisfied clauses i, of the rows ``index`` of
+        the unsat block ``u``, in float64. Each row's bytes are gathered in slices of about
+        SCORE_BLOCK_CELLS clause x row cells and masked to the row's bit b, so the product
+        is 2**b times d: every partial sum is an integer below 128*d_max(m) < 2**53, and the
+        division by 2**b is exact."""
+        out = np.empty(len(index), np.float64)
+        step = _block_rows(SCORE_BLOCK_CELLS, self.m)
+        for lo in range(0, len(index), step):
+            picked = index[lo:lo + step]
+            bit = 1 << (picked & 7)
+            bits = u.T[picked >> 3]  # (rows, m): a row-major gather, faster than u[:, ...]
+            bits &= bit.astype(np.uint8)[:, None]
+            out[lo:lo + step] = bits @ self._weights
+            out[lo:lo + step] /= bit
         return out

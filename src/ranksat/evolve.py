@@ -8,10 +8,12 @@ method minimizes. Reproducibility contract: a master seed derives one child
 stream per purpose — population init, one breeding stream and one fitness
 stream per generation, and the final report sample. A breeding stream draws
 whole arrays in a fixed order: tournament a, tournament b, cuts (none at
-depth 1), flips, fresh values. A fitness stream draws one (rows*s, n) shot
-matrix for the generation's new rows in one draw_shots call, row i reading
+depth 1), flips, fresh values. A fitness stream draws one block of rows*s
+shots for the generation's new rows in one draw_planes call, row i reading
 shots i*s to (i+1)*s - 1; the best-first population fixes that row order,
-so results cannot depend on evaluation order. Each generation appends one
+so results cannot depend on evaluation order. The block's words are drawn
+qubit-major, so a row's shots depend on the whole block it is drawn in,
+which the config and the population fix. Each generation appends one
 history row, in the layout the run artifact stores.
 """
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cnf import CnfFormula, _cost_base
-from .qsim import AngleVector, BETA_PERIOD, GAMMA_PERIOD, draw_shots, p_one_rows
+from .qsim import AngleVector, BETA_PERIOD, GAMMA_PERIOD, draw_planes, p_one_rows
 from .shaping import QuantileSet, level_shaped_costs
 
 __all__ = [
@@ -81,8 +83,7 @@ class GaConfig:
 
 
 def seed_stream(seed: int, *path: int) -> np.random.Generator:
-    """Deterministic child stream addressed by (seed, path), on numpy's default PCG64 bit
-    generator, which ``qsim.shot_blocks`` needs."""
+    """Deterministic child stream addressed by (seed, path), on numpy's default bit generator."""
     entropy = [seed & 0xFFFFFFFFFFFFFFFF, *path]
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
@@ -102,15 +103,18 @@ def evaluate_fitness(
 def _fitness_values(
     f: CnfFormula, genes: np.ndarray, cfg: GaConfig, rng: np.random.Generator
 ) -> list[float]:
-    """evaluate_fitness of each gene row in one pass: all states at once, one (P*s, n) shot
-    matrix drawn from ``rng`` by one draw_shots call, row i reading shots i*s to (i+1)*s - 1,
-    h and each row's exact d-sum in one scoring pass, and d only at the quantile h-levels."""
+    """evaluate_fitness of each gene row in one pass: all states at once, one block of P*s
+    shots drawn from ``rng`` by one draw_planes call, row i reading shots i*s to (i+1)*s - 1,
+    and one unsat block of them, from which come h, each row's exact d-sum and d at the
+    quantile h-levels."""
     s, depth = cfg.shots_per_eval, genes.shape[1] // 2
-    bits = draw_shots(p_one_rows(f.n, genes[:, :depth], genes[:, depth:]), len(genes) * s, rng)
-    h, d_sums = f.arrays.h_d_sums(bits, s)
+    rows, arrays = len(genes) * s, f.arrays
+    p1 = p_one_rows(f.n, genes[:, :depth], genes[:, depth:])
+    u = arrays.unsat_matrix(draw_planes(p1, rows, rng), rows)
+    h, d_sums = arrays.h_d_sums(u, rows, s)
     costs = level_shaped_costs(h.reshape(-1, s), d_sums, _cost_base(f.m),
-                               lambda idx: f.arrays.d(bits[idx]), cfg.quantile_levels)
-    return [-cost for cost in costs]
+                               lambda idx: arrays.d(u, idx), cfg.quantile_levels)
+    return [0.0 - cost for cost in costs]  # -cost would turn a cost of 0 into -0.0
 
 
 def tournament_select(size: int, k: int, count: int, rng: np.random.Generator) -> np.ndarray:

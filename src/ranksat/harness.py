@@ -7,8 +7,12 @@ under "meta", outside the hash, so two runs with the same seed produce
 byte-identical hashed sections.
 
 The report samples (``run_sample``, the final sample of ``run_optimize`` and
-``regenerate_g_histogram``) score their shots block by block as they are
-drawn, so they never hold an (s, n) matrix of bits.
+``regenerate_g_histogram``) draw their shots as packed planes in blocks of
+``ClauseArrays.rows`` shots and score each block as it is drawn, h and d from
+one unsat block, so they never hold an (s, n) matrix of bits. The block size
+is part of the draw (``qsim.draw_planes`` takes each block's words
+qubit-major), and it depends only on the formula, so a stored seed
+regenerates the same shots.
 """
 from __future__ import annotations
 
@@ -119,16 +123,14 @@ def _sampled_scores(
     f: CnfFormula, state: QuantumState, shots: int, rng: np.random.Generator, cost: str = "h",
 ) -> np.ndarray:
     """Per-shot h (``cost`` "h"), in the narrowest type holding m, or g = zeta*h + d ("g"),
-    in float64, of the shots of ``sample(state, shots, rng)``, without their (shots, n) matrix.
-
-    ``shot_blocks`` draws the shots one h block at a time, each final, and each is scored
-    as it comes, so only the per-shot values outlive a block.
+    in float64, of ``shots`` shots drawn in blocks of ``f.arrays.rows``, without their
+    (shots, n) matrix: each block is scored as it comes, so only the per-shot values
+    outlive it.
     """
     zeta = default_params(f).zeta if cost == "g" else None
     values = np.empty(shots, np.min_scalar_type(f.m) if zeta is None else np.float64)
-    for index, bits in shot_blocks(state.p1, shots, rng, f.arrays.rows):
-        h = f.arrays.h(bits)
-        values[index] = h if zeta is None else zeta * h + f.arrays.d(bits)
+    for index, planes in shot_blocks(state.p1, shots, rng, f.arrays.rows):
+        values[index] = f.arrays.scores(planes, index.stop - index.start, zeta)
     return values
 
 

@@ -17,12 +17,18 @@ and is clipped to [0, 1], which rounding would otherwise leave by about
 1e-16. Every operation is elementwise, so a batch row equals its one-row
 preparation bit for bit.
 
-Sampling: ``shot_blocks`` is the one draw of shots, and each block it yields
-is final. ``draw_shots``, and through it ``sample``, returns all the shots as
-one block, an (s, n) uint8 matrix of 0/1, one row per shot; the report samples
-of ``ranksat.harness`` score each block as it comes and hold no matrix. The
-draw needs numpy's default PCG64 bit generator, which can skip ahead past the
-shot words (see ``shot_blocks``).
+Sampling: ``draw_planes`` is the one draw of shots. It draws a block of shots
+as packed planes, one row per qubit holding that qubit's bits packed along the
+shots, which is the form the scorer (``cnf.ClauseArrays.unsat_matrix``) reads.
+A block takes its 16-bit words qubit-major and then the uniforms for its ties,
+so a shot's bits depend on the block it is drawn in: the GA's fitness pass
+draws one block per generation, the report samples of ``ranksat.harness`` draw
+``shot_blocks`` of a size that the formula fixes, and ``sample`` draws one
+block of s shots and unpacks it into an (s, n) uint8 matrix of 0/1, one row
+per shot. Each bit's law does not depend on the block: it reads 1 with
+probability ceil(p*2**69)/2**69, exactly p for p >= 2**-16. The words and the
+tie uniforms are drawn from ``rng`` in order, so any numpy bit generator
+serves.
 
 Bit order: qubit j carries rank weight 2**j and DIMACS variable j+1, so a
 measured bitstring is simultaneously a rank's binary expansion and a truth
@@ -30,7 +36,6 @@ assignment.
 """
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -44,11 +49,14 @@ __all__ = [
     "prepare_state",
     "p_one_rows",
     "sample",
-    "draw_shots",
     "shot_blocks",
+    "draw_planes",
 ]
 
-SAMPLE_BLOCK_CELLS = 2**18  # shot-bits per random_raw draw: a 512 KB temporary of 16-bit words
+# Shot-bits per random_raw draw: a 2 MB temporary of 16-bit words. At 2**18 the GA's n=200
+# generation took five draws, and glibc's heap trimming then returned and re-faulted about
+# 2 MB on every generation (80k minor faults per ga-n200 run, 10% slower).
+SAMPLE_BLOCK_CELLS = 2**20
 
 BETA_PERIOD = math.pi       # beta is periodic modulo pi up to measurement stats
 GAMMA_PERIOD = 2 * math.pi
@@ -158,35 +166,36 @@ def sample(state: QuantumState, s: int, rng: np.random.Generator) -> np.ndarray:
 
     Because the state is a product state, measuring qubit j independently
     with probability p1[j] of reading 1 is distributionally identical to
-    sampling the full 2**n vector. Deterministic for a given rng state; see draw_shots.
+    sampling the full 2**n vector. The shots are one ``draw_planes`` block, unpacked, so
+    they are deterministic for a given rng state.
     """
-    return draw_shots(state.p1, s, rng)
-
-
-def draw_shots(p1: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-    """All ``count`` shots of ``shot_blocks`` as one (count, n) uint8 block, drawn into
-    ``shot_blocks``' own buffer. ``sample`` and the GA's fitness pass draw through here."""
-    return next(shot_blocks(p1, count, rng, count + -count % 8))[1]
+    return np.unpackbits(draw_planes(state.p1, s, rng).T, axis=0, count=s, bitorder="little")
 
 
 def shot_blocks(p1: np.ndarray, count: int, rng: np.random.Generator, rows: int):
-    """Draw ``count`` shots in blocks of ``rows`` rows, a multiple of 8; yield (index, bits).
+    """Draw ``count`` shots of the (n,) bias row ``p1`` in blocks of ``rows`` shots; yield
+    (slice of the block's shots, its ``draw_planes`` planes) as each is drawn."""
+    if rows < 1:
+        raise ValueError(f"shot blocks must hold at least one shot, got {rows}")
+    for start in range(0, count, rows):
+        stop = min(count, start + rows)
+        yield slice(start, stop), draw_planes(p1, stop - start, rng)
+
+
+def draw_planes(p1: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``count`` shots as one block of packed planes: (n, ceil(count/8)) uint8, bit r % 8
+    of byte r // 8 in row j set when qubit j reads 1 in shot r (little bit order); the pad
+    bits are 0.
 
     ``p1`` is one (n,) bias row, or a (groups, n) array whose row k biases the consecutive
-    shots k*count/groups to (k+1)*count/groups - 1. Cell c (row-major) reads 1 when the
-    little-endian 16-bit word c of ``random_raw`` is below t_j = min(floor(65536*p1[j]),
-    65535) of its group; a cell whose word equals t_j (about 1 in 65,536) is a tie, settled
-    by ``rng.random() < 65536*p1[j] - t_j``, so P(1) is ceil(p*2**69)/2**69: exactly p for
-    p >= 2**-16, and 1 for p >= 1. The bits and the final state of ``rng`` are those of one
-    (count, n) word draw followed by one ``rng.random(k)`` for the k ties in flat order,
-    whatever ``rows`` is: the words come from a copy of ``rng``'s bit generator, ``rng``
-    itself advances past them at the first block, and each block's ties take its next
-    uniforms as the block is drawn. So ``rng`` needs a bit generator whose ``advance(k)``
-    skips k ``random_raw`` words: numpy's default PCG64; any other raises ValueError.
-
-    Each block comes final as (slice of its rows, (rows, n) uint8 bits), in one buffer of
-    min(rows, count) rows, which the next block overwrites; its words are drawn about
-    SAMPLE_BLOCK_CELLS at a time. ``p1`` must be >= 0, and a NaN or negative entry raises
+    shots k*count/groups to (k+1)*count/groups - 1. The block takes count*n little-endian
+    16-bit words of ``rng.bit_generator.random_raw`` qubit-major, word j*count + r for qubit
+    j of shot r, then one ``rng.random(k)`` for its k ties in that order. A cell reads 1 when
+    its word is below t_j = min(floor(65536*p1[j]), 65535) of its group; a word equal to t_j
+    (about 1 in 65,536) is a tie, settled by ``rng.random() < 65536*p1[j] - t_j``, so P(1) is
+    ceil(p*2**69)/2**69: exactly p for p >= 2**-16, and 1 for p >= 1. The words are drawn
+    about SAMPLE_BLOCK_CELLS at a time, for a multiple of 4 qubits, so that each draw but
+    the last takes whole 64-bit words. ``p1`` must be >= 0, and a NaN or negative entry raises
     ValueError; ``prepare_state`` and ``p_one_rows`` clip to [0, 1] so that it is.
     """
     scaled = 65536.0 * np.atleast_2d(np.asarray(p1, dtype=np.float64))
@@ -199,27 +208,21 @@ def shot_blocks(p1: np.ndarray, count: int, rng: np.random.Generator, rows: int)
     s = count // groups
     if count != groups * s:
         raise ValueError(f"{count} shots do not split into {groups} groups")
-    if rows < 8 or rows % 8:
-        raise ValueError(f"shot blocks must be a positive multiple of 8 rows, got {rows}")
-    ties = rng.bit_generator
-    if not isinstance(ties, np.random.PCG64):
-        raise ValueError(f"shot draws need a PCG64 bit generator, whose advance skips the "
-                         f"shot words, got {type(ties).__name__}")
-    words_from = copy.deepcopy(ties)
-    kept = {key: ties.state[key] for key in ("has_uint32", "uinteger")}  # advance drops them
-    ties.state = {**ties.advance(-(-count * n // 4)).state, **kept}
-    step = min(rows, max(8, SAMPLE_BLOCK_CELLS // max(n, 1) // 8 * 8))  # 8k rows: whole words
-    buffer = np.empty((min(rows, count), n), np.uint8)
-    for start in range(0, count, rows):
-        block = buffer[:min(rows, count - start)]
-        for lo in range(start, start + len(block), step):
-            part = block[lo - start:lo - start + step]
-            raw = words_from.random_raw(-(-part.size // 4)).astype("<u8", copy=False)
-            words = raw.view("<u2")[:part.size].reshape(part.shape)
-            limits = t[0] if groups == 1 else t[np.arange(lo, lo + len(part)) // s]
-            np.less(words, limits, out=part)
-            row, col = np.divmod(np.flatnonzero(words == limits), n)  # 2-D nonzero: 4x slower
-            group = (lo + row) // s
-            part[row, col] = rng.random(row.size) < scaled[group, col] - t[group, col]
-            del part, raw, words  # else they stay alive while the block is used
-        yield slice(start, start + len(block)), block
+    planes = np.empty((n, -(-count // 8)), np.uint8)
+    step = max(4, SAMPLE_BLOCK_CELLS // count // 4 * 4)  # qubits per word draw
+    ties = []
+    for j in range(0, n, step):
+        k = min(step, n - j)
+        raw = rng.bit_generator.random_raw(-(-k * count // 4)).astype("<u8", copy=False)
+        words = raw.view("<u2")[:k * count].reshape(k, groups, s)
+        limits = t.T[j:j + k, :, None]
+        planes[j:j + k] = np.packbits(
+            (words < limits).reshape(k, count), axis=1, bitorder="little")
+        ties.append(np.flatnonzero(words == limits) + j * count)
+        del raw, words  # else they stay alive while the next draw is made
+    qubit, shot = np.divmod(np.concatenate(ties), count)
+    group = shot // s
+    won = rng.random(shot.size) < scaled[group, qubit] - t[group, qubit]
+    shot = shot[won]
+    np.bitwise_or.at(planes, (qubit[won], shot >> 3), (1 << (shot & 7)).astype(np.uint8))
+    return planes

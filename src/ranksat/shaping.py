@@ -268,12 +268,13 @@ def cost_histogram(f: CnfFormula, bits: np.ndarray, params: CostParams) -> CostH
     2**53, so float64 holds it exactly.
     """
     _require_default_params(f, params)
-    return CostHistogram.from_samples(params.zeta * f.arrays.h(bits) + f.arrays.d(bits))
+    return CostHistogram.from_samples(
+        f.arrays.scores(f.arrays.planes_of(bits), len(bits), params.zeta))
 
 
 def h_histogram(f: CnfFormula, bits: np.ndarray) -> CostHistogram:
     """Histogram of the unsatisfied-clause count over the rows of ``bits``."""
-    return CostHistogram.from_samples(f.arrays.h(bits))
+    return CostHistogram.from_samples(f.arrays.scores(f.arrays.planes_of(bits), len(bits)))
 
 
 def rows_to_csv(rows: Sequence[dict], value_label: str) -> str:

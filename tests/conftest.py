@@ -7,6 +7,8 @@ import pytest
 
 import ranksat as rs
 
+from dense_reference import bit_planes
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -85,3 +87,10 @@ def all_assignments(n: int) -> np.ndarray:
     from ranksat.qsim import bits_from_ranks
 
     return bits_from_ranks(np.arange(1 << n), n)
+
+
+def scored(f: rs.CnfFormula, bits) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row h and d of the (s, n) 0/1 matrix ``bits``, from one unsat block of its
+    reference planes."""
+    u = f.arrays.unsat_matrix(bit_planes(bits), len(bits))
+    return f.arrays.h(u, len(bits)), f.arrays.d(u, np.arange(len(bits)))

@@ -19,10 +19,11 @@ product-state simulator it cross-checks.
 added through one slice of a ``(2,)*n`` view, so the inner loops are as short
 as the clause's lowest variable makes them.
 
-``raw_word_shots`` is the sampler's contract as one whole-matrix draw: one
-``random_raw`` draw of 16-bit words compared with each cell's threshold (of
-its group's bias row), then one ``rng.random`` draw that refines the tied
-cells in flat order.
+``block_shots`` is the sampler's contract for one block: one ``random_raw``
+draw of the block's 16-bit words, qubit-major, compared with each cell's
+threshold (of its group's bias row), then one ``rng.random`` draw that refines
+the tied cells in that order. ``bit_planes`` packs an (s, n) bit matrix into
+the scorer's (n, ceil(s/8)) planes with integer shifts, without ``np.packbits``.
 
 ``float_g_distribution`` is the oracle's earlier exact g-distribution: a
 float64 g table per rank from ``slice_unsat_table`` and one ``np.unique`` over
@@ -123,19 +124,33 @@ def dense_state(n: int, betas, gammas) -> np.ndarray:
     return state
 
 
-def raw_word_shots(p1, s, rng) -> np.ndarray:
-    """(groups*s, n) uint8 shot bits for an (n,) or (groups, n) bias array, s shots per group:
-    word < floor(65536*p) clamped to 65535, ties refined by a uniform, p of the cell's group."""
+def block_shots(p1, s, rng) -> np.ndarray:
+    """(groups*s, n) uint8 bits of one block of shots for an (n,) or (groups, n) bias array, s
+    shots per group: word j*count + r is qubit j of shot r, and it reads 1 below
+    floor(65536*p) clamped to 65535; ties are refined by a uniform, p of the cell's group."""
     p = np.atleast_2d(p1)
     groups, n = p.shape
-    cells = np.arange(groups * s * n)
+    count = groups * s
+    cells = np.arange(count * n)
     words = rng.bit_generator.random_raw(-(-cells.size // 4)).astype("<u8").view("<u2")
-    p = p[cells // n // s, cells % n]
+    qubit, shot = np.divmod(cells, count)
+    p = p[shot // s, qubit]
     t = np.minimum(np.floor(65536 * p), 65535)
     bits = (words[:cells.size] < t).astype(np.uint8)
     tie = np.flatnonzero(words[:cells.size] == t)
     bits[tie] = rng.random(tie.size) < 65536 * p[tie] - t[tie]
-    return bits.reshape(groups * s, n)
+    return bits.reshape(n, count).T
+
+
+def bit_planes(bits) -> np.ndarray:
+    """(n, ceil(s/8)) uint8 planes of an (s, n) 0/1 matrix: bit r % 8 of byte r // 8 in row j
+    is bits[r, j]; the pad bits are 0."""
+    bits = np.asarray(bits, dtype=np.int64)
+    s, n = bits.shape
+    padded = np.zeros((-(-s // 8) * 8, n), np.int64)
+    padded[:s] = bits
+    weights = (1 << np.arange(8))[None, :, None]
+    return (padded.reshape(-1, 8, n) * weights).sum(axis=1).T.astype(np.uint8)
 
 
 def slice_unsat_table(f, weights) -> np.ndarray:

@@ -11,17 +11,16 @@ from ranksat.cli import main
 from ranksat.cnf import (
     MAX_EXACT_CLAUSES,
     SCORE_BLOCK_CELLS,
-    ClauseArrays,
     _block_rows,
     d_max,
     load_instance_file,
 )
 from ranksat.harness import _sampled_scores
 from ranksat.qsim import AngleVector, prepare_state, sample
-from ranksat.shaping import CostHistogram, QuantileSet, cost_histogram
+from ranksat.shaping import CostHistogram, QuantileSet, cost_histogram, h_histogram
 
-from conftest import all_assignments, random_formula
-from dense_reference import divergence, eval_clause, g_cost, to_dimacs
+from conftest import all_assignments, random_formula, scored
+from dense_reference import bit_planes, divergence, eval_clause, g_cost, to_dimacs
 
 ZEROS5 = [0, 0, 0, 0, 0]
 SOLUTION = [1, 1, 1, 0, 0]
@@ -267,7 +266,7 @@ def test_property_g_hierarchy_exhaustive():
         f = random_formula(rng, n=int(rng.integers(3, 7)))
         params = rs.default_params(f)
         bits = all_assignments(f.n)
-        h = ClauseArrays(f).h(bits)
+        h = scored(f, bits)[0]
         for level in range(int(h.max())):
             lower, upper = bits[h == level], bits[h == level + 1]
             if lower.size and upper.size:
@@ -295,18 +294,18 @@ def test_batch_matches_scalar():
     for n, rows in itertools.product((1, 9), (1, 7, 9)):
         f = random_formula(rng, n=n, m=3 * n + 2)
         cases.append((f, rng.integers(0, 2, size=(rows, n)).astype(np.uint8)))
-    # at the ga-n200 size, rows spanning two full blocks and a remainder of each block size
+    # at the ga-n200 size, rows spanning two full slices and a remainder of d's slice and of
+    # the h block
     f = random_formula(rng, n=200, m=852)
     blocks = [_block_rows(SCORE_BLOCK_CELLS, f.m), f.arrays.rows]
     rows = 2 * max(blocks) + 5
     assert all(rows // block >= 2 and rows % block for block in blocks)
     cases.append((f, rng.integers(0, 2, size=(rows, f.n)).astype(np.uint8)))
     for f, bits in cases:
-        arrays, params = ClauseArrays(f), rs.default_params(f)
+        params = rs.default_params(f)
         h = [rs.h_count(f, row) for row in bits.tolist()]
-        assert arrays.h(bits).tolist() == h
         d = [divergence(f, row) for row in bits.tolist()]
-        assert arrays.d(bits).tolist() == d
+        assert [x.tolist() for x in scored(f, bits)] == [h, d]
         hist = cost_histogram(f, bits, params)
         expected = CostHistogram.from_samples([params.zeta * k + dk for k, dk in zip(h, d)])
         assert hist.values.tolist() == expected.values.tolist()
@@ -315,15 +314,16 @@ def test_batch_matches_scalar():
 
 @pytest.mark.parametrize("s,groups", [(250, 7), (250, 12), (1500, 2), (1, 13), (7, 401)])
 def test_h_counts_is_one_pass_of_unsat_matrix(s, groups):
-    # h_d_sums gives the h counts and each group's d-sum. At m=852 an h block holds 2456
-    # rows: 7 groups of 250 fit in one, and a block edge cuts a group of 250 (of 12), 1500 or
-    # 7 rows; groups of 250 and 7 rows also end inside bytes, several groups of 7 or 1 share a
+    # h_d_sums gives the h counts and each group's d-sum from one unsat block. At m=852 it
+    # reads slices of 2456 rows for s = 250 and 1500, and of 32*s rows for s = 1 and 7: 7
+    # groups of 250 fit in one slice, and a slice edge cuts a group of 250 (of 12), 1500 or 7
+    # rows; groups of 250 and 7 rows also end inside bytes, several groups of 7 or 1 share a
     # byte, and 13 rows leave pad bits
     rng = np.random.default_rng(10)
     f = random_formula(rng, n=200, m=852)
     bits = rng.integers(0, 2, size=(groups * s, f.n)).astype(np.uint8)
-    h, d_sums = f.arrays.h_d_sums(bits, s)
-    packed = f.arrays.unsat_matrix(bits)
+    packed = f.arrays.unsat_matrix(bit_planes(bits), len(bits))
+    h, d_sums = f.arrays.h_d_sums(packed, len(bits), s)
     assert packed.shape == (f.m, -(-len(bits) // 8)) and packed.dtype == np.uint8
     assert f.arrays.rows == 2456
     assert not np.unpackbits(packed, axis=1, bitorder="little")[:, len(bits):].any()  # pad bits
@@ -333,14 +333,15 @@ def test_h_counts_is_one_pass_of_unsat_matrix(s, groups):
     assert all(type(x) is int for x in d_sums)
     assert d_sums == d.reshape(groups, s).sum(axis=1).tolist()
     with pytest.raises(ValueError, match="groups of"):
-        f.arrays.h_d_sums(bits, s + 1)
+        f.arrays.h_d_sums(packed, len(bits), s + 1)
 
 
 def test_h_d_sums_exact_over_two_blocks_at_the_clause_limit():
-    # every clause fails on every row, and one group of rows + 1 rows spans two h blocks
+    # every clause fails on every row, and one group of rows + 1 rows spans two slices
     f = rs.CnfFormula.from_signed(1, [[1]] * MAX_EXACT_CLAUSES)
     rows = f.arrays.rows
-    h, d_sums = f.arrays.h_d_sums(np.zeros((rows + 1, 1), np.uint8), rows + 1)
+    u = f.arrays.unsat_matrix(bit_planes(np.zeros((rows + 1, 1), np.uint8)), rows + 1)
+    h, d_sums = f.arrays.h_d_sums(u, rows + 1, rows + 1)
     assert h.tolist() == [MAX_EXACT_CLAUSES] * (rows + 1)
     assert d_sums == [(rows + 1) * d_max(MAX_EXACT_CLAUSES)]
     assert type(d_sums[0]) is int
@@ -369,31 +370,48 @@ NON_BINARY = [
 def test_scorers_refuse_non_binary_bits(bits):
     # [2, 0] once gave h_count 1 but batch h 0, and 0.7 was truncated to 0
     f = rs.CnfFormula.from_signed(2, [[1, 2], [-1, -2]])
-    with pytest.raises(ValueError, match="0 or 1"):
-        rs.h_count(f, bits[0].tolist())
-    for method in ("h", "d", "unsat_matrix"):
+    # the scorers read planes; every path from a bit matrix builds them with planes_of
+    for refuse in (lambda: rs.h_count(f, bits[0].tolist()), lambda: f.arrays.planes_of(bits),
+                   lambda: cost_histogram(f, bits, rs.default_params(f)),
+                   lambda: h_histogram(f, bits)):
         with pytest.raises(ValueError, match="0 or 1"):
-            getattr(f.arrays, method)(bits)
-    with pytest.raises(ValueError, match="0 or 1"):
-        cost_histogram(f, bits, rs.default_params(f))
-    with pytest.raises(ValueError, match="0 or 1"):
-        f.arrays.h_d_sums(bits, 1)
+            refuse()
 
 
 def test_scorers_accept_any_binary_dtype():
     f = rs.CnfFormula.from_signed(2, [[1, 2], [-1, -2]])
     rows = [[0, 0], [1, 0], [1, 1]]
     for dtype, order in itertools.product((np.uint8, np.int64, np.float64, np.bool_), "CF"):
-        bits = np.array(rows, dtype=dtype, order=order)  # packing views rows as whole words
-        assert f.arrays.h(bits).tolist() == [1, 0, 1]
-        assert f.arrays.h(bits).tolist() == [rs.h_count(f, row) for row in bits.tolist()]
+        bits = np.array(rows, dtype=dtype, order=order)
+        planes = f.arrays.planes_of(bits)
+        assert planes.tolist() == bit_planes(rows).tolist()
+        assert f.arrays.scores(planes, len(bits)).tolist() == [1, 0, 1]
+        assert h_histogram(f, bits).counts.tolist() == [1, 2]
 
 
-def _scorer(f, method):
-    # "g" is the cost g = zeta*h + d, which cost_histogram builds from h and d
-    if method == "g":
-        return lambda bits: cost_histogram(f, bits, rs.default_params(f))
-    return getattr(f.arrays, method)
+def _scorer(f, method, bits):
+    """The scoring call named ``method`` on the rows of ``bits``, with its planes, unsat block
+    and row indices built beforehand: "h" and "unsat_matrix" as the report samples call them,
+    "d" and "h_d_sums" (as one group of all rows and as one group per row) as the GA's fitness
+    pass does on a whole generation's block, and "g" through cost_histogram."""
+    s, planes = len(bits), bit_planes(bits)
+    u, index = f.arrays.unsat_matrix(planes, s), np.arange(s)
+    return {
+        "unsat_matrix": lambda: f.arrays.unsat_matrix(planes, s),
+        "h": lambda: f.arrays.scores(planes, s),
+        "d": lambda: f.arrays.d(u, index),
+        "h_d_sums": lambda: (f.arrays.h_d_sums(u, s, s), f.arrays.h_d_sums(u, s, 1)),
+        "g": lambda: cost_histogram(f, bits, rs.default_params(f)),
+    }[method]
+
+
+def _traced_peak(score) -> int:
+    tracemalloc.start()
+    try:
+        score()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("method", ["unsat_matrix", "h", "g"])
@@ -403,31 +421,19 @@ def test_scoring_memory_bound(method):
     s, rng = 2000, np.random.default_rng(4)
     f = random_formula(rng, n=100, m=426)
     bits = rng.integers(0, 2, size=(s, f.n)).astype(np.uint8)
-    score = _scorer(f, method)
-    score(bits)
-    tracemalloc.start()
-    try:
-        score(bits)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < (1 if method == "unsat_matrix" else 4) * s * f.m
+    score = _scorer(f, method, bits)
+    score()
+    assert _traced_peak(score) < (1 if method == "unsat_matrix" else 4) * s * f.m
 
 
 @pytest.mark.parametrize("method", ["h", "d", "g", "h_d_sums"])
 def test_scoring_peak_does_not_grow_with_rows(method):
     # a whole (s, m) bool matrix plus its reductions needed about 3.25*s*m bytes (28 MB here);
-    # one block alive at a time stays under 3 MB (a second one put h at 3.6 MB). h_d_sums
-    # takes all s rows as one group, which spans many blocks
+    # one block or slice alive at a time stays under 3 MB (a second one put h at 3.6 MB).
+    # h_d_sums takes all s rows as one group, which spans many slices, and then each row as a
+    # group of its own, whose int64 d-sum product once took 23 MB in one piece
     s, rng = 20_000, np.random.default_rng(4)
     f = random_formula(rng, n=100, m=426)
     f.arrays
     bits = rng.integers(0, 2, size=(s, f.n)).astype(np.uint8)
-    args = (s,) if method == "h_d_sums" else ()
-    tracemalloc.start()
-    try:
-        _scorer(f, method)(bits, *args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * 2**20
+    assert _traced_peak(_scorer(f, method, bits)) < 3 * 2**20

@@ -17,10 +17,11 @@ from ranksat.evolve import (
     seed_stream,
     tournament_select,
 )
-from ranksat.qsim import AngleVector, draw_shots, p_one_rows, prepare_state, sample
+from ranksat.qsim import AngleVector, draw_planes, p_one_rows, prepare_state, sample
 from ranksat.shaping import QuantileSet, cost_histogram, shaped_cost
 
-from conftest import random_formula
+from conftest import random_formula, scored
+from dense_reference import block_shots, divergence
 
 
 def _row(betas, gammas):
@@ -83,9 +84,9 @@ TIED = rs.CnfFormula.from_signed(2, [[1], [-1]])
     "case,size,shots,levels",
     [
         ("widget", 8, 250, QuantileSet.default()),
-        ("n20", 30, 250, QuantileSet.default()),  # 7500 rows: three score blocks
+        ("n20", 30, 250, QuantileSet.default()),  # 7500 rows: one h slice, and d's slices
         ("n20", 5, 97, QuantileSet.of([0.01, 0.06, 0.11, 0.16, 0.21, 0.26, 0.32])),
-        ("n200", 6, 250, QuantileSet.default()),  # 1500 rows over blocks of 307
+        ("n200", 6, 250, QuantileSet.default()),  # 1500 rows; d slices of 152
         ("n200", 1, 250, QuantileSet.default()),
         ("single", 12, 20, QuantileSet.default()),
         ("tied", 6, 250, QuantileSet.default()),
@@ -104,12 +105,12 @@ def test_batched_fitness_equals_histogram_path(widget, case, size, shots, levels
     # as in optimize: one pass over the rows after the elites
     genes = _random_genes(rng, size, cfg.depth)[size // 3:]
     fitness = _fitness_values(f, genes, cfg, seed_stream(cfg.seed, _TAG_FITNESS, 4))
-    # the same shots: one draw_shots draw from the same stream, row i reading its own s rows
+    # the same shots: one block from the same stream, row i reading its own s shots
     p_one = p_one_rows(f.n, genes[:, :cfg.depth], genes[:, cfg.depth:])
-    bits = draw_shots(p_one, len(genes) * shots, seed_stream(cfg.seed, _TAG_FITNESS, 4))
+    bits = block_shots(p_one, shots, seed_stream(cfg.seed, _TAG_FITNESS, 4))
     rows = bits.reshape(len(genes), shots, f.n)
     assert fitness == [_histogram_fitness(f, row, cfg) for row in rows]
-    h = np.sort(f.arrays.h(bits).reshape(len(genes), shots), axis=1)
+    h = np.sort(scored(f, bits)[0].reshape(len(genes), shots), axis=1)
     if case == "single":  # some quantile's h-level holds one shot of its row
         assert any(np.count_nonzero(row == row[0]) == 1 for row in h)
     if case == "tied":
@@ -121,8 +122,41 @@ def test_batched_fitness_equals_histogram_path(widget, case, size, shots, levels
     assert single == _histogram_fitness(f, shots_one, cfg)
 
 
+def test_fitness_reads_d_of_the_chosen_shots_from_the_generation_block(monkeypatch):
+    # the d of the shots at the quantile h-levels comes from the generation's one unsat
+    # block, and equals the scalar divergence of those shots' bits
+    f = random_formula(np.random.default_rng(1), n=30, m=128)
+    cfg = GaConfig(shots_per_eval=97)
+    genes = _random_genes(np.random.default_rng(2), 5, cfg.depth)
+    asked = []
+
+    def recorded(h, d_sums, zeta, d_at, levels):
+        def d_seen(idx):
+            asked.append((idx, d_at(idx)))
+            return asked[-1][1]
+        return rs.shaping.level_shaped_costs(h, d_sums, zeta, d_seen, levels)
+
+    monkeypatch.setattr(rs.evolve, "level_shaped_costs", recorded)
+    _fitness_values(f, genes, cfg, seed_stream(4, 4))
+    p_one = p_one_rows(f.n, genes[:, :cfg.depth], genes[:, cfg.depth:])
+    bits = block_shots(p_one, cfg.shots_per_eval, seed_stream(4, 4))
+    [(idx, d)] = asked
+    assert 0 < len(idx) < len(bits) and d.dtype == np.float64
+    assert d.tolist() == [divergence(f, bits[i].tolist()) for i in idx.tolist()]
+
+
+def test_zero_clause_fitness_has_no_negative_zero():
+    # every cost is 0, and the fitness -cost once stored -0.0
+    f = rs.CnfFormula(n=3, clauses=())
+    _, rows = optimize(f, GaConfig(generations=1, population=4, elites=1, shots_per_eval=16))
+    values = [row[key] for row in rows for key in ("best_fitness", "mean_fitness",
+                                                   "best_so_far_fitness")]
+    assert values == [0.0] * 6
+    assert all(math.copysign(1.0, v) == 1.0 for v in values)
+
+
 def test_optimize_hot_path_draws_one_stream_and_one_sample_per_generation(widget, monkeypatch):
-    # no per-row streams: one fitness stream and one draw_shots call per generation, each
+    # no per-row streams: one fitness stream and one draw_planes call per generation, each
     # for all of the generation's new rows
     streams, drawn = [], []
 
@@ -132,10 +166,10 @@ def test_optimize_hot_path_draws_one_stream_and_one_sample_per_generation(widget
 
     def counted_draw(p1, count, rng):
         drawn.append(len(p1))
-        return draw_shots(p1, count, rng)
+        return draw_planes(p1, count, rng)
 
     monkeypatch.setattr(rs.evolve, "seed_stream", counted_stream)
-    monkeypatch.setattr(rs.evolve, "draw_shots", counted_draw)
+    monkeypatch.setattr(rs.evolve, "draw_planes", counted_draw)
     cfg = GaConfig(generations=4, population=6, elites=2, shots_per_eval=50, seed=2)
     optimize(widget, cfg)
     breeding = [path for t in range(1, 5) for path in ((_TAG_EVOLVE, t), (_TAG_FITNESS, t))]

@@ -23,12 +23,12 @@ from dense_reference import to_dimacs
 
 SHORT = dict(generations=3, population=6, elites=1, shots_per_eval=60, seed=17)
 
-WIDGET_HASH = "sha256:c4599e491aec4808ed840662b3017781737d83f3824d364c9a4f503a0f385c8d"
-SYNTH20_HASH = "sha256:5e2d4b94278eb447e48bfef15288a7d8864d9ded4a188f320862844a367e2215"
+WIDGET_HASH = "sha256:07792b628990b55c7092e0dfc1aa3fd518a70e247753d4605136c6a2f44c8db1"
+SYNTH20_HASH = "sha256:d78748e63f2628d030c37a70c19ed4969d8c5ab04f156f792b958b0027399f8c"
 # GA corners the depth-2 runs above never reach: depth 1 draws no crossover
 # cut; depth 3 with no elites and k=1 widens the cut range and keeps no row
-WIDGET_D1_HASH = "sha256:ee020012e249e0881130c4ca39e1497457f49571d99d20f7ae1166e9714a5cbe"
-SYNTH20_D3_HASH = "sha256:d261e3fe554edab5bc903cac1bedc8f44c4e9557f5ecc0867dd3b2ca99f54daa"
+WIDGET_D1_HASH = "sha256:495d62f61dac8ce1a019d59038348037e5ef02cb0733b53fb83b1a880148a520"
+SYNTH20_D3_HASH = "sha256:970c71f18f452693eedbac7403311a5338ae3d640d5cf87102e40789750f28c0"
 SHAPED17 = 3190375.19779253
 # sha256 of values.tobytes() + mass.tobytes() of the same exact g-distribution
 G17_DIGEST = "036b9962708e07658a9614315b08498368e77caca95b24a47fa90b8728b750e0"
@@ -86,21 +86,21 @@ CLI_PINS = {
     "enumerate --format json":
         "f9c00b66fdd280c21bdcb86d4d9fd79cad887783761515ff7f19a8b349d3a4d2",
     "report --what final":
-        "f98220b001588e9b72fdff4afd1013066839daa4c1df2ce8c6abdb98ef800854",
+        "b29abb2005f767eec746228f7e34b4e92ef1efb19cc8c7cece5e33b0f6042768",
     "report --what final --format json":
-        "825a9623acebea2b8bd26267635d60c6e16ac5225641de717195ccd6821ba6f9",
+        "7e69f90b863395e1da316c0141a1320de4c83ae9f897f9e967de313f4e153014",
     "report --what initial":
         "f3a1392a934078ce30addaaa390a55a8e6f3f311d1d25c6bd6cf39e67c4e43e8",
     "report --what initial --format json":
         "f9c00b66fdd280c21bdcb86d4d9fd79cad887783761515ff7f19a8b349d3a4d2",
     "report --what final --g-level":
-        "5736221d634e4776915c6e38182bda968b8f04385384032b92ba5ddaf05fe823",
+        "f34434cd2a0ce71c8200bb061a120d3f096035925db105fd6920b5e52c3ee412",
     "report --what final --g-level --format json":
-        "8f176dc0994fa4d2d4577547b9d0f8281d86901cc272d42545087c9d2666fc5b",
+        "16705dfb917a91d2e577b8e965041618eabffafea5a3ccf7bf9bfec3bf370a8f",
     "sample":
-        "bf34d555a311eea95865ba1adc9230c0696ee3b6b41900532cec6e58f24e6d63",
+        "e452135b6b2d83bea9ee6eb8fc95563bea60ed17b06104d5d0b827441fdd62b5",
     "compare":
-        "e8a30427278b89d33f0ea93a0c723ed3f594a719dcfdd6ec971ecd6109c87144",
+        "722248a7727e112543d978c8736c53e8193166469d7a449d5851b9575c552d3c",
 }
 
 

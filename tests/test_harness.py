@@ -23,10 +23,11 @@ from ranksat.harness import (
     run_sample,
     save_artifact,
 )
-from ranksat.qsim import AngleVector, QuantumState, prepare_state, sample
+from ranksat.qsim import AngleVector, QuantumState, prepare_state
 from ranksat.shaping import CostHistogram, cost_histogram
 
-from conftest import random_formula
+from conftest import random_formula, scored
+from dense_reference import block_shots
 
 TINY = dict(generations=3, population=6, elites=1, shots_per_eval=60, seed=17)
 
@@ -302,22 +303,31 @@ def test_run_sample_artifact_roundtrip(widget_path, tmp_path):
 
 @pytest.mark.parametrize("n, m", [(7, 21), (999, 2100), (1000, 4260)])
 def test_streamed_scores_equal_the_sample_matrix(n, m):
-    # even columns have p < 2**-16 (threshold 0), so each of their 1s is a settled tie; odd
-    # columns have thresholds at row 5's own words, so that row ties in every odd column
+    # the report sample draws blocks of f.arrays.rows shots; it equals the per-block reference
+    # shots scored as one matrix. Even columns have p < 2**-16 (threshold 0), so each of
+    # their 1s is a settled tie; odd columns have thresholds at the words of shot 5 of the
+    # first block, so that shot ties in every odd column
     f = random_formula(np.random.default_rng(n), n=n, m=m)
     rows = f.arrays.rows
-    s = 3 * rows + 17  # three whole h blocks and a remainder
-    raw = np.random.default_rng(8).bit_generator.random_raw(-(-s * n // 4))
-    words = raw.astype("<u8").view("<u2")[:s * n].reshape(s, n)
+    s = 3 * rows + 17  # three whole blocks and a remainder
+    first = np.random.default_rng(8).bit_generator.random_raw(-(-rows * n // 4))
     p1 = np.full(n, 0.9 * 2.0**-16)
-    p1[1::2] = (words[5, 1::2] + 0.5) / 65536
-    tied = words == np.minimum(65536 * p1, 65535).astype(np.uint16)
-    tie_rows = np.flatnonzero(tied.any(axis=1))
-    assert len(np.unique(tie_rows[tie_rows != 5] // rows)) >= 2
-    bits = sample(QuantumState(p1=p1), s, np.random.default_rng(8))
-    assert bits[:, ::2].any() and not (bits[:, ::2] & ~tied[:, ::2]).any()
-    h = f.arrays.h(bits)
-    for cost, expected in (("h", h), ("g", rs.default_params(f).zeta * h + f.arrays.d(bits))):
+    p1[1::2] = (first.astype("<u8").view("<u2")[:rows * n].reshape(n, rows)[1::2, 5] + 0.5) / 65536
+    t = np.minimum(65536 * p1, 65535).astype(np.uint16)
+    rng, blocks, tie_blocks = np.random.default_rng(8), [], 0
+    for start in range(0, s, rows):
+        count = min(rows, s - start)
+        probe = np.random.default_rng()
+        probe.bit_generator.state = rng.bit_generator.state
+        raw = probe.bit_generator.random_raw(-(-count * n // 4))
+        tied = raw.astype("<u8").view("<u2")[:count * n].reshape(n, count) == t[:, None]
+        tie_blocks += bool(tied[::2].any())
+        blocks.append(block_shots(p1, count, rng))
+        assert not (blocks[-1].T[::2] & ~tied[::2]).any()
+    bits = np.vstack(blocks)
+    assert tie_blocks >= 2 and bits[:, ::2].any() and 0 < bits[5, 1::2].sum() < n // 2
+    h, d = scored(f, bits)
+    for cost, expected in (("h", h), ("g", rs.default_params(f).zeta * h + d)):
         streamed = _sampled_scores(f, QuantumState(p1=p1), s, np.random.default_rng(8), cost)
         np.testing.assert_array_equal(streamed, expected)
         assert streamed.tobytes() == expected.astype(streamed.dtype).tobytes()

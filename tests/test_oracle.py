@@ -7,7 +7,7 @@ import pytest
 
 import ranksat as rs
 from ranksat import oracle
-from ranksat.cnf import MAX_EXACT_CLAUSES, ClauseArrays, d_max
+from ranksat.cnf import MAX_EXACT_CLAUSES, d_max
 from ranksat.oracle import (
     GuardError,
     enumerate_h,
@@ -19,7 +19,7 @@ from ranksat.oracle import (
 from ranksat.qsim import AngleVector, prepare_state, sample
 from ranksat.shaping import QuantileSet, h_histogram, nearest_rank_quantile
 
-from conftest import all_assignments, random_formula
+from conftest import all_assignments, random_formula, scored
 from dense_reference import (
     dense_state,
     float_g_distribution,
@@ -241,7 +241,7 @@ def test_dense_crosscheck_exact_h():
 
     dense = dense_state(f.n, betas, gammas)
     probs = np.abs(dense) ** 2
-    h = ClauseArrays(f).h(all_assignments(f.n))
+    h = scored(f, all_assignments(f.n))[0]
     buckets = np.bincount(h, weights=probs, minlength=f.m + 1)
     for value, p in zip(table.values, table.probabilities):
         assert abs(buckets[value] - p) < 1e-10

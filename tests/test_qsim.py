@@ -10,7 +10,7 @@ from ranksat.qsim import (
     QuantumState,
     SAMPLE_BLOCK_CELLS,
     bits_from_ranks,
-    draw_shots,
+    draw_planes,
     p_one_rows,
     prepare_state,
     sample,
@@ -18,11 +18,12 @@ from ranksat.qsim import (
 )
 
 from dense_reference import (
+    bit_planes,
+    block_shots,
     dense_state,
     probability,
     product_state_loop,
     rank_of,
-    raw_word_shots,
 )
 
 
@@ -214,7 +215,7 @@ def test_sample_chi_square_against_exact():
 
 def test_sample_validates():
     state = prepare_state(2, AngleVector.zeros(1))
-    for s in (0, -3):  # shot_blocks' check, which sample leaves to it
+    for s in (0, -3):  # draw_planes' check, which sample leaves to it
         with pytest.raises(ValueError, match="shot count must be >= 1, got"):
             sample(state, s, np.random.default_rng(0))
     with pytest.raises(ValueError):
@@ -277,85 +278,100 @@ def test_phase_overflow_is_refused():
     assert np.isfinite(p1).all() and p1.min() >= 0.0 and p1.max() <= 1.0
     for bad in (np.nan, -1e-3):
         with pytest.raises(ValueError, match="NaN or < 0"):
-            draw_shots([0.5, bad], 4, np.random.default_rng(0))
+            draw_planes([0.5, bad], 4, np.random.default_rng(0))
+
+
+def _block_words(n, count, rng):
+    """The (n, count) 16-bit words of a block of ``count`` shots drawn first from ``rng``."""
+    raw = rng.bit_generator.random_raw(-(-count * n // 4))
+    return raw.astype("<u8").view("<u2")[:count * n].reshape(n, count)
 
 
 def test_sample_blocks_draw_like_one_draw():
+    # a block's words are drawn qubit-major about SAMPLE_BLOCK_CELLS at a time, in runs of 4
+    # qubits; these sizes take several draws, and at n = 999 and 7 the last one ends inside a
+    # 64-bit word
     angles = AngleVector(betas=(0.4, 1.1), gammas=(0.7, 2.3))
-    for n in (1000, 999, 7):
+    for n, s in ((1000, 3001), (999, 3001), (7, 3 * (SAMPLE_BLOCK_CELLS // 7) + 18)):
+        assert n * s > 2 * SAMPLE_BLOCK_CELLS and (n * s % 4 > 0) == (n != 1000)
         state = prepare_state(n, angles)
-        s = 3 * (SAMPLE_BLOCK_CELLS // n) + 17  # three full draws and a remainder
         shots = sample(state, s, np.random.default_rng(5))
-        one_draw = raw_word_shots(state.p1, s, np.random.default_rng(5))
-        assert shots.dtype == np.uint8
+        one_draw = block_shots(state.p1, s, np.random.default_rng(5))
+        assert shots.dtype == np.uint8 and shots.shape == (s, n)
         np.testing.assert_array_equal(shots, one_draw)
-    # grouped biases: n=999 gives draws of 256 rows, so the first boundary falls inside
-    # group 2 of 100 rows. All groups share the threshold 30000, but a tie reads 0 in
-    # group 0 (no fraction left) and almost surely 1 in the others (fraction 0.999).
+        planes = draw_planes(state.p1, s, np.random.default_rng(5))
+        np.testing.assert_array_equal(planes, bit_planes(one_draw))
+    # grouped biases: each qubit's words cross every group of 100 shots. All groups share the
+    # threshold 30000, but a tie reads 0 in group 0 (no fraction left) and almost surely 1 in
+    # the others (fraction 0.999).
     n, s = 999, 100
     p1 = np.full((5, n), 30000.999 / 65536)
     p1[0] = 30000 / 65536
-    assert SAMPLE_BLOCK_CELLS // n // 8 * 8 % s
-    bits = draw_shots(p1, 5 * s, np.random.default_rng(6))
-    np.testing.assert_array_equal(bits, raw_word_shots(p1, s, np.random.default_rng(6)))
-    words = np.random.default_rng(6).bit_generator.random_raw(-(-bits.size // 4))
-    tied = np.flatnonzero(words.astype("<u8").view("<u2")[:bits.size] == 30000)
-    assert np.any(bits.reshape(-1)[tied[tied >= s * n]] == 1)
+    planes = draw_planes(p1, 5 * s, np.random.default_rng(6))
+    bits = block_shots(p1, s, np.random.default_rng(6))
+    np.testing.assert_array_equal(planes, bit_planes(bits))
+    tied = _block_words(n, 5 * s, np.random.default_rng(6)) == 30000
+    assert not bits.T[:, :s][tied[:, :s]].any() and bits.T[:, s:][tied[:, s:]].any()
     # one bias row is the (n,) path, and rows that split unevenly are refused
-    one = draw_shots(p1[1:2], s, np.random.default_rng(6))
-    np.testing.assert_array_equal(one, raw_word_shots(p1[1], s, np.random.default_rng(6)))
+    one = draw_planes(p1[1:2], s, np.random.default_rng(6))
+    np.testing.assert_array_equal(one, draw_planes(p1[1], s, np.random.default_rng(6)))
+    np.testing.assert_array_equal(one, bit_planes(block_shots(p1[1], s, np.random.default_rng(6))))
     with pytest.raises(ValueError, match="groups"):
-        draw_shots(p1[:2], 7, np.random.default_rng(0))
+        draw_planes(p1[:2], 7, np.random.default_rng(0))
+
+
+def _tied_at_shot_5(n, rows, seed):
+    """A bias row whose thresholds are the words of shot 5 of the first block of ``rows``
+    shots drawn from ``seed``, plus a half: that shot ties in every qubit and settles to
+    about half ones. Even qubits instead get p < 2**-16 (threshold 0), so each of their 1s is
+    a settled tie in every block."""
+    p1 = (_block_words(n, rows, np.random.default_rng(seed))[:, 5] + 0.5) / 65536
+    p1[::2] = 0.9 * 2.0**-16
+    return p1
+
+
+def _per_block_reference(p1, count, rng, rows):
+    """The shots of ``shot_blocks``: ``block_shots`` of each block in turn, from one rng."""
+    return np.vstack([block_shots(p1, min(rows, count - start), rng)
+                      for start in range(0, count, rows)])
 
 
 def test_shot_blocks_settle_ties_in_bounded_chunks():
-    # thresholds at row 5's own words tie every cell of that row, and about 15 rows hold a
-    # tie; each block comes once, settled, and no block is longer than asked
+    # each block draws its own words and then settles its own ties, so the shots depend on
+    # the block size; every block equals the per-block reference, and none is longer than
+    # asked. Each block is its own planes array, so blocks need not be whole bytes of shots
     n, s = 999, 1000
-    raw = np.random.default_rng(3).bit_generator.random_raw(-(-s * n // 4))
-    words = raw.astype("<u8").view("<u2")[:s * n].reshape(s, n)
-    p1 = (words[5] + 0.5) / 65536
-    tie_rows = np.flatnonzero((words == words[5]).any(axis=1))
-    assert len(tie_rows) > 8
-    expected = raw_word_shots(p1, s, np.random.default_rng(3))
-    assert 0 < expected[5].sum() < n
-    for rows in (8, 64, 1000, 1008):
+    for rows in (8, 12, 64, 1000, 1008):
+        p1 = _tied_at_shot_5(n, rows, 3)
+        expected = _per_block_reference(p1, s, np.random.default_rng(3), rows)
+        assert 0 < expected[5, 1::2].sum() < n // 2 and expected[:, ::2].any()
         got, sizes = np.full((s, n), 2, dtype=np.uint8), []
-        for index, bits in shot_blocks(p1, s, np.random.default_rng(3), rows):
-            got[index] = bits
-            sizes.append(len(bits))
+        for index, planes in shot_blocks(p1, s, np.random.default_rng(3), rows):
+            got[index] = np.unpackbits(planes.T, axis=0, count=len(got[index]), bitorder="little")
+            sizes.append(index.stop - index.start)
         np.testing.assert_array_equal(got, expected)
         assert max(sizes) <= rows and sum(sizes) == s
-    for rows in (0, 12):
-        with pytest.raises(ValueError, match="multiple of 8"):
+    for rows in (0, -8):
+        with pytest.raises(ValueError, match="at least one shot"):
             next(shot_blocks(p1, s, np.random.default_rng(3), rows))
 
 
-def _tie_in_every_8_rows(n, groups, seed):
-    """Grouped biases of 8 rows per group, each group biased at one of its own rows' words
-    plus a half: that row ties in every cell and settles to about half ones."""
-    raw = np.random.default_rng(seed).bit_generator.random_raw(-(-groups * 8 * n // 4))
-    words = raw.astype("<u8").view("<u2")[:groups * 8 * n].reshape(groups, 8, n)
-    return (words[np.arange(groups), np.arange(groups) % 8] + 0.5) / 65536
-
-
 def test_shot_blocks_are_final_when_yielded():
-    # every 8-row block holds a tied row, so a block read as it comes shows unsettled ties
-    n, groups = 999, 125
-    p1 = _tie_in_every_8_rows(n, groups, 7)
-    expected = raw_word_shots(p1, 8, np.random.default_rng(7))
+    # blocks kept as they come, uncopied, are never written again by a later block
+    n, count = 999, 1000
     for rows in (8, 64, 1000, 1008):
-        blocks = [(index, bits.copy()) for index, bits in
-                  shot_blocks(p1, groups * 8, np.random.default_rng(7), rows)]
-        for index, bits in blocks:
-            np.testing.assert_array_equal(bits, expected[index])
-        assert [index.start for index, _ in blocks] == list(range(0, groups * 8, rows))
+        p1 = _tied_at_shot_5(n, rows, 7)
+        expected = _per_block_reference(p1, count, np.random.default_rng(7), rows)
+        blocks = list(shot_blocks(p1, count, np.random.default_rng(7), rows))
+        for index, planes in blocks:
+            np.testing.assert_array_equal(planes, bit_planes(expected[index]))
+        assert [index.start for index, _ in blocks] == list(range(0, count, rows))
 
 
 def test_shot_draws_leave_rng_where_one_draw_does():
-    # the words are skipped by advance, which alone would drop a buffered 32-bit half word
-    n, groups = 100, 25
-    p1 = _tie_in_every_8_rows(n, groups, 8)
+    # rng ends where each block's words, then its rng.random(k) for the block's k ties, leave
+    # it; a buffered 32-bit half word, which random_raw and random do not use, stays buffered
+    n, count, rows = 100, 200, 64
 
     def stream():
         rng = np.random.default_rng(8)
@@ -363,35 +379,49 @@ def test_shot_draws_leave_rng_where_one_draw_does():
         assert rng.bit_generator.state["has_uint32"] == 1
         return rng
 
+    def tied(block):
+        """Thresholds at shot 5 of the first block of ``block`` shots of ``stream()``."""
+        return (_block_words(n, block, stream())[:, 5] + 0.5) / 65536
+
+    p1 = tied(count)
     reference = stream()
-    raw_word_shots(p1, 8, reference)
+    expected = block_shots(p1, count, reference)
     drawn = stream()
-    draw_shots(p1, groups * 8, drawn)
+    np.testing.assert_array_equal(sample(QuantumState(p1), count, drawn), expected)
+    assert 0 < expected[5].sum() < n
     assert drawn.bit_generator.state == reference.bit_generator.state
+    p1 = tied(rows)
+    reference = stream()
+    expected = _per_block_reference(p1, count, reference, rows)
     drawn = stream()
-    for _ in shot_blocks(p1, groups * 8, drawn, 16):
-        pass
+    got = [planes for _, planes in shot_blocks(p1, count, drawn, rows)]
+    assert 0 < expected[5].sum() < n
     assert drawn.bit_generator.state == reference.bit_generator.state
-    # MT19937 has no advance, and Philox's advances its counter, four words a step
-    for bit_generator in (np.random.MT19937(0), np.random.Philox(0)):
-        with pytest.raises(ValueError, match="PCG64"):
-            sample(QuantumState(np.full(3, 0.5)), 8, np.random.Generator(bit_generator))
+    np.testing.assert_array_equal(np.hstack(got), bit_planes(expected))
+    # the draw needs nothing of the bit generator beyond random_raw and random
+    for make in (np.random.MT19937, np.random.Philox):
+        reference, drawn = np.random.Generator(make(0)), np.random.Generator(make(0))
+        p1 = (_block_words(n, 8, np.random.Generator(make(0)))[:, 5] + 0.5) / 65536
+        expected = block_shots(p1, 8, reference)
+        assert 0 < expected[5].sum() < n
+        np.testing.assert_array_equal(sample(QuantumState(p1), 8, drawn), expected)
+        after = [rng.bit_generator.random_raw(4).tolist() for rng in (drawn, reference)]
+        assert after[0] == after[1]
 
 
 def test_fill_shots_threshold_multiples_are_the_word_compare():
     # p = k/65536 leaves no fraction, so a tied word reads 0 like any word >= k
     k = np.array([0, 1, 2, 255, 32768, 40000, 65535])
     s = 20_000
-    bits = draw_shots(k / 65536, s, np.random.default_rng(9))
-    raw = np.random.default_rng(9).bit_generator.random_raw(-(-s * k.size // 4))
-    words = raw.astype("<u8").view("<u2")[:s * k.size].reshape(s, k.size)
-    np.testing.assert_array_equal(bits, words < k)
+    bits = sample(QuantumState(k / 65536), s, np.random.default_rng(9))
+    words = _block_words(k.size, s, np.random.default_rng(9))
+    np.testing.assert_array_equal(bits, (words < k[:, None]).T)
 
 
 def test_fill_shots_edges_are_certain():
     # 300k cells per column: about 4.6 ties each, which the refinement must settle
     p1 = np.array([0.0, 1.0, 1.0 + 2.0**-52])
-    bits = draw_shots(p1, 300_000, np.random.default_rng(2))
+    bits = sample(QuantumState(p1), 300_000, np.random.default_rng(2))
     assert not bits[:, 0].any()
     assert bits[:, 1:].all()
 
@@ -399,9 +429,12 @@ def test_fill_shots_edges_are_certain():
 def test_fill_shots_below_a_word_step_uses_the_tie_path():
     # p < 2**-16 gives threshold 0, so every 1 is a tied word refined by a uniform
     p, shape = 3 * 2.0**-19, (4096, 4096)
-    bits = draw_shots(np.full(shape[1], p), shape[0], np.random.default_rng(4))
+    planes = draw_planes(np.full(shape[1], p), shape[0], np.random.default_rng(4))
     cells = shape[0] * shape[1]
-    assert abs(int(bits.sum()) - cells * p) < 4 * math.sqrt(cells * p * (1 - p))
+    ones = int(np.bitwise_count(planes).sum())
+    assert abs(ones - cells * p) < 4 * math.sqrt(cells * p * (1 - p))
+    words = _block_words(shape[1], shape[0], np.random.default_rng(4))
+    assert ones <= np.count_nonzero(words == 0)
 
 
 def test_sample_memory_is_the_bits_plus_a_block():

@@ -20,7 +20,7 @@ from ranksat.shaping import (
 from ranksat.cnf import MAX_EXACT_CLAUSES, d_max
 
 from conftest import all_assignments
-from dense_reference import quantile
+from dense_reference import bit_planes, quantile
 
 
 def _random_hist(rng):
@@ -282,10 +282,10 @@ def test_level_shaped_mean_is_correctly_rounded_above_2_53():
     f = rs.CnfFormula.from_signed(n, [[lit] for lit in lits])
     bits = rng.integers(0, 2, (s, n)).astype(np.uint8)
     levels = QuantileSet.default()
-    h, d_sums = f.arrays.h_d_sums(bits, s)
+    u = f.arrays.unsat_matrix(bit_planes(bits), s)
+    h, d_sums = f.arrays.h_d_sums(u, s, s)
     zeta = int(rs.default_params(f).zeta)
-    value = level_shaped_costs(h.reshape(1, s), d_sums, zeta, lambda i: f.arrays.d(bits[i]),
-                               levels)
+    value = level_shaped_costs(h.reshape(1, s), d_sums, zeta, lambda i: f.arrays.d(u, i), levels)
     hist = cost_histogram(f, bits, rs.default_params(f))
     total = sum(int(g) * int(c) for g, c in zip(hist.values, hist.counts))
     assert total > 2**53

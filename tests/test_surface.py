@@ -18,7 +18,7 @@ import pytest
 
 import ranksat as rs
 from ranksat.cli import main
-from ranksat.cnf import SCORE_BLOCK_CELLS, ClauseArrays, CnfFormula, _block_rows
+from ranksat.cnf import ClauseArrays, CnfFormula
 from ranksat.evolve import GaConfig
 
 MODULES = ("cnf", "qsim", "shaping", "evolve", "oracle", "harness")
@@ -116,27 +116,30 @@ def test_perfbench_call_shapes(widget, monkeypatch):
 
 @pytest.mark.parametrize("method", ["h", "h_d_sums", "d", "g"])
 def test_scorers_reach_unsat_matrix(method, monkeypatch):
-    # the cnf.score metrics count unsat_matrix calls: one per block, also through h, h_d_sums
-    # (the GA's fitness path), d and g (cost_histogram: one h pass, then one d pass)
+    # the cnf.score metrics count unsat_matrix calls: one per block on every path, and h and
+    # d read the same block. "h" and "d" are the report sample at h and at g level (one block
+    # per drawn block), "g" is cost_histogram (one block per h block of its bits), and
+    # "h_d_sums" is the GA's fitness pass (one block per generation)
     calls = []
     inner = ClauseArrays.unsat_matrix
 
-    def counted(self, bits):
-        calls.append(len(bits))
-        return inner(self, bits)
+    def counted(self, planes, rows):
+        calls.append(rows)
+        return inner(self, planes, rows)
 
     monkeypatch.setattr(ClauseArrays, "unsat_matrix", counted)
     f = CnfFormula.from_signed(3, [[1, -2], [3]] * 2100)
-    if method in ("d", "g"):
-        block = _block_rows(SCORE_BLOCK_CELLS, f.m)
-    else:
-        block = f.arrays.rows
-    bits = np.zeros((2 * block + 1, 3), dtype=np.uint8)
+    block, rng = f.arrays.rows, np.random.default_rng(0)
+    state = rs.prepare_state(f.n, rs.AngleVector.zeros(1))
+    if method == "h_d_sums":
+        cfg = GaConfig(population=3, elites=0, shots_per_eval=block)
+        rs.evolve._fitness_values(f, np.zeros((3, 2 * cfg.depth)), cfg, rng)
+        assert calls == [3 * block]
+        return
     if method == "g":
-        rs.shaping.cost_histogram(f, bits, rs.default_params(f))
-        assert calls.pop(0) == len(bits)  # the h pass fits one h block
+        rs.shaping.cost_histogram(f, np.zeros((2 * block + 1, 3), np.uint8), rs.default_params(f))
     else:
-        getattr(f.arrays, method)(bits, *((1,) if method == "h_d_sums" else ()))
+        rs.harness._sampled_scores(f, state, 2 * block + 1, rng, "g" if method == "d" else "h")
     assert calls == [block, block, 1]
 
 
