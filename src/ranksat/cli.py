@@ -14,6 +14,7 @@ from pathlib import Path
 from .cnf import DimacsError, load_instance_file
 from .evolve import GaConfig
 from .harness import (
+    FINAL_SHOTS_DEFAULT,
     artifact_angles,
     artifact_histogram,
     histogram_summary,
@@ -136,9 +137,12 @@ def cmd_report(args) -> int:
         hist = regenerate_g_histogram(artifact) if args.g_level else artifact_histogram(artifact)
         rows = hist.to_json_obj(label)
     elif args.what == "initial":
-        if not run.get("oracle"):
+        oracle = run.get("oracle")
+        if not oracle:
             return _fail("artifact has no oracle section", EXIT_INPUT)
-        hist = CostHistogram.from_json_obj(run["oracle"]["initial_h"])
+        if not isinstance(oracle, dict):
+            raise ValueError(f"oracle must be a JSON object, got {oracle!r}")
+        hist = CostHistogram.from_json_obj(oracle.get("initial_h"), name="oracle.initial_h")
         n = run["instance"]["n"]
         if not (type(n) is int and 0 <= n < 63 and hist.total == 1 << n):
             raise ValueError(f"oracle.initial_h counts {hist.total} assignments, "
@@ -184,19 +188,21 @@ def cmd_compare(args) -> int:
 
 
 def _add_ga_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--generations", type=int, default=150)
-    p.add_argument("--population", type=int, default=30)
-    p.add_argument("--mutation-prob", type=float, default=0.25)
-    p.add_argument("--tournament-size", type=int, default=3)
-    p.add_argument("--elites", type=int, default=4)
-    p.add_argument("--shots", type=int, default=250, help="shots per fitness evaluation")
-    p.add_argument("--depth", type=int, default=2)
+    defaults = GaConfig()
+    p.add_argument("--generations", type=int, default=defaults.generations)
+    p.add_argument("--population", type=int, default=defaults.population)
+    p.add_argument("--mutation-prob", type=float, default=defaults.mutation_prob)
+    p.add_argument("--tournament-size", type=int, default=defaults.tournament_size)
+    p.add_argument("--elites", type=int, default=defaults.elites)
+    p.add_argument("--shots", type=int, default=defaults.shots_per_eval,
+                   help="shots per fitness evaluation")
+    p.add_argument("--depth", type=int, default=defaults.depth)
     p.add_argument(
         "--quantiles",
-        default="0.01,0.05,0.1",
+        default=",".join(map(str, defaults.quantile_levels)),
         help="comma-separated quantile levels of the shaped cost",
     )
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=int, default=defaults.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -220,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="GA search for circuit angles")
     p.add_argument("instance")
     _add_ga_flags(p)
-    p.add_argument("--final-shots", type=int, default=100_000)
+    p.add_argument("--final-shots", type=int, default=FINAL_SHOTS_DEFAULT)
     p.add_argument("--max-n", type=int, default=GUARD_MAX_N,
                    help="oracle guard; larger n only disables the embedded oracle section")
     p.add_argument("--out", required=True, help="artifact JSON path")
@@ -230,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--angles", required=True,
                    help="run/sample artifact or bare JSON angle array")
-    p.add_argument("--shots", type=int, default=100_000)
+    p.add_argument("--shots", type=int, default=FINAL_SHOTS_DEFAULT)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", default=None, help="write a sample artifact here")
     p.add_argument("--out-hist", default=None, help="histogram CSV path (default stdout)")

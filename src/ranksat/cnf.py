@@ -333,13 +333,17 @@ class ClauseArrays:
     1. ``_lits[j, i] = var + n*negated`` is the plane on which literal slot ``j`` of clause
     ``i`` fails, so a clause is unsatisfied on the AND of its gathered planes; a clause
     shorter than ``width`` repeats its first literal in the spare slots. ``h``, ``h_d_sums``
-    and ``d`` read a packed unsat block ``u`` of ``unsat_matrix``; ``scores`` scores the
-    planes of many rows one block of ``rows`` rows at a time (the report samples draw shots
-    in such blocks), about H_BLOCK_CELLS clause x row cells and at least H_BLOCK_MIN_ROWS.
-    Each reader slices ``u`` so that its temporaries do not grow with the number of rows:
-    at n=100, m=426, s=20,000 tracemalloc reads 1.5 MB for ``scores``, 1.2 MB for
-    ``h_d_sums`` with one group of all rows (0.9 MB with a group per row) and 1.3 MB for
-    ``d`` of every row. Every cost g = zeta*h + d is built from h and d of one block.
+    and ``d`` read a packed unsat block ``u`` of ``unsat_matrix``.
+
+    ``scores`` is the one loop over blocks of ``rows`` rows, about H_BLOCK_CELLS clause x row
+    cells and at least H_BLOCK_MIN_ROWS, a size that depends only on m. It takes the planes
+    of all rows, or a draw that it calls once per block; the report samples of
+    ``ranksat.harness`` pass the draw, and as each ``draw_planes`` block settles its own ties,
+    the shots of a report sample depend on ``rows``: changing it changes every stored seed's
+    shots. Each reader keeps its temporaries from growing with the number of rows: at n=100,
+    m=426, s=20,000 tracemalloc reads 1.5 MB for ``scores``, 1.2 MB for ``h_d_sums`` with one
+    group of all rows (0.9 MB with a group per row) and 1.3 MB for ``d`` of every row. Every
+    cost g = zeta*h + d is built from h and d of one block.
     """
 
     def __init__(self, f: CnfFormula):
@@ -352,7 +356,7 @@ class ClauseArrays:
         self._lits = np.abs(signed) - 1 + self.n * (signed < 0)
         self._squares = np.arange(1, self.m + 1, dtype=np.int64) ** 2  # clause i weighs i**2
         self._weights = self._squares.astype(np.float64)  # d's row, for a float64 product
-        self.rows = max(H_BLOCK_MIN_ROWS, _block_rows(H_BLOCK_CELLS, self.m))  # per h block
+        self.rows = max(H_BLOCK_MIN_ROWS, _block_rows(H_BLOCK_CELLS, self.m))  # per scores block
 
     def planes_of(self, bits: np.ndarray) -> np.ndarray:
         """The planes of an (s, n) matrix of 0/1 bits, one row per shot (as ``qsim.sample``
@@ -386,42 +390,32 @@ class ClauseArrays:
         unsat[:, size - 1:] &= 0xFF >> (-rows % 8)  # keep the pad bits 0
         return unsat
 
-    def scores(self, planes: np.ndarray, rows: int, zeta: float | None = None) -> np.ndarray:
-        """Per-row h of the ``rows`` rows of ``planes``, in the narrowest type holding m, or
-        with ``zeta`` the cost g = zeta*h + d in float64: one ``unsat_matrix`` call per block
-        of ``self.rows`` rows, whose h and d both read that block."""
+    def scores(self, planes, rows: int, zeta: float | None = None) -> np.ndarray:
+        """Per-row h of ``rows`` rows, in the narrowest type holding m, or with ``zeta`` the
+        cost g = zeta*h + d in float64, one block of ``self.rows`` rows at a time: h and d of a
+        block both read its one ``unsat_matrix`` call. ``planes`` holds the planes of all the
+        rows, or is a function ``count -> planes`` called for each block's ``count`` rows in
+        order, so that no more than a block of rows is drawn at once."""
         out = np.empty(rows, np.min_scalar_type(self.m) if zeta is None else np.float64)
         for start in range(0, rows, self.rows):
             count = min(self.rows, rows - start)
-            u = self.unsat_matrix(planes[:, start // 8:], count)
+            block = planes(count) if callable(planes) else planes[:, start // 8:]
+            u = self.unsat_matrix(block, count)
             h = self.h(u, count)
             out[start:start + count] = h if zeta is None else zeta * h + self.d(
                 u, np.arange(count))
-            del u, h  # else they stay alive while the next block is built
+            del block, u, h  # else they stay alive while the next block is built
         return out
-
-    def _slices(self, u: np.ndarray, rows: int, step: int):
-        """(start, stop, the columns of ``u`` holding rows start..stop - 1) over slices of
-        ``step`` rows, a multiple of 8, so that every slice starts on a whole byte."""
-        for start in range(0, rows, step):
-            stop = min(rows, start + step)
-            yield start, stop, u[:, start // 8:-(-stop // 8)]
-
-    def _h_into(self, u: np.ndarray, out: np.ndarray) -> None:
-        """Each row's count of unsatisfied clauses in the packed block ``u``, written to ``out``:
-        chunks of H_CHUNK clauses unpacked and summed in uint8, then widened."""
-        out[...] = 0
-        for c in range(0, self.m, H_CHUNK):  # no name holds a chunk while the next is unpacked
-            out += np.add.reduce(
-                np.unpackbits(u[c:c + H_CHUNK], axis=1, count=len(out), bitorder="little"),
-                0, np.uint8)
 
     def h(self, u: np.ndarray, rows: int) -> np.ndarray:
         """Per-row count of unsatisfied clauses of the unsat block ``u`` of ``rows`` rows, in
-        the narrowest type holding m, in slices of ``self.rows`` rows."""
-        out = np.empty(rows, np.min_scalar_type(self.m))
-        for start, stop, part in self._slices(u, rows, self.rows):
-            self._h_into(part, out[start:stop])
+        the narrowest type holding m: chunks of H_CHUNK clauses unpacked and summed in uint8,
+        then widened. Its callers hand it at most ``self.rows`` rows."""
+        out = np.zeros(rows, np.min_scalar_type(self.m))
+        for c in range(0, self.m, H_CHUNK):  # no name holds a chunk while the next is unpacked
+            out += np.add.reduce(
+                np.unpackbits(u[c:c + H_CHUNK], axis=1, count=rows, bitorder="little"),
+                0, np.uint8)
         return out
 
     def h_d_sums(self, u: np.ndarray, rows: int, s: int) -> tuple[np.ndarray, list[int]]:
@@ -437,8 +431,10 @@ class ClauseArrays:
         h = np.empty(rows, np.min_scalar_type(self.m))
         d_sums = [0] * (rows // s)
         step = min(self.rows, _block_rows(SCORE_BLOCK_CELLS // 8, self.m) * s)
-        for start, stop, block in self._slices(u, rows, step):
-            self._h_into(block, h[start:stop])
+        for start in range(0, rows, step):  # step is a multiple of 8: slices start on a byte
+            stop = min(rows, start + step)
+            block = u[:, start // 8:-(-stop // 8)]
+            h[start:stop] = self.h(block, stop - start)
             first = start // s
             edges = np.maximum(np.arange(first * s, stop, s) - start, 0)  # each part's first row
             at = edges // 8

@@ -7,12 +7,11 @@ under "meta", outside the hash, so two runs with the same seed produce
 byte-identical hashed sections.
 
 The report samples (``run_sample``, the final sample of ``run_optimize`` and
-``regenerate_g_histogram``) draw their shots as packed planes in blocks of
-``ClauseArrays.rows`` shots and score each block as it is drawn, h and d from
-one unsat block, so they never hold an (s, n) matrix of bits. The block size
-is part of the draw (``qsim.draw_planes`` takes each block's words
-qubit-major), and it depends only on the formula, so a stored seed
-regenerates the same shots.
+``regenerate_g_histogram``) hand ``ClauseArrays.scores`` a draw of
+``qsim.draw_planes`` shots from the run's final-sample stream, which it calls
+once per block and scores as it comes, so no (s, n) matrix of bits is held.
+``cnf`` alone sizes those blocks, and with them the shots a stored seed
+regenerates (see ``ClauseArrays``).
 """
 from __future__ import annotations
 
@@ -22,13 +21,11 @@ from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .cnf import CnfFormula, default_params, parse_instance
 from .evolve import GaConfig, final_sample_stream, optimize
 from .oracle import GUARD_MAX_N, enumerate_h, exact_h_distribution
-from .qsim import AngleVector, QuantumState, prepare_state, shot_blocks
+from .qsim import AngleVector, draw_planes, prepare_state
 from .shaping import CostHistogram, nearest_rank_quantile
 
 __all__ = [
@@ -119,21 +116,6 @@ def improvement_factor(final_p0: float, initial: CostHistogram) -> float | None:
     return final_p0 / baseline
 
 
-def _sampled_scores(
-    f: CnfFormula, state: QuantumState, shots: int, rng: np.random.Generator, cost: str = "h",
-) -> np.ndarray:
-    """Per-shot h (``cost`` "h"), in the narrowest type holding m, or g = zeta*h + d ("g"),
-    in float64, of ``shots`` shots drawn in blocks of ``f.arrays.rows``, without their
-    (shots, n) matrix: each block is scored as it comes, so only the per-shot values
-    outlive it.
-    """
-    zeta = default_params(f).zeta if cost == "g" else None
-    values = np.empty(shots, np.min_scalar_type(f.m) if zeta is None else np.float64)
-    for index, planes in shot_blocks(state.p1, shots, rng, f.arrays.rows):
-        values[index] = f.arrays.scores(planes, index.stop - index.start, zeta)
-    return values
-
-
 def run_optimize(
     instance_path: str,
     cfg: GaConfig,
@@ -147,9 +129,9 @@ def run_optimize(
     params = default_params(f)
     best_angles, history = optimize(f, cfg)
 
-    state = prepare_state(f.n, best_angles)
+    p1, rng = prepare_state(f.n, best_angles).p1, final_sample_stream(cfg.seed)
     final_hist = CostHistogram.from_samples(
-        _sampled_scores(f, state, final_shots, final_sample_stream(cfg.seed)))
+        f.arrays.scores(lambda count: draw_planes(p1, count, rng), final_shots))
     final_section = _sample_section(final_hist, final_shots)
 
     oracle_section = None
@@ -195,8 +177,9 @@ def run_sample(
         raise ValueError(f"artifact was made for n={angles_n} but instance has n={f.n}")
     if angles is None:
         raise ValueError("angles required")
-    hist = CostHistogram.from_samples(_sampled_scores(
-        f, prepare_state(f.n, angles), shots, final_sample_stream(seed)))
+    p1, rng = prepare_state(f.n, angles).p1, final_sample_stream(seed)
+    hist = CostHistogram.from_samples(
+        f.arrays.scores(lambda count: draw_planes(p1, count, rng), shots))
     return _artifact(SAMPLE_SCHEMA, "sample", instance, {
         "angles": angles.to_json_obj(),
         "seed": seed,
@@ -246,7 +229,7 @@ def artifact_histogram(artifact: dict) -> CostHistogram:
     if type(section["shots"]) is not int or section["shots"] < 1:
         raise ValueError(f"final_sample.shots must be an integer >= 1, "
                          f"got {section['shots']!r}")
-    hist = CostHistogram.from_json_obj(section["h_histogram"])
+    hist = CostHistogram.from_json_obj(section["h_histogram"], name="final_sample.h_histogram")
     if hist.total != section["shots"]:
         raise ValueError(f"final_sample.h_histogram counts {hist.total} shots, "
                          f"but final_sample.shots is {section['shots']!r}")
@@ -282,8 +265,9 @@ def regenerate_g_histogram(artifact: dict) -> CostHistogram:
             raise ValueError(f"recorded cost_params differ from the fixed weights {params}")
     else:
         rng = final_sample_stream(run["seed"])
+    p1 = prepare_state(f.n, angles).p1
     hist = CostHistogram.from_samples(
-        _sampled_scores(f, prepare_state(f.n, angles), stored.total, rng, "g"))
+        f.arrays.scores(lambda count: draw_planes(p1, count, rng), stored.total, params.zeta))
     regenerated = CostHistogram.from_samples((hist.values // params.zeta).repeat(hist.counts))
     for h in sorted({*regenerated.values.tolist(), *stored.values.tolist()}):
         if regenerated.count_at(h) != stored.count_at(h):

@@ -22,13 +22,12 @@ as packed planes, one row per qubit holding that qubit's bits packed along the
 shots, which is the form the scorer (``cnf.ClauseArrays.unsat_matrix``) reads.
 A block takes its 16-bit words qubit-major and then the uniforms for its ties,
 so a shot's bits depend on the block it is drawn in: the GA's fitness pass
-draws one block per generation, the report samples of ``ranksat.harness`` draw
-``shot_blocks`` of a size that the formula fixes, and ``sample`` draws one
-block of s shots and unpacks it into an (s, n) uint8 matrix of 0/1, one row
-per shot. Each bit's law does not depend on the block: it reads 1 with
-probability ceil(p*2**69)/2**69, exactly p for p >= 2**-16. The words and the
-tie uniforms are drawn from ``rng`` in order, so any numpy bit generator
-serves.
+draws one block per generation, the report samples are drawn a block at a time
+by ``cnf.ClauseArrays.scores``, and ``sample`` draws one block of s shots and
+unpacks it into an (s, n) uint8 matrix of 0/1, one row per shot. Each bit's law
+does not depend on the block: it reads 1 with probability ceil(p*2**69)/2**69,
+exactly p for p >= 2**-16. The words and the tie uniforms are drawn from
+``rng`` in order, so any numpy bit generator serves.
 
 Bit order: qubit j carries rank weight 2**j and DIMACS variable j+1, so a
 measured bitstring is simultaneously a rank's binary expansion and a truth
@@ -49,7 +48,6 @@ __all__ = [
     "prepare_state",
     "p_one_rows",
     "sample",
-    "shot_blocks",
     "draw_planes",
 ]
 
@@ -170,16 +168,6 @@ def sample(state: QuantumState, s: int, rng: np.random.Generator) -> np.ndarray:
     they are deterministic for a given rng state.
     """
     return np.unpackbits(draw_planes(state.p1, s, rng).T, axis=0, count=s, bitorder="little")
-
-
-def shot_blocks(p1: np.ndarray, count: int, rng: np.random.Generator, rows: int):
-    """Draw ``count`` shots of the (n,) bias row ``p1`` in blocks of ``rows`` shots; yield
-    (slice of the block's shots, its ``draw_planes`` planes) as each is drawn."""
-    if rows < 1:
-        raise ValueError(f"shot blocks must hold at least one shot, got {rows}")
-    for start in range(0, count, rows):
-        stop = min(count, start + rows)
-        yield slice(start, stop), draw_planes(p1, stop - start, rng)
 
 
 def draw_planes(p1: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -128,14 +128,18 @@ class CostHistogram:
         return cls._counted(values, np.array([c for _, c in items], dtype=np.int64))
 
     @classmethod
-    def from_json_obj(cls, rows: Sequence[dict], label: str = "h") -> "CostHistogram":
-        """Read ``to_json_obj`` rows, each with a JSON integer value >= 0 and count >= 1."""
+    def from_json_obj(cls, rows: Sequence[dict], label: str = "h",
+                      name: str = "histogram") -> "CostHistogram":
+        """Read ``to_json_obj`` rows, a JSON list with each row's value an integer >= 0 and its
+        count an integer >= 1; ValueError names the stored entry ``name``."""
+        if not isinstance(rows, list):
+            raise ValueError(f"{name} must be a JSON list of rows, got {rows!r}")
         pairs = []
         for i, row in enumerate(rows):
             pair = (row.get(label), row.get("count")) if isinstance(row, dict) else (None, None)
             if not all(type(x) is int for x in pair) or pair[0] < 0 or pair[1] < 1:
                 raise ValueError(
-                    f"histogram row {i} needs integers {label} >= 0 and count >= 1: {row!r}"
+                    f"{name} row {i} needs integers {label} >= 0 and count >= 1: {row!r}"
                 )
             pairs.append(pair)
         return cls.from_pairs(pairs)

@@ -15,7 +15,7 @@ from ranksat.cnf import (
     d_max,
     load_instance_file,
 )
-from ranksat.harness import _sampled_scores
+from ranksat.harness import regenerate_g_histogram, run_sample
 from ranksat.qsim import AngleVector, prepare_state, sample
 from ranksat.shaping import CostHistogram, QuantileSet, cost_histogram, h_histogram
 
@@ -218,15 +218,19 @@ def test_default_params_refuses_inexact_costs(tmp_path, capsys, monkeypatch):
     with pytest.raises(ValueError, match="limit of 12820"):
         rs.default_params(refused)
 
-    # the same limit on every g path; exact_shaped_cost refuses before building a table
+    # the same limit on every g path: the report sample at g level (an h-level sample
+    # artifact regenerated), cost_histogram, and exact_shaped_cost, which refuses before
+    # building a table
+    path = tmp_path / "big.cnf"
+    path.write_text(to_dimacs(refused))
     angles, levels = AngleVector.zeros(1), QuantileSet.default()
     params = rs.CostParams(zeta=float(d_max(refused.m) + 1), vartheta=1.0)
-    rng = np.random.default_rng(0)
-    shots = sample(prepare_state(refused.n, angles), 4, rng)
+    shots = sample(prepare_state(refused.n, angles), 4, np.random.default_rng(0))
+    artifact = run_sample(str(path), angles, 4, 0)
     builds = []
     monkeypatch.setattr(oracle, "_unsat_table", lambda *args: builds.append(args))
     for refuse in (
-        lambda: _sampled_scores(refused, prepare_state(refused.n, angles), 4, rng, "g"),
+        lambda: regenerate_g_histogram(artifact),
         lambda: rs.cost_histogram(refused, shots, params),
         lambda: rs.exact_shaped_cost(refused, angles, params, levels),
     ):
@@ -234,8 +238,6 @@ def test_default_params_refuses_inexact_costs(tmp_path, capsys, monkeypatch):
             refuse()
     assert builds == []
 
-    path = tmp_path / "big.cnf"
-    path.write_text(to_dimacs(refused))
     argv = ["optimize", str(path), "--generations", "0", "--out", str(tmp_path / "r.json")]
     assert main(argv) == 2
     assert "limit of 12820" in capsys.readouterr().err

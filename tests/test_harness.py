@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 import ranksat as rs
-from ranksat.cli import _HISTORY_FIELDS, main
+from ranksat.cli import _HISTORY_FIELDS, _config_from_args, build_parser, main
 from ranksat.cnf import ClauseArrays
 from ranksat.evolve import GaConfig, optimize
 from ranksat.harness import (
-    _sampled_scores,
+    FINAL_SHOTS_DEFAULT,
     artifact_histogram,
     canonical_json,
     improvement_factor,
@@ -23,7 +23,7 @@ from ranksat.harness import (
     run_sample,
     save_artifact,
 )
-from ranksat.qsim import AngleVector, QuantumState, prepare_state
+from ranksat.qsim import AngleVector, draw_planes, prepare_state
 from ranksat.shaping import CostHistogram, cost_histogram
 
 from conftest import random_formula, scored
@@ -301,6 +301,12 @@ def test_run_sample_artifact_roundtrip(widget_path, tmp_path):
     assert hist.total == 2000
 
 
+def _report_sample(f, p1, shots, rng, zeta=None):
+    """The scores of a report sample of ``shots`` shots of the bias row ``p1``, as the
+    harness draws and scores it."""
+    return f.arrays.scores(lambda count: draw_planes(p1, count, rng), shots, zeta)
+
+
 @pytest.mark.parametrize("n, m", [(7, 21), (999, 2100), (1000, 4260)])
 def test_streamed_scores_equal_the_sample_matrix(n, m):
     # the report sample draws blocks of f.arrays.rows shots; it equals the per-block reference
@@ -327,8 +333,9 @@ def test_streamed_scores_equal_the_sample_matrix(n, m):
     bits = np.vstack(blocks)
     assert tie_blocks >= 2 and bits[:, ::2].any() and 0 < bits[5, 1::2].sum() < n // 2
     h, d = scored(f, bits)
-    for cost, expected in (("h", h), ("g", rs.default_params(f).zeta * h + d)):
-        streamed = _sampled_scores(f, QuantumState(p1=p1), s, np.random.default_rng(8), cost)
+    zeta = rs.default_params(f).zeta
+    for cost, expected in ((None, h), (zeta, zeta * h + d)):
+        streamed = _report_sample(f, p1, s, np.random.default_rng(8), cost)
         np.testing.assert_array_equal(streamed, expected)
         assert streamed.tobytes() == expected.astype(streamed.dtype).tobytes()
     hist = cost_histogram(f, bits, rs.default_params(f))
@@ -341,12 +348,12 @@ def test_streamed_sample_memory_does_not_grow_with_shots():
     f = random_formula(np.random.default_rng(1), n=1000, m=4260)
     f.arrays
     state = prepare_state(f.n, AngleVector((0.4,), (0.7,)))
-    CostHistogram.from_samples(_sampled_scores(f, state, 1000, np.random.default_rng(0)))
+    CostHistogram.from_samples(_report_sample(f, state.p1, 1000, np.random.default_rng(0)))
     peaks = {}  # the call above keeps numpy's first-call allocations out of them
     for s in (20_000, 80_000):
         tracemalloc.start()
         try:
-            CostHistogram.from_samples(_sampled_scores(f, state, s, np.random.default_rng(0)))
+            CostHistogram.from_samples(_report_sample(f, state.p1, s, np.random.default_rng(0)))
             peaks[s] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -422,6 +429,41 @@ def test_cli_refuses_shots_that_are_not_a_positive_integer(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"final_sample.shots must be an integer >= 1, got {value!r}" in captured.err
+
+
+@pytest.mark.parametrize("entry, value, verbs", [
+    ("final_sample.h_histogram", 5,
+     [["report"], ["report", "--what", "final"], ["report", "--g-level"], ["compare"]]),
+    ("oracle.initial_h", 5, [["report", "--what", "initial"]]),
+    ("oracle", [1], [["report", "--what", "initial"]]),
+], ids=["final-histogram", "initial-histogram", "oracle"])
+def test_cli_refuses_sections_of_the_wrong_json_type(
+    widget_path, tmp_path, entry, value, verbs, capsys
+):
+    # a rehashed artifact whose section is not the JSON type its reader walks once died with
+    # a TypeError traceback and exit 1
+    good = run_optimize(widget_path, _tiny_cfg(), final_shots=500)
+    bad = json.loads(json.dumps(good))
+    section, _, key = entry.rpartition(".")
+    (bad["run"][section] if section else bad["run"])[key] = value
+    bad["repro_hash"] = repro_hash(bad["run"])
+    save_artifact(good, str(tmp_path / "good.json"))
+    save_artifact(bad, str(tmp_path / "bad.json"))
+    for verb, *flags in verbs:
+        paths = [str(tmp_path / "good.json")] if verb == "compare" else []
+        assert main([verb, *paths, str(tmp_path / "bad.json"), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {entry} must be a JSON" in captured.err
+
+
+def test_cli_defaults_are_the_library_defaults():
+    # the GA flags and both shot counts read GaConfig's fields and FINAL_SHOTS_DEFAULT
+    parser = build_parser()
+    args = parser.parse_args(["optimize", "x.cnf", "--out", "y"])
+    assert _config_from_args(args) == GaConfig()
+    assert args.final_shots == FINAL_SHOTS_DEFAULT
+    assert parser.parse_args(["sample", "x.cnf", "--angles", "a.json"]).shots == FINAL_SHOTS_DEFAULT
 
 
 def test_cli_report_initial_rederives_checked_rows(widget_path, tmp_path, capsys):

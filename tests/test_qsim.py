@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ranksat as rs
+
 from ranksat.qsim import (
     AngleVector,
     QuantumState,
@@ -14,9 +16,9 @@ from ranksat.qsim import (
     p_one_rows,
     prepare_state,
     sample,
-    shot_blocks,
 )
 
+from conftest import random_formula, scored
 from dense_reference import (
     bit_planes,
     block_shots,
@@ -331,41 +333,62 @@ def _tied_at_shot_5(n, rows, seed):
 
 
 def _per_block_reference(p1, count, rng, rows):
-    """The shots of ``shot_blocks``: ``block_shots`` of each block in turn, from one rng."""
+    """The shots of ``count`` shots drawn in blocks of ``rows``: ``block_shots`` of each block
+    in turn, from one rng."""
     return np.vstack([block_shots(p1, min(rows, count - start), rng)
                       for start in range(0, count, rows)])
 
 
+def _report_blocks(n, m, seed, zeta):
+    """A report sample as the harness scores it, ``ClauseArrays.scores`` calling a draw of
+    ``draw_planes``, over two whole blocks of ``f.arrays.rows`` shots and a remainder that cuts
+    a byte, with the thresholds of ``_tied_at_shot_5``; its scores must equal those of the
+    per-block reference shots. Returns the formula, those shots, the count asked of each
+    draw, a copy of each block's planes as drawn and the planes themselves, kept uncopied."""
+    f = random_formula(np.random.default_rng(n), n=n, m=m)
+    rows = f.arrays.rows
+    s = 2 * rows + rows // 2 + 3
+    p1 = _tied_at_shot_5(n, rows, seed)
+    expected = _per_block_reference(p1, s, np.random.default_rng(seed), rows)
+    rng, counts, copies, kept = np.random.default_rng(seed), [], [], []
+
+    def draw(count):
+        counts.append(count)
+        kept.append(draw_planes(p1, count, rng))
+        copies.append(kept[-1].copy())
+        return kept[-1]
+
+    zeta = rs.default_params(f).zeta if zeta else None
+    got = f.arrays.scores(draw, s, zeta)
+    h, d = scored(f, expected)
+    np.testing.assert_array_equal(got, h if zeta is None else zeta * h + d)
+    return f, expected, counts, copies, kept
+
+
 def test_shot_blocks_settle_ties_in_bounded_chunks():
     # each block draws its own words and then settles its own ties, so the shots depend on
-    # the block size; every block equals the per-block reference, and none is longer than
-    # asked. Each block is its own planes array, so blocks need not be whole bytes of shots
-    n, s = 999, 1000
-    for rows in (8, 12, 64, 1000, 1008):
-        p1 = _tied_at_shot_5(n, rows, 3)
-        expected = _per_block_reference(p1, s, np.random.default_rng(3), rows)
-        assert 0 < expected[5, 1::2].sum() < n // 2 and expected[:, ::2].any()
-        got, sizes = np.full((s, n), 2, dtype=np.uint8), []
-        for index, planes in shot_blocks(p1, s, np.random.default_rng(3), rows):
-            got[index] = np.unpackbits(planes.T, axis=0, count=len(got[index]), bitorder="little")
-            sizes.append(index.stop - index.start)
-        np.testing.assert_array_equal(got, expected)
-        assert max(sizes) <= rows and sum(sizes) == s
-    for rows in (0, -8):
-        with pytest.raises(ValueError, match="at least one shot"):
-            next(shot_blocks(p1, s, np.random.default_rng(3), rows))
+    # the block size; the scorer asks for blocks of f.arrays.rows shots in order, none longer,
+    # and every block equals the per-block reference as it is drawn. Each block is its own
+    # planes array, so the remainder need not be whole bytes of shots
+    for n, m, rows in ((999, 2100, 1024), (101, 426, 4920)):
+        f, expected, counts, copies, _ = _report_blocks(n, m, 3, zeta=False)
+        assert f.arrays.rows == rows and counts == [rows, rows, rows // 2 + 3]
+        assert 0 < expected[5, 1::2].sum() < n // 2  # shot 5 ties in every odd qubit
+        for k, planes in enumerate(copies):
+            block = expected[k * rows:(k + 1) * rows]
+            assert block[:, ::2].any()  # a settled tie in every block
+            np.testing.assert_array_equal(planes, bit_planes(block))
 
 
 def test_shot_blocks_are_final_when_yielded():
-    # blocks kept as they come, uncopied, are never written again by a later block
-    n, count = 999, 1000
-    for rows in (8, 64, 1000, 1008):
-        p1 = _tied_at_shot_5(n, rows, 7)
-        expected = _per_block_reference(p1, count, np.random.default_rng(7), rows)
-        blocks = list(shot_blocks(p1, count, np.random.default_rng(7), rows))
-        for index, planes in blocks:
-            np.testing.assert_array_equal(planes, bit_planes(expected[index]))
-        assert [index.start for index, _ in blocks] == list(range(0, count, rows))
+    # blocks kept as they are handed to the scorer, uncopied, are never written again, by the
+    # scorer or by a later block's draw; the g path draws the same blocks
+    for n, m in ((999, 2100), (101, 426)):
+        f, expected, counts, _, kept = _report_blocks(n, m, 7, zeta=True)
+        rows = f.arrays.rows
+        assert counts == [rows, rows, rows // 2 + 3]
+        for k, planes in enumerate(kept):
+            np.testing.assert_array_equal(planes, bit_planes(expected[k * rows:(k + 1) * rows]))
 
 
 def test_shot_draws_leave_rng_where_one_draw_does():
@@ -394,7 +417,8 @@ def test_shot_draws_leave_rng_where_one_draw_does():
     reference = stream()
     expected = _per_block_reference(p1, count, reference, rows)
     drawn = stream()
-    got = [planes for _, planes in shot_blocks(p1, count, drawn, rows)]
+    got = [draw_planes(p1, min(rows, count - start), drawn)
+           for start in range(0, count, rows)]
     assert 0 < expected[5].sum() < n
     assert drawn.bit_generator.state == reference.bit_generator.state
     np.testing.assert_array_equal(np.hstack(got), bit_planes(expected))

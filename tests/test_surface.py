@@ -139,7 +139,9 @@ def test_scorers_reach_unsat_matrix(method, monkeypatch):
     if method == "g":
         rs.shaping.cost_histogram(f, np.zeros((2 * block + 1, 3), np.uint8), rs.default_params(f))
     else:
-        rs.harness._sampled_scores(f, state, 2 * block + 1, rng, "g" if method == "d" else "h")
+        zeta = rs.default_params(f).zeta if method == "d" else None
+        f.arrays.scores(lambda count: rs.qsim.draw_planes(state.p1, count, rng), 2 * block + 1,
+                        zeta)
     assert calls == [block, block, 1]
 
 
@@ -150,8 +152,11 @@ def test_oracle_is_independent_of_batch_scorer():
 
 
 def test_block_sizes_stay_in_cnf():
-    # cnf alone sizes the scoring blocks, and the simulator does not depend on the CNF module
-    sizes = re.compile(r"\b(_block_rows|SCORE_BLOCK_CELLS|H_BLOCK_CELLS|H_BLOCK_MIN_ROWS)\b")
+    # cnf alone sizes the scoring blocks and reads their size, so it alone fixes the blocks
+    # a report sample's shots are drawn in; the simulator has no block loop of its own and
+    # does not depend on the CNF module
+    sizes = re.compile(
+        r"\b(_block_rows|SCORE_BLOCK_CELLS|H_BLOCK_CELLS|H_BLOCK_MIN_ROWS|arrays\.rows)\b")
     for module in ("",) + MODULES + ("cli",):
         if module != "cnf":
             source = inspect.getsource(importlib.import_module(f"ranksat.{module}".rstrip(".")))
@@ -161,6 +166,7 @@ def test_block_sizes_stay_in_cnf():
     imported += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                  for alias in node.names]
     assert [name for name in imported if name and name.endswith("cnf")] == []
+    assert not hasattr(rs.qsim, "shot_blocks")
 
 
 def test_perfbench_tracer_installs_and_restores(widget_path, monkeypatch):
