@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Verbs: validate, enumerate, optimize, sample, report, compare.
-Exit codes: 0 success, 1 runtime error (resource guard),
+Exit codes: 0 success, 1 runtime error (resource guard, out of memory),
 2 input error (parse errors, bad config, mismatched artifacts).
 """
 from __future__ import annotations
@@ -269,6 +269,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(str(exc), EXIT_INPUT)
     except GuardError as exc:
         return _fail(str(exc), EXIT_RUNTIME)
+    except MemoryError as exc:
+        return _fail(f"out of memory: {exc}", EXIT_RUNTIME)
     except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
         return _fail(str(exc), EXIT_INPUT)
     except (RuntimeError, OSError) as exc:

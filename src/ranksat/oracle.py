@@ -2,11 +2,12 @@
 
 Every function works on tables with one entry per rank 0..2**n - 1, decoded
 with the package-wide bit convention: the weighted count of clauses each
-assignment leaves unsatisfied, filled clause by clause into slices whose last
-axis is the 2**10 contiguous ranks of the low variables, and the state
-probability, built by Kronecker doubling. The tables do not go through the
-GA's batch scorer, so the oracle checks it independently. Masses are summed
-per 2**16-rank block, the blocks in rank order, which fixes every exact
+assignment leaves unsatisfied, each 2**16-rank block one matrix product of the
+clauses' failing rows over its high and over its low rank bits, summed in
+float32 below 2**24 and in float64 above, so exactly in any order; and the
+state probability, built by Kronecker doubling. The tables do not go through
+the GA's batch scorer, so the oracle checks it independently. Masses are
+summed per 2**16-rank block, the blocks in rank order, which fixes every exact
 distribution to the last bit. A resource guard refuses qubit counts whose
 tables would no longer be a desk-scale job.
 
@@ -53,97 +54,80 @@ class GuardError(RuntimeError):
     """Raised when an enumeration would exceed the resource guard."""
 
 
+def _fails(patterns: np.ndarray, mask: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """(clauses, patterns) bools: whether every literal of each clause on the
+    ``mask`` bits fails at each bit pattern, i.e. the bits equal ``want``."""
+    differ = patterns ^ want[:, None]
+    differ &= mask[:, None]
+    return differ == 0
+
+
 def _unsat_table(f: CnfFormula, weights: list[int]) -> np.ndarray:
     """Per rank, the summed weight of the clauses the assignment leaves unsatisfied.
 
-    Variables 1.._LOW_BITS are the low rank bits and form one contiguous last
-    axis, on which a clause is a pattern vector: its weight where all its low
-    literals fail, else 0. Above them, axis ``n - v`` holds variable ``v`` as
-    in a C-order ``(2,)*n`` view, so each high literal fixes one index and the
-    pattern is added to that slice. Clauses without a high literal add their
-    patterns to one shared vector, added to the whole table at the end.
+    A clause is unsatisfied where its literals on the low rank bits (variables
+    1.._LOW_BITS) and on the high bits all fail, so a 2**16-rank block, 64 high
+    by 2**10 low bit patterns, is ``A.T @ (w * B)``: A and B the clauses' 0/1
+    failing rows over the block's high and over the low patterns, w the weights.
+    The entries are integers of at most ``sum(weights)``, summed in float32 when
+    that is below 2**24, else in float64 (below 2**53 by ``MAX_EXACT_CLAUSES``):
+    every partial sum is exact, so the table cannot depend on the BLAS kernel or
+    its thread count. Besides the table, it holds m by 2**10 arrays of at most 8
+    bytes an entry, ``w * B`` among them (745 KB at m=91, 105 MB at the clause
+    limit), and per block A (m by 64) and the product (64 by 2**10).
     """
-    low = min(f.n, _LOW_BITS)
-    dtype = np.min_scalar_type(sum(weights))
-    table = np.zeros((2,) * (f.n - low) + (1 << low,), dtype=dtype)
-    low_only = np.zeros(1 << low, dtype=dtype)
-    bits = np.arange(1 << low)
-    for clause, weight in zip(f.clauses, weights):
-        failing = [slice(None)] * (f.n - low)
-        fails = np.ones(1 << low, dtype=bool)
-        high = False
-        for lit in clause.literals:
-            if lit.variable > low:
-                failing[f.n - lit.variable] = int(lit.negated)
-                high = True
-            else:
-                fails &= (bits >> (lit.variable - 1) & 1) == lit.negated
-        pattern = fails * dtype.type(weight)
-        if high:
-            table[tuple(failing)] += pattern
-        else:
-            low_only += pattern
-    table += low_only
+    low, total = min(f.n, _LOW_BITS), sum(weights)
+    work = np.float32 if total < 1 << 24 else np.float64
+    lits = [(i, lit.variable - 1, lit.negated)
+            for i, c in enumerate(f.clauses) for lit in c.literals]
+    clause, bit, negated = np.array(lits, dtype=np.int64).reshape(-1, 3).T
+    mask, want = np.zeros((2, f.m), dtype=np.int64)  # per clause its literals' bits, negated ones
+    np.add.at(mask, clause, 1 << bit)
+    np.add.at(want, clause, negated << bit)
+    wb = _fails(np.arange(1 << low), mask % (1 << low), want) * np.array(weights, work)[:, None]
+    table = np.empty((1 << (f.n - low), 1 << low), dtype=np.min_scalar_type(total))
+    rows = _BLOCK >> low
+    for start in range(0, len(table), rows):
+        a = _fails(np.arange(start, min(start + rows, len(table))), mask >> low, want >> low)
+        table[start:start + rows] = a.T.astype(work) @ wb
     return table.reshape(-1)
 
 
 class _TableSlot:
-    """The tables of the last formula the oracle saw, each filled on first use.
-
-    The formula is held through a weak reference whose callback empties the
-    slot, so the tables are freed with the formula.
-    """
+    """The tables of the last formula the oracle saw, by name, held through a
+    weak reference whose callback empties the slot when the formula is freed."""
 
     def __init__(self):
         self.formula: weakref.ref | None = None
-        self.h: tuple[np.ndarray, np.ndarray] | None = None
-        self.d: np.ndarray | None = None
+        self.tables: dict[str, np.ndarray] = {}
 
-    def hold(self, f: CnfFormula) -> _TableSlot:
-        if self.formula is None or self.formula() is not f:
-            self.h = self.d = None
-            self.formula = weakref.ref(f, self._forget)
-        return self
-
-    def _forget(self, ref: weakref.ref) -> None:
+    def forget(self, ref: weakref.ref) -> None:
         if ref is self.formula:
-            self.formula = self.h = self.d = None
+            self.formula, self.tables = None, {}
 
 
 _SLOT = _TableSlot()
 
 
-def _tables(f: CnfFormula, max_n: int) -> _TableSlot:
-    """The cache slot holding ``f``, after the resource guard."""
+def _table(f: CnfFormula, name: str, max_n: int) -> np.ndarray:
+    """Table ``name`` of ``f`` after the resource guard, built on first use and
+    cached read-only: "h", per rank the number of unsatisfied clauses; "counts",
+    the int64 number of ranks at each h in 0..m; "d", per rank the summed i**2
+    of the unsatisfied clauses i."""
     if f.n > max_n:
         raise GuardError(
             f"enumeration over n={f.n} variables needs 2**{f.n} evaluations; "
             f"the resource guard allows n <= {max_n}"
         )
-    return _SLOT.hold(f)
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-def _h_table(f: CnfFormula, max_n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(h, counts): per rank the number of clauses the assignment leaves
-    unsatisfied, and the int64 number of ranks at each h in 0..m."""
-    slot = _tables(f, max_n)
-    if slot.h is None:
-        h = _unsat_table(f, [1] * f.m)
-        slot.h = (_read_only(h), _read_only(_block_bincount(h, f.m + 1)))
-    return slot.h
-
-
-def _d_table(f: CnfFormula, max_n: int) -> np.ndarray:
-    """Per rank the divergence d: the summed i**2 of its unsatisfied clauses i."""
-    slot = _tables(f, max_n)
-    if slot.d is None:
-        slot.d = _read_only(_unsat_table(f, [c.index ** 2 for c in f.clauses]))
-    return slot.d
+    if _SLOT.formula is None or _SLOT.formula() is not f:
+        _SLOT.formula, _SLOT.tables = weakref.ref(f, _SLOT.forget), {}
+    table = _SLOT.tables.get(name)
+    if table is None:
+        table = (_block_bincount(_table(f, "h", max_n), f.m + 1) if name == "counts" else
+                 _unsat_table(f, [1] * f.m if name == "h" else [c.index ** 2 for c in f.clauses]))
+        table.flags.writeable = False
+        _SLOT.tables[name] = table
+    return table
 
 
 def _state_probabilities(f: CnfFormula, angles: AngleVector) -> np.ndarray:
@@ -185,13 +169,13 @@ def _h_distribution(counts: np.ndarray, mass: np.ndarray) -> CostHistogram:
 
 def enumerate_h(f: CnfFormula, max_n: int = GUARD_MAX_N) -> CostHistogram:
     """Exact count of assignments per unsatisfied-clause value."""
-    h, counts = _h_table(f, max_n)
-    return _h_distribution(counts, counts / h.size)
+    counts = _table(f, "counts", max_n)
+    return _h_distribution(counts, counts / (1 << f.n))
 
 
 def list_solutions(f: CnfFormula, max_n: int = GUARD_MAX_N) -> list[list[int]]:
     """All satisfying assignments, in ascending rank order."""
-    ranks = np.flatnonzero(_h_table(f, max_n)[0] == 0)
+    ranks = np.flatnonzero(_table(f, "h", max_n) == 0)
     return bits_from_ranks(ranks, f.n).tolist()
 
 
@@ -202,7 +186,7 @@ def exact_h_distribution(
 
     Accumulates |<x|state>|**2 into bucket h(x) for every assignment x.
     """
-    h, counts = _h_table(f, max_n)
+    h, counts = _table(f, "h", max_n), _table(f, "counts", max_n)
     return _h_distribution(counts, _block_bincount(h, counts.size, _state_probabilities(f, angles)))
 
 
@@ -213,7 +197,7 @@ def exact_g_distribution(
     ascending distinct keys zeta*h + d of the h and d tables as exact float64
     g-values, and the quantum probability of each, summed in rank order."""
     base = _cost_base(f.m)
-    h, d = _h_table(f, max_n)[0], _d_table(f, max_n)
+    h, d = _table(f, "h", max_n), _table(f, "d", max_n)
     key = h.astype(np.min_scalar_type(base * f.m + d_max(f.m)))
     key *= base
     key += d
@@ -226,7 +210,8 @@ def exact_g_distribution(
 def _exact_cost_terms(f: CnfFormula, angles: AngleVector, levels: QuantileSet, max_n: int):
     """(mean, quantiles): the mean cost g of the state and its exact
     nearest-rank g at each level, from the h and d tables."""
-    base, (h, counts), d = _cost_base(f.m), _h_table(f, max_n), _d_table(f, max_n)
+    base, h, d = _cost_base(f.m), _table(f, "h", max_n), _table(f, "d", max_n)
+    counts = _table(f, "counts", max_n)
     probs = _state_probabilities(f, angles)
     mass = _block_bincount(h, counts.size, probs)
     dist = _h_distribution(counts, mass)

@@ -139,16 +139,19 @@ def p_one_rows(n: int, betas: np.ndarray, gammas: np.ndarray) -> np.ndarray:
         raise ValueError(f"qubit count must be >= 1, got {n}")
     if betas.shape != gammas.shape:
         raise ValueError(f"betas {betas.shape} and gammas {gammas.shape} differ in shape")
+    # children copy their parents' genes, so the phases are taken once per distinct gamma
+    distinct, inverse = np.unique(gammas, return_inverse=True)
+    inverse = inverse.reshape(gammas.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        theta = gammas[:, :, None] * 2.0 ** np.arange(n)
-    bad = ~np.isfinite(theta).all(axis=0)
-    if bad.any():
-        k, j = np.argwhere(bad)[0]
+        theta = distinct[:, None] * 2.0 ** np.arange(n)
+    finite = np.isfinite(theta)
+    if not finite.all():
+        k, j = np.argwhere(~finite[inverse].all(axis=0))[0]
         raise ValueError(
             f"gamma*2**j of layer {k} is not finite from qubit {j} on: "
             f"float64 cannot hold the phases of {n} qubits"
         )
-    phase = np.exp(-1j * theta)  # cos - i*sin of theta
+    phase = np.exp(-1j * theta)[inverse]  # cos - i*sin of theta
     mixer = np.exp(2j * betas)[:, :, None]  # cos + i*sin of 2*beta
     x, y, z = np.ones((len(betas), n)), np.zeros((len(betas), n)), np.zeros((len(betas), n))
     for k in range(betas.shape[1]):

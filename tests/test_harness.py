@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import ranksat as rs
+from ranksat import cli
 from ranksat.cli import _HISTORY_FIELDS, _config_from_args, build_parser, main
 from ranksat.cnf import ClauseArrays
 from ranksat.evolve import GaConfig, optimize
@@ -80,6 +81,18 @@ def test_cli_enumerate_guard(tmp_path, capsys):
     big.write_text("p cnf 27 1\n" + lits + " 0\n")
     assert main(["enumerate", str(big)]) == 1
     assert "guard" in capsys.readouterr().err
+
+
+def test_cli_reports_out_of_memory(widget_path, monkeypatch, capsys):
+    # a --max-n raised past what memory holds once escaped as a MemoryError traceback
+    def too_big(f, max_n):
+        raise MemoryError(f"cannot hold 2**{max_n} ranks")
+
+    monkeypatch.setattr(cli, "enumerate_h", too_big)
+    assert main(["enumerate", widget_path, "--max-n", "40"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: out of memory: cannot hold 2**40 ranks"]
 
 
 # -- optimize artifacts -------------------------------------------------------

@@ -329,7 +329,7 @@ def test_exact_paths_at_the_clause_limit():
     assert int(values[-1]).bit_length() == 53
     ref_values, ref_mass = float_g_distribution(f, angles, rs.default_params(f))
     assert values.tobytes() == ref_values.tobytes() and mass.tobytes() == ref_mass.tobytes()
-    assert oracle._d_table(f, f.n).dtype == np.uint64
+    assert oracle._table(f, "d", f.n).dtype == np.uint64
     _assert_shaped_cost_matches(f, angles, ref_values, ref_mass)
 
 
@@ -357,6 +357,18 @@ def test_unsat_table_matches_slice_reference(n):
             got, ref = oracle._unsat_table(f, weights), slice_unsat_table(f, weights)
             assert got.dtype == ref.dtype
             assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("total", [(1 << 24) - 1, 1 << 24, (1 << 24) + 1])
+def test_unsat_table_precision_switch(total):
+    # the failing ranks sum every weight; float32 would round 2**24 + 1 to 2**24
+    weights = [1 << 18] * 63
+    weights.append(total - sum(weights))
+    f = rs.CnfFormula.from_signed(12, [[1, -7, 12]] * len(weights))
+    got, ref = oracle._unsat_table(f, weights), slice_unsat_table(f, weights)
+    assert got.dtype == ref.dtype
+    assert got.tobytes() == ref.tobytes()
+    assert int(got.max()) == total
 
 
 def test_tables_built_once_per_formula(monkeypatch):
@@ -387,7 +399,8 @@ def test_tables_built_once_per_formula(monkeypatch):
 
     with pytest.raises(GuardError):
         enumerate_h(f, max_n=f.n - 1)
-    for table in oracle._h_table(f, f.n) + (oracle._d_table(f, f.n),):
+    for name in ("h", "counts", "d"):
+        table = oracle._table(f, name, f.n)
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0] = 0
@@ -401,19 +414,19 @@ def test_tables_built_once_per_formula(monkeypatch):
 def test_table_slot_follows_formula_lifetime():
     a = random_formula(np.random.default_rng(27), n=6, m=20)
     exact_shaped_cost(a, AngleVector.zeros(1), rs.default_params(a), QuantileSet.default())
-    assert oracle._SLOT.formula() is a and oracle._SLOT.d is not None
+    assert oracle._SLOT.formula() is a and sorted(oracle._SLOT.tables) == ["counts", "d", "h"]
     del a
     gc.collect()
-    assert oracle._SLOT.formula is None and oracle._SLOT.h is None and oracle._SLOT.d is None
+    assert oracle._SLOT.formula is None and oracle._SLOT.tables == {}
 
     a = random_formula(np.random.default_rng(28), n=6, m=20)
     b = random_formula(np.random.default_rng(29), n=6, m=20)
     enumerate_h(a)
     enumerate_h(b)
-    h_b = oracle._SLOT.h
+    h_b = oracle._SLOT.tables["h"]
     del a
     gc.collect()
-    assert oracle._SLOT.formula() is b and oracle._SLOT.h is h_b
+    assert oracle._SLOT.formula() is b and oracle._SLOT.tables["h"] is h_b
 
 
 def test_exact_shaped_cost_memory_bound():

@@ -232,6 +232,10 @@ def test_p_one_rows_bit_identical_to_single_states():
             for size in (1, 2, 7, 26, 30, 61):
                 betas = rng.uniform(0, math.pi, (size, depth))
                 gammas = rng.uniform(0, 2 * math.pi, (size, depth))
+                # as children copy their parents' genes, about half the cells repeat another
+                # cell's gamma, of the same layer or of another
+                copied = rng.integers(0, size * depth, (size, depth))
+                gammas = np.where(rng.random((size, depth)) < 0.5, gammas.ravel()[copied], gammas)
                 rows = p_one_rows(n, betas, gammas)
                 assert rows.shape == (size, n)
                 for b, g, row in zip(betas.tolist(), gammas.tolist(), rows):
