@@ -4,8 +4,8 @@ Conventions used throughout the package:
 
 - DIMACS variables are 1-based; bit ``j`` (0-based) of an assignment holds
   the truth value of variable ``j + 1``.
-- Clauses keep their 1-based file position ``index``; the divergence score
-  weights an unsatisfied clause ``i`` by ``i**2``.
+- Clauses are numbered by their 1-based position in the formula, their file
+  order; the divergence score weights an unsatisfied clause ``i`` by ``i**2``.
 - An assignment may be any sequence of 0/1 values (list, tuple or numpy
   array) of length ``n``.
 - The cost is g = zeta*h + d with the fixed weight zeta = d_max(m) + 1, so g
@@ -45,10 +45,7 @@ class DimacsError(ValueError):
     """Malformed instance input. The message names the offending line."""
 
     def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 @dataclass(frozen=True)
@@ -57,10 +54,6 @@ class Literal:
 
     variable: int
     negated: bool = False
-
-    def __post_init__(self):
-        if self.variable < 1:
-            raise ValueError(f"variable index must be >= 1, got {self.variable}")
 
     @property
     def signed(self) -> int:
@@ -75,28 +68,16 @@ class Literal:
 
 @dataclass(frozen=True)
 class Clause:
-    """Disjunction of literals at 1-based file position ``index``."""
+    """Disjunction of literals."""
 
-    index: int
     literals: tuple[Literal, ...]
-
-    def __post_init__(self):
-        if self.index < 1:
-            raise ValueError(f"clause index must be >= 1, got {self.index}")
-        if not self.literals:
-            raise ValueError(f"clause {self.index} is empty")
-        seen = set()
-        for lit in self.literals:
-            if lit.variable in seen:
-                raise ValueError(
-                    f"clause {self.index} mentions variable {lit.variable} twice"
-                )
-            seen.add(lit.variable)
 
 
 @dataclass(frozen=True)
 class CnfFormula:
-    """An immutable CNF instance: ``n`` variables and clauses in file order."""
+    """An immutable CNF instance: ``n`` variables and clauses in file order. Each clause must
+    be nonempty, mention a variable once and use only variables 1..n; ValueError names the
+    first that does not by its 1-based position. ``Literal`` and ``Clause`` check nothing."""
 
     n: int
     clauses: tuple[Clause, ...]
@@ -105,16 +86,16 @@ class CnfFormula:
         if self.n < 0:
             raise ValueError(f"variable count must be >= 0, got {self.n}")
         for pos, clause in enumerate(self.clauses, start=1):
-            if clause.index != pos:
-                raise ValueError(
-                    f"clause at position {pos} carries index {clause.index}; "
-                    "indices must be exactly 1..m in order"
-                )
-            for lit in clause.literals:
-                if lit.variable > self.n:
-                    raise ValueError(
-                        f"clause {pos} uses variable {lit.variable} > n={self.n}"
-                    )
+            variables = [lit.variable for lit in clause.literals]
+            if not variables:
+                raise ValueError(f"clause {pos} is empty")
+            if len(set(variables)) < len(variables):
+                v = next(v for i, v in enumerate(variables) if v in variables[:i])
+                raise ValueError(f"clause {pos} mentions variable {v} twice")
+            if min(variables) < 1 or max(variables) > self.n:
+                v = next(v for v in variables if not 1 <= v <= self.n)
+                raise ValueError(f"clause {pos} uses variable {v} "
+                                 + (f"> n={self.n}" if v > self.n else "< 1"))
 
     @property
     def m(self) -> int:
@@ -128,11 +109,8 @@ class CnfFormula:
     @classmethod
     def from_signed(cls, n: int, clauses: Iterable[Iterable[int]]) -> "CnfFormula":
         """Build a formula from signed-integer clause lists."""
-        built = tuple(
-            Clause(index=i, literals=tuple(Literal.from_signed(l) for l in cl))
-            for i, cl in enumerate(clauses, start=1)
-        )
-        return cls(n=n, clauses=built)
+        return cls(n=n, clauses=tuple(
+            Clause(tuple(Literal.from_signed(l) for l in cl)) for cl in clauses))
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,11 @@ under "meta", outside the hash, so two runs with the same seed produce
 byte-identical hashed sections.
 
 The report samples (``run_sample``, the final sample of ``run_optimize`` and
-``regenerate_g_histogram``) hand ``ClauseArrays.scores`` a draw of
-``qsim.draw_planes`` shots from the run's final-sample stream, which it calls
-once per block and scores as it comes, so no (s, n) matrix of bits is held.
-``cnf`` alone sizes those blocks, and with them the shots a stored seed
-regenerates (see ``ClauseArrays``).
+``regenerate_g_histogram``) are one recipe, ``_report_sample``: it hands
+``ClauseArrays.scores`` a draw of ``qsim.draw_planes`` shots from the seed's
+final-sample stream, which it calls once per block and scores as it comes, so
+no (s, n) matrix of bits is held. ``cnf`` alone sizes those blocks, and with
+them the shots a stored seed regenerates (see ``ClauseArrays``).
 """
 from __future__ import annotations
 
@@ -108,6 +108,15 @@ def _sample_section(hist: CostHistogram, shots: int) -> dict:
     }
 
 
+def _report_sample(f: CnfFormula, angles: AngleVector, seed: int, shots: int,
+                   zeta: float | None = None) -> CostHistogram:
+    """The h histogram, or with ``zeta`` the cost-g histogram, of ``shots`` shots of the state
+    at ``angles`` drawn from the final-sample stream of ``seed``."""
+    p1, rng = prepare_state(f.n, angles).p1, final_sample_stream(seed)
+    return CostHistogram.from_samples(
+        f.arrays.scores(lambda count: draw_planes(p1, count, rng), shots, zeta))
+
+
 def improvement_factor(final_p0: float, initial: CostHistogram) -> float | None:
     """Ratio of the final h=0 probability to the uniform baseline."""
     baseline = initial.probability_at(0)
@@ -129,10 +138,8 @@ def run_optimize(
     params = default_params(f)
     best_angles, history = optimize(f, cfg)
 
-    p1, rng = prepare_state(f.n, best_angles).p1, final_sample_stream(cfg.seed)
-    final_hist = CostHistogram.from_samples(
-        f.arrays.scores(lambda count: draw_planes(p1, count, rng), final_shots))
-    final_section = _sample_section(final_hist, final_shots)
+    final_section = _sample_section(_report_sample(f, best_angles, cfg.seed, final_shots),
+                                    final_shots)
 
     oracle_section = None
     factor = None
@@ -177,13 +184,10 @@ def run_sample(
         raise ValueError(f"artifact was made for n={angles_n} but instance has n={f.n}")
     if angles is None:
         raise ValueError("angles required")
-    p1, rng = prepare_state(f.n, angles).p1, final_sample_stream(seed)
-    hist = CostHistogram.from_samples(
-        f.arrays.scores(lambda count: draw_planes(p1, count, rng), shots))
     return _artifact(SAMPLE_SCHEMA, "sample", instance, {
         "angles": angles.to_json_obj(),
         "seed": seed,
-        "final_sample": _sample_section(hist, shots),
+        "final_sample": _sample_section(_report_sample(f, angles, seed, shots), shots),
     })
 
 
@@ -259,15 +263,11 @@ def regenerate_g_histogram(artifact: dict) -> CostHistogram:
     params = default_params(f)
     angles = artifact_angles(artifact)
     stored = artifact_histogram(artifact)
-    if artifact["schema"] == RUN_SCHEMA:
-        rng = final_sample_stream(run["config"]["seed"])
-        if run["cost_params"] != asdict(params):
-            raise ValueError(f"recorded cost_params differ from the fixed weights {params}")
-    else:
-        rng = final_sample_stream(run["seed"])
-    p1 = prepare_state(f.n, angles).p1
-    hist = CostHistogram.from_samples(
-        f.arrays.scores(lambda count: draw_planes(p1, count, rng), stored.total, params.zeta))
+    is_run = artifact["schema"] == RUN_SCHEMA
+    if is_run and run["cost_params"] != asdict(params):
+        raise ValueError(f"recorded cost_params differ from the fixed weights {params}")
+    seed = run["config"]["seed"] if is_run else run["seed"]
+    hist = _report_sample(f, angles, seed, stored.total, params.zeta)
     regenerated = CostHistogram.from_samples((hist.values // params.zeta).repeat(hist.counts))
     for h in sorted({*regenerated.values.tolist(), *stored.values.tolist()}):
         if regenerated.count_at(h) != stored.count_at(h):

@@ -124,7 +124,7 @@ def _table(f: CnfFormula, name: str, max_n: int) -> np.ndarray:
     table = _SLOT.tables.get(name)
     if table is None:
         table = (_block_bincount(_table(f, "h", max_n), f.m + 1) if name == "counts" else
-                 _unsat_table(f, [1] * f.m if name == "h" else [c.index ** 2 for c in f.clauses]))
+                 _unsat_table(f, [1] * f.m if name == "h" else [i * i for i in range(1, f.m + 1)]))
         table.flags.writeable = False
         _SLOT.tables[name] = table
     return table
@@ -137,7 +137,8 @@ def _state_probabilities(f: CnfFormula, angles: AngleVector) -> np.ndarray:
     over j, so each entry is bit-identical to that product.
     """
     p1 = prepare_state(f.n, angles).p1
-    probs = np.ones(1 << f.n)  # step j sets ranks 2**j..2**(j+1)-1 to ranks 0..2**j-1 times q1
+    probs = np.empty(1 << f.n)  # step j sets ranks 2**j..2**(j+1)-1 to ranks 0..2**j-1 times q1
+    probs[0] = 1.0
     for j, (q0, q1) in enumerate(zip(1.0 - p1, p1)):
         np.multiply(probs[:1 << j], q1, out=probs[1 << j:2 << j])
         probs[:1 << j] *= q0

@@ -131,16 +131,15 @@ class CostHistogram:
     def from_json_obj(cls, rows: Sequence[dict], label: str = "h",
                       name: str = "histogram") -> "CostHistogram":
         """Read ``to_json_obj`` rows, a JSON list with each row's value an integer >= 0 and its
-        count an integer >= 1; ValueError names the stored entry ``name``."""
+        count an integer >= 1, both below 2**63; ValueError names the stored entry ``name``."""
         if not isinstance(rows, list):
             raise ValueError(f"{name} must be a JSON list of rows, got {rows!r}")
         pairs = []
         for i, row in enumerate(rows):
             pair = (row.get(label), row.get("count")) if isinstance(row, dict) else (None, None)
-            if not all(type(x) is int for x in pair) or pair[0] < 0 or pair[1] < 1:
-                raise ValueError(
-                    f"{name} row {i} needs integers {label} >= 0 and count >= 1: {row!r}"
-                )
+            if not all(type(x) is int and 0 <= x < 2**63 for x in pair) or pair[1] < 1:
+                raise ValueError(f"{name} row {i} needs integers 0 <= {label} < 2**63 and "
+                                 f"1 <= count < 2**63: {row!r}")
             pairs.append(pair)
         return cls.from_pairs(pairs)
 

@@ -61,7 +61,7 @@ def divergence(f, a) -> int:
     """Sum of i**2 over unsatisfied clause positions i (1-based)."""
     if len(a) != f.n:
         raise ValueError(f"assignment length {len(a)} != n={f.n}")
-    return sum(c.index ** 2 for c in f.clauses if not eval_clause(c, a))
+    return sum(i * i for i, c in enumerate(f.clauses, start=1) if not eval_clause(c, a))
 
 
 def g_cost(f, a) -> float:
@@ -172,7 +172,7 @@ def slice_unsat_table(f, weights) -> np.ndarray:
 def float_g_distribution(f, angles, params):
     """Ascending distinct g-values of a float64 g table and the mass of each."""
     g = params.zeta * slice_unsat_table(f, [1] * f.m)
-    g += params.vartheta * slice_unsat_table(f, [c.index ** 2 for c in f.clauses])
+    g += params.vartheta * slice_unsat_table(f, [i * i for i in range(1, f.m + 1)])
     values, inverse = np.unique(g, return_inverse=True)
     del g
     return values, _block_bincount(inverse, values.size, _state_probabilities(f, angles))

@@ -32,7 +32,6 @@ def test_parse_minimal():
     f = rs.parse_dimacs("p cnf 3 1\n1 -2 3 0")
     assert f.n == 3 and f.m == 1
     assert [lit.signed for lit in f.clauses[0].literals] == [1, -2, 3]
-    assert f.clauses[0].index == 1
 
 
 def test_parse_clause_spanning_lines_and_comments():
@@ -139,14 +138,17 @@ def test_load_instance_file_dispatch(tmp_path, widget):
 # -- domain type invariants -------------------------------------------------
 
 def test_clause_invariants():
-    with pytest.raises(ValueError, match="empty"):
-        rs.Clause(index=1, literals=())
-    with pytest.raises(ValueError, match="twice"):
+    # the formula checks each clause, named by its position, on whatever path built it
+    with pytest.raises(ValueError, match="clause 2 is empty"):
+        rs.CnfFormula(n=2, clauses=(rs.Clause((rs.Literal(1),)), rs.Clause(())))
+    with pytest.raises(ValueError, match="clause 1 mentions variable 1 twice"):
         rs.CnfFormula.from_signed(2, [[1, -1]])
-    with pytest.raises(ValueError, match="indices"):
-        rs.CnfFormula(n=2, clauses=(rs.Clause(index=2, literals=(rs.Literal(1),)),))
-    with pytest.raises(ValueError, match="> n"):
-        rs.CnfFormula.from_signed(2, [[3]])
+    with pytest.raises(ValueError, match="clause 2 uses variable 3 > n=2"):
+        rs.CnfFormula.from_signed(2, [[1], [-2, 3]])
+    with pytest.raises(ValueError, match="clause 1 uses variable 0 < 1"):
+        rs.CnfFormula(n=2, clauses=(rs.Clause((rs.Literal(0),)),))
+    with pytest.raises(ValueError, match="clause terminator"):
+        rs.Literal.from_signed(0)
 
 
 # -- scoring ----------------------------------------------------------------

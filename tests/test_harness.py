@@ -395,7 +395,11 @@ def test_cli_compare_self(widget_path, tmp_path, capsys):
     (0, "h", -1, "row 0"),
     (1, "h", "1", "row 1"),
     (0, "count", None, "final_sample.shots"),  # None: one shot more than stored
-], ids=["negative", "fractional", "bool", "negative-h", "string-h", "total"])
+    # int64 counts and float64 values: these once escaped as OverflowError tracebacks, exit 1
+    (0, "count", 10**20, "row 0"),
+    (0, "h", 10**400, "row 0"),
+], ids=["negative", "fractional", "bool", "negative-h", "string-h", "total", "huge-count",
+        "huge-h"])
 @pytest.mark.parametrize("verb", ["report", "compare"])
 def test_cli_refuses_bad_histogram_counts(
     widget_path, tmp_path, verb, row, key, value, message, capsys
@@ -497,9 +501,10 @@ def test_cli_report_initial_rederives_checked_rows(widget_path, tmp_path, capsys
     # a stored probability is not printed: every row is re-derived from the counts
     code, captured = report(lambda rows, _: rows[1].update(probability=7.5))
     assert (code, captured.out) == (0, expected)
-    code, captured = report(lambda rows, _: rows[0].update(count=-5))
-    assert (code, captured.out) == (2, "")
-    assert "row 0" in captured.err
+    for row in ({"count": -5}, {"count": 10**20}, {"h": 10**400}):
+        code, captured = report(lambda rows, _: rows[0].update(row))
+        assert (code, captured.out) == (2, "")
+        assert "row 0" in captured.err
     code, captured = report(lambda rows, _: rows[0].update(count=rows[0]["count"] + 1))
     assert (code, captured.out) == (2, "")
     assert "33 assignments, but instance.n is 5" in captured.err
