@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .cnf import DimacsError, load_instance_file
+from .cnf import load_instance_file
 from .evolve import GaConfig
 from .harness import (
     FINAL_SHOTS_DEFAULT,
@@ -24,7 +24,7 @@ from .harness import (
     run_sample,
     save_artifact,
 )
-from .oracle import GUARD_MAX_N, GuardError, enumerate_h
+from .oracle import GUARD_MAX_N, enumerate_h
 from .qsim import AngleVector
 from .shaping import CostHistogram, QuantileSet, rows_to_csv
 
@@ -265,10 +265,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except DimacsError as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    except GuardError as exc:
-        return _fail(str(exc), EXIT_RUNTIME)
     except MemoryError as exc:
         return _fail(f"out of memory: {exc}", EXIT_RUNTIME)
     except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:

@@ -21,9 +21,9 @@ separately parsed formula builds its own. Cached arrays are read-only.
 The h-distributions are ``CostHistogram``s over the nonempty h-levels: the
 counts are assignments and the probabilities the state's mass at each level.
 
-The shaped cost's quantiles are ``shaping.level_quantiles`` of the h-level
-masses, the one function that also takes the GA's sampled quantiles, so they
-are exact costs g = zeta*h + d; its mean is a float sum within a few ulps.
+The shaped cost's quantiles are exact costs g = zeta*h + d, taken in two steps
+(``_quantiles``): the h-level from the h-level masses, then the d among that
+level's ranks; its mean is a float sum within a few ulps.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ import numpy as np
 
 from .cnf import CnfFormula, CostParams, _cost_base, _require_default_params, d_max
 from .qsim import AngleVector, bits_from_ranks, prepare_state
-from .shaping import CostHistogram, QuantileSet, level_quantiles
+from .shaping import CostHistogram, QuantileSet
 
 __all__ = [
     "GuardError",
@@ -208,6 +208,43 @@ def exact_g_distribution(
     return values.astype(np.float64), mass
 
 
+def _quantiles(mass: np.ndarray, h: np.ndarray, d: np.ndarray, probs: np.ndarray,
+               zeta: int, levels: QuantileSet) -> np.ndarray:
+    """Exact nearest-rank g = zeta*h + d at each level, in two steps as d < zeta.
+
+    ``mass`` weighs each h-level; ``h``, ``d`` and ``probs`` are the per-rank tables. A
+    quantile's h-level is the first whose cumulative mass reaches p; its d is the first
+    whose cumulative mass from the bottom, over that level's ranks, reaches p (else the
+    level's largest, as float drift may leave the ranks' masses short of the level's).
+    """
+    cum = np.cumsum(mass)
+    chosen, slot = np.unique(np.searchsorted(cum / cum[-1], levels.levels), return_inverse=True)
+    hit = np.full(len(mass), -1, np.min_scalar_type(-len(chosen)))
+    hit[chosen] = np.arange(len(chosen))
+    low, high = chosen[[0, -1]].tolist()
+    ranks = np.flatnonzero(h - low <= high - low)  # unsigned h wraps below low
+    label = hit.take(h[ranks])
+    keep = np.flatnonzero(label >= 0)  # not at an unchosen level between low and high
+    ranks = ranks[keep]
+    lab, d, w = label[keep], d[ranks], probs[ranks]
+    del ranks, label, keep
+    key = lab.astype(np.min_scalar_type(-len(chosen) * zeta))  # narrow keys sort faster
+    key *= zeta
+    np.add(key, d, out=key, dtype=key.dtype, casting="unsafe")
+    del lab, d  # freed before the sort
+    key, inverse = np.unique(key, return_inverse=True)  # the distinct (label, d), ascending
+    cw = np.cumsum(np.bincount(inverse, w), dtype=np.float64)  # ties added in rank order
+    seg = key // zeta
+    bounds = np.searchsorted(key, np.arange(len(chosen) + 1) * zeta)  # each chosen has ranks
+    first, last = bounds[:-1], bounds[1:] - 1
+    offset = np.where(chosen > 0, cum[chosen - 1], 0.0) - np.append(0.0, cw)[first]
+    cumfreq = (cw + offset[seg]) / cum[-1]  # from the bottom of the distribution
+    g = zeta * chosen[seg] + key % zeta
+    skip = np.add.reduceat(np.less.outer(cumfreq, levels.levels), first, dtype=np.intp)
+    pos = np.minimum(first[:, None] + skip, last[:, None])
+    return g[pos[slot, np.arange(len(levels))]]
+
+
 def _exact_cost_terms(f: CnfFormula, angles: AngleVector, levels: QuantileSet, max_n: int):
     """(mean, quantiles): the mean cost g of the state and its exact
     nearest-rank g at each level, from the h and d tables."""
@@ -220,16 +257,7 @@ def _exact_cost_terms(f: CnfFormula, angles: AngleVector, levels: QuantileSet, m
     blocks = [slice(start, start + _BLOCK) for start in range(0, d.size, _BLOCK)]
     d_sum = sum(d[b].astype(np.float64) @ probs[b] for b in blocks)
     mean = float(base * (dist.values @ dist.probabilities) + d_sum) / total
-
-    def ranks_at(hit: np.ndarray):
-        low, high = np.flatnonzero(hit[0] >= 0)[[0, -1]].tolist()
-        ranks = np.flatnonzero(h - low <= high - low)  # unsigned h wraps below low
-        label = hit[0].take(h[ranks])
-        keep = np.flatnonzero(label >= 0)  # not at an unchosen level between low and high
-        ranks = ranks[keep]
-        return label[keep], d[ranks], probs[ranks]
-
-    return mean, level_quantiles(mass[None], base, levels, ranks_at)[0].astype(float).tolist()
+    return mean, _quantiles(mass, h, d, probs, base, levels).astype(float).tolist()
 
 
 def exact_shaped_cost(

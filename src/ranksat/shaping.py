@@ -5,8 +5,9 @@ histogram, and the oracle's exact h-distributions of a prepared state.
 
 The shaped objective is the mean cost plus the sum of nearest-rank quantiles
 at the levels in a QuantileSet: the smallest cost whose cumulative frequency,
-from the smallest cost upward, reaches p. ``level_quantiles`` takes them for
-both the GA's shots and the oracle's exact masses.
+from the smallest cost upward, reaches p. ``level_shaped_costs`` takes them
+for the GA's shots as each row's c-th smallest cost; the oracle takes its exact
+ones over state masses itself.
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ __all__ = [
     "cost_histogram",
     "h_histogram",
     "shaped_cost",
-    "level_quantiles",
     "level_shaped_costs",
     "nearest_rank_quantile",
     "rows_to_csv",
@@ -131,7 +131,8 @@ class CostHistogram:
     def from_json_obj(cls, rows: Sequence[dict], label: str = "h",
                       name: str = "histogram") -> "CostHistogram":
         """Read ``to_json_obj`` rows, a JSON list with each row's value an integer >= 0 and its
-        count an integer >= 1, both below 2**63; ValueError names the stored entry ``name``."""
+        count an integer >= 1, both below 2**63, as is the counts' sum; ValueError names the
+        stored entry ``name``."""
         if not isinstance(rows, list):
             raise ValueError(f"{name} must be a JSON list of rows, got {rows!r}")
         pairs = []
@@ -141,6 +142,8 @@ class CostHistogram:
                 raise ValueError(f"{name} row {i} needs integers 0 <= {label} < 2**63 and "
                                  f"1 <= count < 2**63: {row!r}")
             pairs.append(pair)
+        if sum(count for _, count in pairs) >= 2**63:
+            raise ValueError(f"{name} counts sum to 2**63 or more, past int64")
         return cls.from_pairs(pairs)
 
     @property
@@ -180,7 +183,8 @@ def nearest_rank_quantile(
     values: np.ndarray, cumfreq: np.ndarray, p: float
 ) -> float:
     """Smallest value whose cumulative relative frequency reaches p; the reference
-    rule for ``level_quantiles``. cf_0 (before the first entry) counts as 0."""
+    rule for ``level_shaped_costs`` and the oracle's exact quantiles. cf_0 (before the
+    first entry) counts as 0."""
     if not (0.0 < p < 1.0):
         raise ValueError(f"quantile level {p} outside (0, 1)")
     idx = int(np.searchsorted(cumfreq, p, side="left"))
@@ -190,46 +194,6 @@ def nearest_rank_quantile(
 def shaped_cost(hist: CostHistogram, levels: QuantileSet) -> float:
     """Empirical mean plus the sum of the requested quantile values."""
     return hist.mean + sum(nearest_rank_quantile(hist.values, hist.cumfreq, p) for p in levels)
-
-
-def level_quantiles(
-    weights: np.ndarray,
-    zeta: int,
-    levels: QuantileSet,
-    items: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray | None]],
-) -> np.ndarray:
-    """(R, Q) int64 nearest-rank g = zeta*h + d of R rows at Q levels, in two steps as d < zeta.
-
-    ``weights[r, h]`` weighs h-level h in row r: shot counts (then each fraction c / total is
-    the sample's own cumulative frequency) or state masses. A quantile's h-level is the first
-    whose cumulative weight reaches p of the row's total; ``items(hit)`` gets hit[r, h], the
-    label of each chosen (row, h-level) in row-major order or -1, and returns (label, d, w) of
-    each item there: integers, and float64 weights or None for 1s. The quantile's d is the
-    first whose cumulative weight from the row's bottom reaches p (else the level's largest).
-    """
-    rows, width = weights.shape
-    cum = np.cumsum(weights, axis=1, dtype=np.float64)
-    at = np.count_nonzero(np.greater.outer(levels.levels, cum / cum[:, -1:]), axis=2).T
-    chosen, label = np.unique(np.arange(rows)[:, None] * width + at, return_inverse=True)
-    hit = np.full(rows * width, -1, np.min_scalar_type(-len(chosen)))
-    hit[chosen] = np.arange(len(chosen))
-    lab, d, w = items(hit.reshape(rows, width))
-    key = lab.astype(np.min_scalar_type(-len(chosen) * zeta))  # narrow keys sort faster
-    key *= zeta
-    np.add(key, d, out=key, dtype=key.dtype, casting="unsafe")  # d may be exact float64
-    del lab, d  # freed before the sort
-    key, inverse = np.unique(key, return_inverse=True)  # the distinct (label, d), ascending
-    cw = np.cumsum(np.bincount(inverse, w), dtype=np.float64)  # ties added in the caller's order
-    seg = key // zeta
-    bounds = np.searchsorted(key, np.arange(len(chosen) + 1) * zeta)  # each chosen has items
-    first, last = bounds[:-1], bounds[1:] - 1
-    r, h = np.divmod(chosen, width)
-    offset = np.where(h > 0, cum.reshape(-1)[chosen - 1], 0.0) - np.append(0.0, cw)[first]
-    cumfreq = (cw + offset[seg]) / cum[r[seg], -1]  # from the bottom of the row
-    g = zeta * h[seg] + key % zeta
-    skip = np.add.reduceat(np.less.outer(cumfreq, levels.levels), first, dtype=np.intp)
-    pos = np.minimum(first[:, None] + skip, last[:, None])
-    return g[pos[label.reshape(rows, -1), np.arange(len(levels))]]
 
 
 def level_shaped_costs(
@@ -244,22 +208,23 @@ def level_shaped_costs(
     ``h`` is a (P, s) matrix of per-shot unsat counts, ``d_sums`` each row's exact total of
     d as an int (``ClauseArrays.h_d_sums``), ``zeta`` the integer weight d_max(m) + 1, and
     ``d_at(idx)`` the d of the shots at flat indices ``idx`` of ``h``. The mean is the exact
-    total zeta*sum(h) + d_sum over s, correctly rounded; the quantiles are
-    ``level_quantiles`` of the h-level shot counts, so only their shots need d.
+    total zeta*sum(h) + d_sum over s, correctly rounded. The quantile at p is the row's
+    c-th smallest g, c the least with c/s >= p (the same float test as the shots' own
+    cumulative frequency). As d < zeta, zeta*h alone orders shots at different h-levels,
+    so only the shots at a quantile's h-level need d.
     Bit-identical to ``shaped_cost`` of the histogram of g while s*max(g) < 2**53.
     """
-    rows, s = h.shape
+    s = h.shape[1]
     means = [(zeta * hs + ds) / s for hs, ds in zip(h.sum(axis=1).tolist(), d_sums)]
-    low, high = int(h.min()), int(h.max())  # the weights span the h-levels of shots
-    flat = (np.arange(rows)[:, None] * (high - low + 1) + (h - low)).reshape(-1)
-
-    def shots_at(hit: np.ndarray):
-        label = hit.reshape(-1)[flat]
-        idx = np.flatnonzero(label >= 0)
-        return label[idx], d_at(idx), None
-
-    counts = np.bincount(flat, minlength=rows * (high - low + 1)).reshape(rows, -1)
-    quantiles = level_quantiles(counts, zeta, levels, shots_at) + zeta * low
+    ranks = np.searchsorted(np.arange(1, s + 1) / s, levels.levels)  # c - 1 of each level
+    g = zeta * h.astype(np.int64)
+    at = np.sort(g, axis=1)[:, ranks]  # zeta times the h-level of each quantile
+    hit = g == at[:, :1]
+    for col in at.T[1:, :, None]:
+        hit |= g == col
+    idx = np.flatnonzero(hit)
+    g.reshape(-1)[idx] += d_at(idx).astype(np.int64)
+    quantiles = np.sort(g, axis=1)[:, ranks]
     return (np.array(means) + quantiles.sum(axis=1)).tolist()
 
 

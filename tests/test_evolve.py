@@ -90,6 +90,9 @@ TIED = rs.CnfFormula.from_signed(2, [[1], [-1]])
         ("n200", 1, 250, QuantileSet.default()),
         ("single", 12, 20, QuantileSet.default()),
         ("tied", 6, 250, QuantileSet.default()),
+        ("n20", 6, 100, QuantileSet.default()),  # each level is exactly c/s
+        ("n20", 4, 3, QuantileSet.of([1 / 3, 2 / 3])),
+        ("widget", 4, 1, QuantileSet.default()),
     ],
 )
 def test_batched_fitness_equals_histogram_path(widget, case, size, shots, levels):

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 import ranksat as rs
+from ranksat import oracle
 from ranksat.qsim import AngleVector, prepare_state, sample
 from ranksat.shaping import (
     CostHistogram,
     QuantileSet,
     cost_histogram,
     h_histogram,
-    level_quantiles,
     level_shaped_costs,
     nearest_rank_quantile,
     shaped_cost,
@@ -128,6 +128,15 @@ def test_csv_json_round_trip():
     np.testing.assert_array_equal(again2.values, whole.values)
 
 
+def test_from_json_obj_refuses_counts_that_sum_past_int64():
+    # each count fits int64, their sum does not: refused by name, not as a wrapped sum
+    rows = [{"h": 0, "count": 2**62}, {"h": 1, "count": 2**62}]
+    with pytest.raises(ValueError, match=r"final counts sum to 2\*\*63 or more"):
+        CostHistogram.from_json_obj(rows, name="final")
+    rows[1]["count"] -= 1
+    assert CostHistogram.from_json_obj(rows).total == 2**63 - 1
+
+
 def test_quantile_set_validation():
     with pytest.raises(ValueError):
         QuantileSet(levels=())
@@ -214,19 +223,6 @@ def test_nearest_rank_quantile_mass_path():
     assert nearest_rank_quantile(values, cum, 0.9999999) == 3.0
 
 
-def _level_quantiles(row, h, d, w, zeta, levels):
-    """level_quantiles of items given as flat (row, h, d, w) arrays; w None weighs each 1."""
-    weights = np.zeros((row.max() + 1, h.max() + 1))
-    np.add.at(weights, (row, h), 1.0 if w is None else w)
-
-    def items(hit):
-        label = hit[row, h]
-        at = label >= 0
-        return label[at], d[at], None if w is None else w[at]
-
-    return level_quantiles(weights, zeta, levels, items)
-
-
 # rows of (h, d) shots. Row 0: h-level 0 holds 5 of 100 shots, a cumulative frequency of
 # exactly p = 0.05, and h-levels 1-2 and 4-5 hold no shot between levels that do. Row 1:
 # 0.06 and 0.1 land on h-level 4, and h-level 1 reaches 0.05 exactly. Row 2 is one shot
@@ -238,40 +234,47 @@ SHOT_ROWS = [
 ]
 
 
-def test_level_quantiles_of_shots_are_the_sampled_quantiles():
-    zeta, levels = 10, QuantileSet.of([0.01, 0.05, 0.06, 0.1, 0.5, 0.99])
-    row = np.concatenate([[r] * len(shots) for r, shots in enumerate(SHOT_ROWS)])
-    h, d = np.array([shot for shots in SHOT_ROWS for shot in shots]).T
-    got = _level_quantiles(row, h, d, None, zeta, levels)
-    for r, shots in enumerate(SHOT_ROWS):
+def test_shot_quantiles_are_the_sampled_quantiles():
+    # each row alone through level_shaped_costs, one level at a time: the shaped cost less
+    # the mean is the quantile
+    zeta, levels = 10, [0.01, 0.05, 0.06, 0.1, 0.5, 0.99]
+    got = []
+    for shots in SHOT_ROWS:
+        h, d = np.array(shots).T
+        mean = (zeta * int(h.sum()) + int(d.sum())) / len(shots)
+        costs = [level_shaped_costs(h[None], [int(d.sum())], zeta, lambda idx: d[idx] * 1.0,
+                                    QuantileSet.of([p]))[0] for p in levels]
+        got.append([round(cost - mean) for cost in costs])
         hist = CostHistogram.from_samples([zeta * hs + ds for hs, ds in shots])
-        assert got[r].tolist() == [quantile(hist, p) for p in levels]
-    assert got[0, :3].tolist() == [2, 9, 30]  # 0.05 is reached at level 0's largest d
-    assert got[1, 1:4].tolist() == [13, 40, 40]
-    assert got[2].tolist() == [24] * len(levels)
+        assert got[-1] == [quantile(hist, p) for p in levels]
+    assert got[0][:3] == [2, 9, 30]  # 0.05 is reached at level 0's largest d
+    assert got[1][1:4] == [13, 40, 40]
+    assert got[2] == [24] * len(levels)
 
 
-def test_level_quantiles_of_masses_match_a_dense_g_table():
-    # float masses, with zero-mass items and an h-level of zero mass between nonzero ones
+def test_oracle_quantiles_of_masses_match_a_dense_g_table():
+    # float masses, with zero-mass ranks and an h-level of zero mass between nonzero ones
     rng = np.random.default_rng(11)
     zeta, levels = 50, QuantileSet.of([0.01, 0.05, 0.1, 0.3, 0.5, 0.9])
     row, h, d = rng.integers(0, 4, 3000), rng.integers(0, 9, 3000), rng.integers(0, 50, 3000)
     w = rng.random(3000) ** 4 * (h != 3) * (rng.random(3000) > 0.1)
-    got = _level_quantiles(row, h, d, w, zeta, levels)
     for r in range(4):
-        mass = np.bincount((zeta * h + d)[row == r], w[row == r], minlength=9 * zeta)
+        hr, dr, wr = h[row == r], d[row == r], w[row == r]
+        got = oracle._quantiles(np.bincount(hr, wr), hr.astype(np.uint8), dr, wr, zeta, levels)
+        mass = np.bincount(zeta * hr + dr, wr, minlength=9 * zeta)
         values = np.arange(mass.size, dtype=np.float64)
         cum = np.cumsum(mass) / mass.sum()
-        assert got[r].tolist() == [nearest_rank_quantile(values, cum, p) for p in levels]
+        assert got.tolist() == [nearest_rank_quantile(values, cum, p) for p in levels]
 
 
-def test_level_quantiles_clamp_to_the_levels_largest_d():
-    # the items of h-level 1 weigh 0.4 of its 0.5, as float drift may leave them a little
-    # short: p = 0.99 reaches the level but none of its items, so it takes the largest d
-    weights = np.array([[0.5, 0.5], [0.5, 0.5]])
-    items = (np.array([0, 0, 1]), np.array([3, 5, 4]), np.array([0.2, 0.2, 0.5]))
-    got = level_quantiles(weights, 10, QuantileSet.of([0.99]), lambda hit: items)
-    assert got.tolist() == [[15], [14]]
+def test_oracle_quantiles_clamp_to_the_levels_largest_d():
+    # the ranks of h-level 1 weigh 0.4 of its 0.5, as float drift may leave them a little
+    # short: p = 0.99 reaches the level but none of its ranks, so it takes the largest d
+    mass, levels = np.array([0.5, 0.5]), QuantileSet.of([0.99])
+    ranks = [(np.array([1, 1], np.uint8), np.array([3, 5]), np.array([0.2, 0.2])),
+             (np.array([1], np.uint8), np.array([4]), np.array([0.5]))]
+    got = [oracle._quantiles(mass, h, d, w, 10, levels).tolist() for h, d, w in ranks]
+    assert got == [[15], [14]]
 
 
 def test_level_shaped_mean_is_correctly_rounded_above_2_53():

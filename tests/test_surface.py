@@ -46,6 +46,21 @@ def test_all_names_resolve(module):
     assert missing == []
 
 
+@pytest.mark.parametrize("module", ("",) + MODULES + ("cli",))
+def test_module_imports_are_used(module):
+    # every name a module imports at module level is read in it or exported by its
+    # __all__, so a deletion cannot leave a stray import behind
+    mod = importlib.import_module(f"ranksat.{module}" if module else "ranksat")
+    tree = ast.parse(inspect.getsource(mod))
+    imported = {
+        (alias.asname or alias.name).partition(".")[0]
+        for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__" for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used - set(getattr(mod, "__all__", ()))) == []
+
+
 def test_public_names_are_pinned():
     assert set(rs.__all__) == PUBLIC
     assert len(rs.__all__) == len(PUBLIC)
