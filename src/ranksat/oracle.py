@@ -23,7 +23,8 @@ counts are assignments and the probabilities the state's mass at each level.
 
 The shaped cost's quantiles are exact costs g = zeta*h + d, taken in two steps
 (``_quantiles``): the h-level from the h-level masses, then the d among that
-level's ranks; its mean is a float sum within a few ulps.
+level's ranks, whose masses are added per distinct d once per chosen h-level;
+its mean is a float sum within a few ulps.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ import numpy as np
 
 from .cnf import CnfFormula, CostParams, _cost_base, _require_default_params, d_max
 from .qsim import AngleVector, bits_from_ranks, prepare_state
-from .shaping import CostHistogram, QuantileSet
+from .shaping import CostHistogram, QuantileSet, nearest_rank_quantile
 
 __all__ = [
     "GuardError",
@@ -213,36 +214,21 @@ def _quantiles(mass: np.ndarray, h: np.ndarray, d: np.ndarray, probs: np.ndarray
     """Exact nearest-rank g = zeta*h + d at each level, in two steps as d < zeta.
 
     ``mass`` weighs each h-level; ``h``, ``d`` and ``probs`` are the per-rank tables. A
-    quantile's h-level is the first whose cumulative mass reaches p; its d is the first
-    whose cumulative mass from the bottom, over that level's ranks, reaches p (else the
-    level's largest, as float drift may leave the ranks' masses short of the level's).
+    quantile's h-level is the first whose cumulative mass reaches p. Each chosen h-level
+    is handled once: its ranks' masses are added per distinct d in rank order, and the d
+    of p is the first whose cumulative mass from the bottom reaches p (else the level's
+    largest, as float drift may leave the ranks' masses short of the level's).
     """
     cum = np.cumsum(mass)
-    chosen, slot = np.unique(np.searchsorted(cum / cum[-1], levels.levels), return_inverse=True)
-    hit = np.full(len(mass), -1, np.min_scalar_type(-len(chosen)))
-    hit[chosen] = np.arange(len(chosen))
-    low, high = chosen[[0, -1]].tolist()
-    ranks = np.flatnonzero(h - low <= high - low)  # unsigned h wraps below low
-    label = hit.take(h[ranks])
-    keep = np.flatnonzero(label >= 0)  # not at an unchosen level between low and high
-    ranks = ranks[keep]
-    lab, d, w = label[keep], d[ranks], probs[ranks]
-    del ranks, label, keep
-    key = lab.astype(np.min_scalar_type(-len(chosen) * zeta))  # narrow keys sort faster
-    key *= zeta
-    np.add(key, d, out=key, dtype=key.dtype, casting="unsafe")
-    del lab, d  # freed before the sort
-    key, inverse = np.unique(key, return_inverse=True)  # the distinct (label, d), ascending
-    cw = np.cumsum(np.bincount(inverse, w), dtype=np.float64)  # ties added in rank order
-    seg = key // zeta
-    bounds = np.searchsorted(key, np.arange(len(chosen) + 1) * zeta)  # each chosen has ranks
-    first, last = bounds[:-1], bounds[1:] - 1
-    offset = np.where(chosen > 0, cum[chosen - 1], 0.0) - np.append(0.0, cw)[first]
-    cumfreq = (cw + offset[seg]) / cum[-1]  # from the bottom of the distribution
-    g = zeta * chosen[seg] + key % zeta
-    skip = np.add.reduceat(np.less.outer(cumfreq, levels.levels), first, dtype=np.intp)
-    pos = np.minimum(first[:, None] + skip, last[:, None])
-    return g[pos[slot, np.arange(len(levels))]]
+    at = np.searchsorted(cum / cum[-1], levels.levels).tolist()
+    dists = {}
+    for level in set(at):
+        ranks = np.flatnonzero(h == level)
+        values, inverse = np.unique(d[ranks], return_inverse=True)
+        below = cum[level - 1] if level else 0.0
+        dists[level] = values, (below + np.cumsum(np.bincount(inverse, probs[ranks]))) / cum[-1]
+    return np.array([zeta * level + int(nearest_rank_quantile(*dists[level], p))
+                     for p, level in zip(levels, at)])
 
 
 def _exact_cost_terms(f: CnfFormula, angles: AngleVector, levels: QuantileSet, max_n: int):

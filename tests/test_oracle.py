@@ -432,7 +432,8 @@ def test_table_slot_follows_formula_lifetime():
 def test_exact_shaped_cost_memory_bound():
     # first-call tracemalloc peak per rank: 52.8 bytes for the float g table
     # and its np.unique, 38.9 for the integer keys with np.unique, 25.2 for
-    # the packed (h, d) pair index, 16.8 for the h and d tables
+    # the packed (h, d) pair index, 16.8 for the h and d tables, 17.0 with the
+    # ranks of all quantile h-levels sorted at once, 16.5 one h-level at a time
     f = random_formula(np.random.default_rng(5), n=18, m=77)
     angles = AngleVector(betas=(0.3, 0.7), gammas=(1.1, 2.3))
     params, levels = rs.default_params(f), QuantileSet.default()
@@ -443,3 +444,18 @@ def test_exact_shaped_cost_memory_bound():
     finally:
         tracemalloc.stop()
     assert peak < 21 * (1 << f.n)
+
+
+@pytest.mark.parametrize("seed", range(3, 15))
+def test_exact_shaped_cost_memory_bound_across_formulas(seed):
+    # the peak follows the ranks at the quantile h-levels: sorting those of all
+    # levels at once read up to 29.0 B/rank here (seed 6), one level at a time 21.3
+    f = random_formula(np.random.default_rng(seed), n=18, m=77)
+    angles = AngleVector(betas=(0.3, 0.7), gammas=(1.1, 2.3))
+    tracemalloc.start()
+    try:
+        exact_shaped_cost(f, angles, rs.default_params(f), QuantileSet.default())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 22 * (1 << f.n)

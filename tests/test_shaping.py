@@ -253,18 +253,25 @@ def test_shot_quantiles_are_the_sampled_quantiles():
 
 
 def test_oracle_quantiles_of_masses_match_a_dense_g_table():
-    # float masses, with zero-mass ranks and an h-level of zero mass between nonzero ones
+    # float masses, with zero-mass ranks and an h-level of zero mass between nonzero ones;
+    # two more inputs put three levels in one h-level past that empty one, and 1e-12 in
+    # h-level 0
     rng = np.random.default_rng(11)
     zeta, levels = 50, QuantileSet.of([0.01, 0.05, 0.1, 0.3, 0.5, 0.9])
     row, h, d = rng.integers(0, 4, 3000), rng.integers(0, 9, 3000), rng.integers(0, 50, 3000)
     w = rng.random(3000) ** 4 * (h != 3) * (rng.random(3000) > 0.1)
-    for r in range(4):
+    cases = [(r, levels) for r in range(4)]
+    cases += [(0, QuantileSet.of([0.32, 0.33, 0.4])), (1, QuantileSet.of([1e-12, 0.999]))]
+    chosen = []
+    for r, levels in cases:
         hr, dr, wr = h[row == r], d[row == r], w[row == r]
         got = oracle._quantiles(np.bincount(hr, wr), hr.astype(np.uint8), dr, wr, zeta, levels)
         mass = np.bincount(zeta * hr + dr, wr, minlength=9 * zeta)
         values = np.arange(mass.size, dtype=np.float64)
         cum = np.cumsum(mass) / mass.sum()
         assert got.tolist() == [nearest_rank_quantile(values, cum, p) for p in levels]
+        chosen.append((got // zeta).tolist())
+    assert chosen[-2:] == [[4, 4, 4], [0, 8]]
 
 
 def test_oracle_quantiles_clamp_to_the_levels_largest_d():
