@@ -21,7 +21,6 @@ from .cnf import (
 )
 from .qsim import (
     AngleVector,
-    QuantumState,
     prepare_state,
     sample,
 )
@@ -47,8 +46,7 @@ __all__ = [
     "parse_dimacs", "parse_dimacs_file", "parse_json_instance",
     "h_count",
     "default_params",
-    "AngleVector", "QuantumState",
-    "prepare_state", "sample",
+    "AngleVector", "prepare_state", "sample",
     "CostHistogram", "QuantileSet",
     "cost_histogram", "h_histogram", "shaped_cost",
     "GaConfig", "evaluate_fitness", "optimize",

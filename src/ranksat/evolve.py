@@ -108,8 +108,8 @@ def _fitness_values(
     and one unsat block of them, from which come h, each row's exact d-sum and d at the
     quantile h-levels."""
     s, depth = cfg.shots_per_eval, genes.shape[1] // 2
+    p1 = p_one_rows(f.n, genes[:, :depth], genes[:, depth:])  # refuses n > 1024 before compiling
     rows, arrays = len(genes) * s, f.arrays
-    p1 = p_one_rows(f.n, genes[:, :depth], genes[:, depth:])
     u = arrays.unsat_matrix(draw_planes(p1, rows, rng), rows)
     h, d_sums = arrays.h_d_sums(u, rows, s)
     costs = level_shaped_costs(h.reshape(-1, s), d_sums, _cost_base(f.m),

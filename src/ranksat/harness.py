@@ -112,7 +112,7 @@ def _report_sample(f: CnfFormula, angles: AngleVector, seed: int, shots: int,
                    zeta: float | None = None) -> CostHistogram:
     """The h histogram, or with ``zeta`` the cost-g histogram, of ``shots`` shots of the state
     at ``angles`` drawn from the final-sample stream of ``seed``."""
-    p1, rng = prepare_state(f.n, angles).p1, final_sample_stream(seed)
+    p1, rng = prepare_state(f.n, angles), final_sample_stream(seed)
     return CostHistogram.from_samples(
         f.arrays.scores(lambda count: draw_planes(p1, count, rng), shots, zeta))
 

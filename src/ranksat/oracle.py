@@ -137,7 +137,7 @@ def _state_probabilities(f: CnfFormula, angles: AngleVector) -> np.ndarray:
     Qubit j is multiplied in at step j, the same order as a per-rank product
     over j, so each entry is bit-identical to that product.
     """
-    p1 = prepare_state(f.n, angles).p1
+    p1 = prepare_state(f.n, angles)
     probs = np.empty(1 << f.n)  # step j sets ranks 2**j..2**(j+1)-1 to ranks 0..2**j-1 times q1
     probs[0] = 1.0
     for j, (q0, q1) in enumerate(zip(1.0 - p1, p1)):

@@ -81,11 +81,11 @@ def rank_of(a) -> int:
     return rank
 
 
-def probability(state, a) -> float:
-    """|<x|state>|**2, computed as the product of per-qubit probabilities."""
-    if len(a) != state.n:
-        raise ValueError(f"assignment length {len(a)} != n={state.n}")
-    return float(np.prod(np.where(np.asarray(a) == 1, state.p1, 1.0 - state.p1)))
+def probability(p1, a) -> float:
+    """|<x|state>|**2 of the product state ``p1``, as the product of per-qubit probabilities."""
+    if len(a) != len(p1):
+        raise ValueError(f"assignment length {len(a)} != n={len(p1)}")
+    return float(np.prod(np.where(np.asarray(a) == 1, p1, 1.0 - p1)))
 
 
 def product_state_loop(n: int, angles) -> np.ndarray:

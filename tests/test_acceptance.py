@@ -34,8 +34,8 @@ def _passed(cid: str, text: str) -> None:
     print(f"[{cid}] {text}: PASS")
 
 
-def _product_probabilities(state, bits: np.ndarray) -> np.ndarray:
-    return np.where(bits == 1, state.p1, 1.0 - state.p1).prod(axis=1)
+def _product_probabilities(p1: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    return np.where(bits == 1, p1, 1.0 - p1).prod(axis=1)
 
 
 def _final_p_h0(f: rs.CnfFormula, seed: int, cfg: GaConfig) -> tuple[float, float]:
@@ -114,19 +114,19 @@ def test_c05_simulator_equivalence():
         depth = int(rng.integers(1, 4))
         betas = tuple(rng.uniform(0, np.pi, depth))
         gammas = tuple(rng.uniform(0, 2 * np.pi, depth))
-        state = prepare_state(n, AngleVector(betas, gammas))
+        p1 = prepare_state(n, AngleVector(betas, gammas))
         bits = bits_from_ranks(np.arange(1 << n), n)
-        product = _product_probabilities(state, bits)
+        product = _product_probabilities(p1, bits)
         dense = np.abs(dense_state(n, betas, gammas)) ** 2
         worst = max(worst, float(np.abs(product - dense).max()))
     assert worst < 1e-12, f"max probability deviation {worst:.3e}"
 
     for n in range(1, 11):
         for gamma in (0.5, 1.7, 4.4):
-            state = prepare_state(n, AngleVector(betas=(0.0,), gammas=(gamma,)))
-            assert np.all(state.p1 == 0.5)
+            p1 = prepare_state(n, AngleVector(betas=(0.0,), gammas=(gamma,)))
+            assert np.all(p1 == 0.5)
             bits = bits_from_ranks(np.arange(1 << n), n)
-            product = _product_probabilities(state, bits)
+            product = _product_probabilities(p1, bits)
             expected = 2 ** (-n / 2) * np.exp(-1j * gamma * np.arange(1 << n))
             assert float(np.abs(product - np.abs(expected) ** 2).max()) < 1e-12
     elapsed = time.perf_counter() - start

@@ -360,13 +360,13 @@ def test_streamed_sample_memory_does_not_grow_with_shots():
     # alone would take 1000 bytes per shot, 80 MB at 80k shots
     f = random_formula(np.random.default_rng(1), n=1000, m=4260)
     f.arrays
-    state = prepare_state(f.n, AngleVector((0.4,), (0.7,)))
-    CostHistogram.from_samples(_report_sample(f, state.p1, 1000, np.random.default_rng(0)))
+    p1 = prepare_state(f.n, AngleVector((0.4,), (0.7,)))
+    CostHistogram.from_samples(_report_sample(f, p1, 1000, np.random.default_rng(0)))
     peaks = {}  # the call above keeps numpy's first-call allocations out of them
     for s in (20_000, 80_000):
         tracemalloc.start()
         try:
-            CostHistogram.from_samples(_report_sample(f, state.p1, s, np.random.default_rng(0)))
+            CostHistogram.from_samples(_report_sample(f, p1, s, np.random.default_rng(0)))
             peaks[s] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -752,6 +752,10 @@ def test_cli_refuses_instance_entries_that_are_not_strings(
     ([{"beta": float("nan"), "gamma": 1.0}], "angle layer 0"),
     ([{"beta": 0.1, "gamma": 0.2}, {"beta": 0.1, "gamma": float("inf")}], "angle layer 1"),
     (_sample_artifact([{"beta": float("-inf"), "gamma": 0.2}]), "angle layer 0"),
+    # JSON integers past float64 once escaped math.isfinite as an OverflowError, exit 1
+    ([{"beta": 10**400, "gamma": 0.5}], "angle layer 0"),
+    (_sample_artifact([{"beta": 0.1, "gamma": 0.2}, {"beta": 0.1, "gamma": -10**400}]),
+     "angle layer 1"),
 ])
 def test_cli_sample_malformed_angles(widget_path, tmp_path, doc, message, capsys):
     angles = tmp_path / "a.json"
@@ -763,9 +767,10 @@ def test_cli_sample_malformed_angles(widget_path, tmp_path, doc, message, capsys
 @pytest.mark.parametrize("verb", ["sample", "optimize"])
 def test_cli_refuses_phases_past_float64(tmp_path, verb, capsys):
     # 2.0**1024 overflows, so past 1024 qubits no gamma has finite phases; such qubits once
-    # sampled as all zeros with only a RuntimeWarning
+    # sampled as all zeros with only a RuntimeWarning. The phases of every qubit were once
+    # taken first: 10**11 qubits ran out of memory, and at 10**24 sample read "Maximum
+    # allowed size exceeded" and optimize overflowed int64 in the scorer
     instance = tmp_path / "wide.cnf"
-    instance.write_text("p cnf 1100 1\n1 -1100 0\n")
     angles = tmp_path / "a.json"
     angles.write_text(json.dumps([{"beta": 0.3, "gamma": 1.1}]))
     out = tmp_path / "x.json"
@@ -774,9 +779,12 @@ def test_cli_refuses_phases_past_float64(tmp_path, verb, capsys):
         "optimize": ["optimize", str(instance), "--generations", "1", "--population", "4",
                      "--elites", "1", "--shots", "8", "--out", str(out)],
     }[verb]
-    assert main(argv) == 2
-    assert "is not finite from qubit" in capsys.readouterr().err
-    assert not out.exists()
+    for n in (1100, 2000, 10**11, 10**24):
+        instance.write_text(f"p cnf {n} 1\n1 -{n} 0\n")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "is not finite from qubit" in err and f"the phases of {n} qubits" in err
+        assert not out.exists()
 
 
 def test_cli_report_g_level_relative_instance(widget_path, tmp_path, monkeypatch, capsys):

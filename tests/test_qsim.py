@@ -9,7 +9,6 @@ import ranksat as rs
 
 from ranksat.qsim import (
     AngleVector,
-    QuantumState,
     SAMPLE_BLOCK_CELLS,
     bits_from_ranks,
     draw_planes,
@@ -60,10 +59,10 @@ def test_angle_vector_validation():
 
 
 def test_zero_angles_uniform():
-    state = prepare_state(20, AngleVector.zeros(2))
-    assert np.all(state.p1 == 0.5)
+    p1 = prepare_state(20, AngleVector.zeros(2))
+    assert np.all(p1 == 0.5)
     a = [1, 0] * 10
-    assert probability(state, a) == pytest.approx(2.0**-20, rel=1e-12)
+    assert probability(p1, a) == pytest.approx(2.0**-20, rel=1e-12)
 
 
 def test_depth1_closed_form_examples():
@@ -80,7 +79,7 @@ def test_depth1_closed_form_per_qubit():
     for n in (3, 40, 62):
         for _ in range(20):
             beta, gamma = rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
-            p1 = prepare_state(n, AngleVector(betas=(beta,), gammas=(gamma,))).p1
+            p1 = prepare_state(n, AngleVector(betas=(beta,), gammas=(gamma,)))
             expected = [(1 + math.sin(2 * beta) * math.sin(gamma * 2**j)) / 2 for j in range(n)]
             np.testing.assert_allclose(p1, expected, rtol=0, atol=1e-15)
 
@@ -97,11 +96,11 @@ def test_per_qubit_normalization_every_layer():
         # applying prefixes of the layer list exercises "after every layer"
         for upto in range(1, depth + 1):
             prefix = AngleVector(angles.betas[:upto], angles.gammas[:upto])
-            state = prepare_state(6, prefix)
+            p1 = prepare_state(6, prefix)
             dense = np.abs(dense_state(6, prefix.betas, prefix.gammas)) ** 2
             assert dense.sum() == pytest.approx(1.0, abs=1e-12)
             marginals = bits_from_ranks(np.arange(1 << 6), 6).T @ dense
-            np.testing.assert_allclose(state.p1, marginals, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(p1, marginals, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [8, 12])
@@ -111,8 +110,8 @@ def test_probabilities_sum_to_one(n):
         betas=tuple(rng.uniform(0, math.pi, 2)),
         gammas=tuple(rng.uniform(0, 2 * math.pi, 2)),
     )
-    state = prepare_state(n, angles)
-    probs = _all_probabilities(state, bits_from_ranks(np.arange(1 << n), n))
+    p1 = prepare_state(n, angles)
+    probs = _all_probabilities(p1, bits_from_ranks(np.arange(1 << n), n))
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -122,11 +121,11 @@ def test_probability_is_squared_amplitude():
         betas=tuple(rng.uniform(0, math.pi, 3)),
         gammas=tuple(rng.uniform(0, 2 * math.pi, 3)),
     )
-    state = prepare_state(5, angles)
+    p1 = prepare_state(5, angles)
     dense = dense_state(5, angles.betas, angles.gammas)
     for _ in range(10):
         a = rng.integers(0, 2, size=5)
-        assert probability(state, a) == pytest.approx(abs(dense[rank_of(a)]) ** 2, rel=1e-12)
+        assert probability(p1, a) == pytest.approx(abs(dense[rank_of(a)]) ** 2, rel=1e-12)
 
 
 def test_phase_eigenstructure():
@@ -134,12 +133,12 @@ def test_phase_eigenstructure():
     rng = np.random.default_rng(5)
     for n in (1, 4, 6):
         gamma = float(rng.uniform(0, 2 * math.pi))
-        state = prepare_state(n, AngleVector(betas=(0.0,), gammas=(gamma,)))
-        assert np.all(state.p1 == 0.5)
+        p1 = prepare_state(n, AngleVector(betas=(0.0,), gammas=(gamma,)))
+        assert np.all(p1 == 0.5)
         for r in range(1 << n):
             bits = [(r >> j) & 1 for j in range(n)]
             expected = 2 ** (-n / 2) * np.exp(-1j * gamma * r)
-            assert abs(probability(state, bits) - abs(expected) ** 2) < 1e-12
+            assert abs(probability(p1, bits) - abs(expected) ** 2) < 1e-12
 
 
 def test_dense_equivalence_unit():
@@ -149,15 +148,15 @@ def test_dense_equivalence_unit():
         depth = int(rng.integers(1, 4))
         betas = tuple(rng.uniform(0, math.pi, depth))
         gammas = tuple(rng.uniform(0, 2 * math.pi, depth))
-        state = prepare_state(n, AngleVector(betas, gammas))
+        p1 = prepare_state(n, AngleVector(betas, gammas))
         dense = dense_state(n, betas, gammas)
         for r in range(1 << n):
             bits = [(r >> j) & 1 for j in range(n)]
-            assert abs(probability(state, bits) - abs(dense[r]) ** 2) < 1e-12
+            assert abs(probability(p1, bits) - abs(dense[r]) ** 2) < 1e-12
 
 
-def _all_probabilities(state, bits):
-    return np.where(bits == 1, state.p1, 1 - state.p1).prod(axis=1)
+def _all_probabilities(p1, bits):
+    return np.where(bits == 1, p1, 1 - p1).prod(axis=1)
 
 
 def test_gamma_2pi_and_beta_pi_periodicity():
@@ -182,17 +181,16 @@ def test_gamma_2pi_and_beta_pi_periodicity():
 
 
 def test_sample_deterministic():
-    state = prepare_state(6, AngleVector(betas=(0.3, 0.9), gammas=(1.1, 0.4)))
-    a = sample(state, 250, np.random.default_rng(42))
-    b = sample(state, 250, np.random.default_rng(42))
-    c = sample(state, 250, np.random.default_rng(43))
+    p1 = prepare_state(6, AngleVector(betas=(0.3, 0.9), gammas=(1.1, 0.4)))
+    a = sample(p1, 250, np.random.default_rng(42))
+    b = sample(p1, 250, np.random.default_rng(42))
+    c = sample(p1, 250, np.random.default_rng(43))
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_sample_deterministic_state():
-    pinned = QuantumState(p1=np.ones(4))
-    shots = sample(pinned, 100, np.random.default_rng(0))
+    shots = sample(np.ones(4), 100, np.random.default_rng(0))
     assert shots.shape == (100, 4)
     np.testing.assert_array_equal(shots, 1)
 
@@ -201,11 +199,11 @@ def test_sample_chi_square_against_exact():
     from scipy import stats
 
     n = 5
-    state = prepare_state(n, AngleVector(betas=(0.4, 1.1), gammas=(0.7, 2.3)))
-    shots = sample(state, 100_000, np.random.default_rng(11))
+    p1 = prepare_state(n, AngleVector(betas=(0.4, 1.1), gammas=(0.7, 2.3)))
+    shots = sample(p1, 100_000, np.random.default_rng(11))
     ranks = shots @ (1 << np.arange(n))
     observed = np.bincount(ranks, minlength=1 << n)
-    expected = _all_probabilities(state, bits_from_ranks(np.arange(1 << n), n)) * len(shots)
+    expected = _all_probabilities(p1, bits_from_ranks(np.arange(1 << n), n)) * len(shots)
     keep = expected >= 5  # chi-square validity; lump tiny bins together
     obs = np.append(observed[keep], observed[~keep].sum())
     exp = np.append(expected[keep], expected[~keep].sum())
@@ -216,12 +214,12 @@ def test_sample_chi_square_against_exact():
 
 
 def test_sample_validates():
-    state = prepare_state(2, AngleVector.zeros(1))
+    p1 = prepare_state(2, AngleVector.zeros(1))
     for s in (0, -3):  # draw_planes' check, which sample leaves to it
         with pytest.raises(ValueError, match="shot count must be >= 1, got"):
-            sample(state, s, np.random.default_rng(0))
+            sample(p1, s, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        probability(state, [0])
+        probability(p1, [0])
 
 
 def test_p_one_rows_bit_identical_to_single_states():
@@ -240,7 +238,7 @@ def test_p_one_rows_bit_identical_to_single_states():
                 assert rows.shape == (size, n)
                 for b, g, row in zip(betas.tolist(), gammas.tolist(), rows):
                     single = prepare_state(n, AngleVector(betas=tuple(b), gammas=tuple(g)))
-                    assert row.tobytes() == single.p1.tobytes()
+                    assert row.tobytes() == single.tobytes()
 
 
 def test_p_one_rows_match_the_complex_reference():
@@ -280,7 +278,7 @@ def test_phase_overflow_is_refused():
     with pytest.raises(ValueError, match="layer 1 is not finite from qubit 1022"):
         p_one_rows(1023, np.full((2, 2), 0.3), np.array([[1.0, 4.0], [1.0, 1.0]]))
     # below 2*pi, the phases of 1000 qubits still fit float64
-    p1 = prepare_state(1000, AngleVector((0.3,), (2 * math.pi - 1e-9,))).p1
+    p1 = prepare_state(1000, AngleVector((0.3,), (2 * math.pi - 1e-9,)))
     assert np.isfinite(p1).all() and p1.min() >= 0.0 and p1.max() <= 1.0
     for bad in (np.nan, -1e-3):
         with pytest.raises(ValueError, match="NaN or < 0"):
@@ -300,12 +298,12 @@ def test_sample_blocks_draw_like_one_draw():
     angles = AngleVector(betas=(0.4, 1.1), gammas=(0.7, 2.3))
     for n, s in ((1000, 3001), (999, 3001), (7, 3 * (SAMPLE_BLOCK_CELLS // 7) + 18)):
         assert n * s > 2 * SAMPLE_BLOCK_CELLS and (n * s % 4 > 0) == (n != 1000)
-        state = prepare_state(n, angles)
-        shots = sample(state, s, np.random.default_rng(5))
-        one_draw = block_shots(state.p1, s, np.random.default_rng(5))
+        p1 = prepare_state(n, angles)
+        shots = sample(p1, s, np.random.default_rng(5))
+        one_draw = block_shots(p1, s, np.random.default_rng(5))
         assert shots.dtype == np.uint8 and shots.shape == (s, n)
         np.testing.assert_array_equal(shots, one_draw)
-        planes = draw_planes(state.p1, s, np.random.default_rng(5))
+        planes = draw_planes(p1, s, np.random.default_rng(5))
         np.testing.assert_array_equal(planes, bit_planes(one_draw))
     # grouped biases: each qubit's words cross every group of 100 shots. All groups share the
     # threshold 30000, but a tie reads 0 in group 0 (no fraction left) and almost surely 1 in
@@ -414,7 +412,7 @@ def test_shot_draws_leave_rng_where_one_draw_does():
     reference = stream()
     expected = block_shots(p1, count, reference)
     drawn = stream()
-    np.testing.assert_array_equal(sample(QuantumState(p1), count, drawn), expected)
+    np.testing.assert_array_equal(sample(p1, count, drawn), expected)
     assert 0 < expected[5].sum() < n
     assert drawn.bit_generator.state == reference.bit_generator.state
     p1 = tied(rows)
@@ -432,7 +430,7 @@ def test_shot_draws_leave_rng_where_one_draw_does():
         p1 = (_block_words(n, 8, np.random.Generator(make(0)))[:, 5] + 0.5) / 65536
         expected = block_shots(p1, 8, reference)
         assert 0 < expected[5].sum() < n
-        np.testing.assert_array_equal(sample(QuantumState(p1), 8, drawn), expected)
+        np.testing.assert_array_equal(sample(p1, 8, drawn), expected)
         after = [rng.bit_generator.random_raw(4).tolist() for rng in (drawn, reference)]
         assert after[0] == after[1]
 
@@ -441,7 +439,7 @@ def test_fill_shots_threshold_multiples_are_the_word_compare():
     # p = k/65536 leaves no fraction, so a tied word reads 0 like any word >= k
     k = np.array([0, 1, 2, 255, 32768, 40000, 65535])
     s = 20_000
-    bits = sample(QuantumState(k / 65536), s, np.random.default_rng(9))
+    bits = sample(k / 65536, s, np.random.default_rng(9))
     words = _block_words(k.size, s, np.random.default_rng(9))
     np.testing.assert_array_equal(bits, (words < k[:, None]).T)
 
@@ -449,7 +447,7 @@ def test_fill_shots_threshold_multiples_are_the_word_compare():
 def test_fill_shots_edges_are_certain():
     # 300k cells per column: about 4.6 ties each, which the refinement must settle
     p1 = np.array([0.0, 1.0, 1.0 + 2.0**-52])
-    bits = sample(QuantumState(p1), 300_000, np.random.default_rng(2))
+    bits = sample(p1, 300_000, np.random.default_rng(2))
     assert not bits[:, 0].any()
     assert bits[:, 1:].all()
 
@@ -468,10 +466,10 @@ def test_fill_shots_below_a_word_step_uses_the_tie_path():
 def test_sample_memory_is_the_bits_plus_a_block():
     # one (s, n) float64 draw would need 8 bytes per shot-bit on top of the bits
     s, n = 20_000, 1000
-    state = prepare_state(n, AngleVector(betas=(0.4,), gammas=(0.7,)))
+    p1 = prepare_state(n, AngleVector(betas=(0.4,), gammas=(0.7,)))
     tracemalloc.start()
     try:
-        sample(state, s, np.random.default_rng(0))
+        sample(p1, s, np.random.default_rng(0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

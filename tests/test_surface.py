@@ -29,7 +29,7 @@ PUBLIC = {
     "Literal", "Clause", "CnfFormula", "CostParams", "DimacsError",
     "parse_dimacs", "parse_dimacs_file", "parse_json_instance",
     "default_params",
-    "AngleVector", "QuantumState", "prepare_state",
+    "AngleVector", "prepare_state",
     "CostHistogram", "QuantileSet",
     "GaConfig", "optimize",
     "GuardError", "enumerate_h", "exact_h_distribution",
@@ -145,7 +145,7 @@ def test_scorers_reach_unsat_matrix(method, monkeypatch):
     monkeypatch.setattr(ClauseArrays, "unsat_matrix", counted)
     f = CnfFormula.from_signed(3, [[1, -2], [3]] * 2100)
     block, rng = f.arrays.rows, np.random.default_rng(0)
-    state = rs.prepare_state(f.n, rs.AngleVector.zeros(1))
+    p1 = rs.prepare_state(f.n, rs.AngleVector.zeros(1))
     if method == "h_d_sums":
         cfg = GaConfig(population=3, elites=0, shots_per_eval=block)
         rs.evolve._fitness_values(f, np.zeros((3, 2 * cfg.depth)), cfg, rng)
@@ -155,8 +155,7 @@ def test_scorers_reach_unsat_matrix(method, monkeypatch):
         rs.shaping.cost_histogram(f, np.zeros((2 * block + 1, 3), np.uint8), rs.default_params(f))
     else:
         zeta = rs.default_params(f).zeta if method == "d" else None
-        f.arrays.scores(lambda count: rs.qsim.draw_planes(state.p1, count, rng), 2 * block + 1,
-                        zeta)
+        f.arrays.scores(lambda count: rs.qsim.draw_planes(p1, count, rng), 2 * block + 1, zeta)
     assert calls == [block, block, 1]
 
 
